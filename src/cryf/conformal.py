@@ -64,8 +64,12 @@ def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarra
             f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}"
         )
     n = geom.n
-    rhs = -(2.0 + 2.0 / n) * sub_laplacian_base(geom, u) + geom.r_base * u
-    return u ** (-(1.0 + 2.0 / n)) * rhs
+    rhs = sub_laplacian_base(geom, u)
+    rhs *= -(2.0 + 2.0 / n)
+    # the flat background's R_base u term is +0.0: adding it only turns a
+    # -0.0 into +0.0, which the printed curvatures show
+    rhs += 0.0
+    return np.multiply(u ** (-(1.0 + 2.0 / n)), rhs, out=rhs)
 
 
 def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:

@@ -84,7 +84,9 @@ def time_derivative(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> 
 
 def _du_dt(geom, u: np.ndarray, u_floor: float) -> np.ndarray:
     r = _webster_raw(geom, u, u_floor)
-    return (-0.5 * geom.n) * r * u
+    r *= -0.5 * geom.n
+    r *= u
+    return r
 
 
 def _check_floor(u: np.ndarray, u_floor: float) -> None:

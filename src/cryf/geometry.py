@@ -23,6 +23,10 @@ never assumed.
 
 Fields are plain float64 numpy arrays of shape (N_x, N_y, N_z), C-order,
 so the z index varies fastest.
+
+The divergence-form kernel works in three scratch fields that each geometry
+allocates on first use and keeps, so one geometry must not be shared by
+threads that apply the kernel concurrently.
 """
 
 from __future__ import annotations
@@ -99,12 +103,15 @@ def canonical_index(spec: GridSpec, i, j, k):
 class BaseGeometry:
     """Frame operators, quadrature and symmetry maps for one grid resolution.
 
+    The background contact form is flat: its Webster scalar curvature is
+    identically zero, which the conformal formulas use by leaving the
+    R_base u term out (checked operationally by constants being flow fixed
+    points).
+
     Attributes:
         spec: the lattice sizes.
         n: CR dimension parameter (1 for this geometry; conformal formulas
            elsewhere keep it symbolic).
-        r_base: background Webster scalar curvature, identically zero here;
-           operationally checked by constants being flow fixed points.
         w0: quadrature weight per grid point (the fundamental cell has unit
            volume, so w0 = hx*hy*hz).
     """
@@ -113,7 +120,6 @@ class BaseGeometry:
         self.spec = spec
         self.n = 1
         self.w0 = spec.hx * spec.hy * spec.hz
-        self.r_base = np.zeros(spec.shape)
         self.x_coord = (np.arange(spec.nx) * spec.hx).reshape(-1, 1, 1)
         kk = np.arange(spec.nz)[None, :]
         jj = np.arange(spec.ny)[:, None]
@@ -121,6 +127,8 @@ class BaseGeometry:
         # z-index permutation of the wrapped x-plane, one row per j
         self._wrap_fwd = (kk - jj * spec.twist) % spec.nz
         self._wrap_bwd = (kk + jj * spec.twist) % spec.nz
+        # work fields of _div_form, allocated on its first call
+        self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -223,6 +231,75 @@ def frame_derivative_adjoint(geom: BaseGeometry, f: np.ndarray, which: str) -> n
     return (_shift_z(f, -1) - f) / s.hz
 
 
+def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
+          out: np.ndarray) -> None:
+    """Unscaled one-sided difference of g along one lattice axis, into out.
+
+    step=+1 gives S g - g and step=-1 gives g - S^-1 g, where S samples one
+    lattice step further along the axis (for x through the sheared wrap).
+    S is a permutation, so every entry is a single subtraction: one sliced
+    pass over the interior plus one over the wrap slab, with no shifted
+    copy of g.  `out` must be C-contiguous and distinct from g.
+    """
+    lo, hi = slice(None, -1), slice(1, None)
+    dst, edge = (lo, -1) if step == 1 else (hi, 0)
+    if axis == 2:
+        # z varies fastest: one contiguous pass over the flat array, whose
+        # entries that straddle two z-lines the wrap then overwrites
+        flat = g.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[dst])
+        np.subtract(g[..., 0], g[..., -1], out=out[..., edge])
+        return
+    ix = (slice(None),) * axis
+    np.subtract(g[ix + (hi,)], g[ix + (lo,)], out=out[ix + (dst,)])
+    first, last = g[ix + (0,)], g[ix + (-1,)]
+    if axis == 0:
+        if step == 1:
+            first = first[geom._rows, geom._wrap_fwd]
+        else:
+            last = last[geom._rows, geom._wrap_bwd]
+    np.subtract(first, last, out=out[ix + (edge,)])
+
+
+def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
+                       step: int, out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray) -> None:
+    """One conservative form -D*(w D f) into out, D one-sided in direction `step`.
+
+    With d = _diff(.., step) and d' = _diff(.., -step) = -h D*, it evaluates
+
+        Fx = w * (d_x f / hx)          Fy = w * (d_y f / hy + (x * d_z f) / hz)
+        out = d'_x Fx / hx + (d'_y Fy / hy + (x * d'_z Fy) / hz)
+
+    with exactly this grouping, so the result equals the shift-and-subtract
+    evaluation of the same expression bit for bit.  a, b, c are scratch;
+    out may be c, whose last read comes before out's first write.
+    """
+    s = geom.spec
+    x = geom.x_coord
+    _diff(geom, f, 1, step, b)
+    b /= s.hy
+    _diff(geom, f, 2, step, c)
+    c *= x
+    c /= s.hz
+    b += c
+    if w is not None:
+        b *= w
+    _diff(geom, b, 1, -step, a)
+    a /= s.hy
+    _diff(geom, b, 2, -step, c)
+    c *= x
+    c /= s.hz
+    a += c
+    _diff(geom, f, 0, step, b)
+    b /= s.hx
+    if w is not None:
+        b *= w
+    _diff(geom, b, 0, -step, out)
+    out /= s.hx
+    out += a
+
+
 def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Average of the forward-flux and backward-flux conservative forms.
 
@@ -230,29 +307,18 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
     semidefiniteness and exact zero mean hold for any positive weight; the
     average additionally cancels the O(h) weight-offset error of either
     one-sided form, giving second-order consistency for smooth weights (the
-    two forms coincide bit for bit when w is constant).
+    two forms coincide bit for bit when w is constant).  Works in the
+    geometry's three scratch fields; only the returned array is new.
     """
-    s = geom.spec
-    x = geom.x_coord
-
-    # forward fluxes and their exact-adjoint divergence
-    dxf = (_shift_x(geom, f, 1) - f) / s.hx
-    dyf = (_shift_y(f, 1) - f) / s.hy + x * (_shift_z(f, 1) - f) / s.hz
-    if w is not None:
-        dxf = w * dxf
-        dyf = w * dyf
-    out_f = (dxf - _shift_x(geom, dxf, -1)) / s.hx
-    out_f += (dyf - _shift_y(dyf, -1)) / s.hy + x * (dyf - _shift_z(dyf, -1)) / s.hz
-
-    # backward mirror
-    dxb = (f - _shift_x(geom, f, -1)) / s.hx
-    dyb = (f - _shift_y(f, -1)) / s.hy + x * (f - _shift_z(f, -1)) / s.hz
-    if w is not None:
-        dxb = w * dxb
-        dyb = w * dyb
-    out_b = (_shift_x(geom, dxb, 1) - dxb) / s.hx
-    out_b += (_shift_y(dyb, 1) - dyb) / s.hy + x * (_shift_z(dyb, 1) - dyb) / s.hz
-    return 0.5 * (out_f + out_b)
+    if geom._scratch is None:
+        geom._scratch = tuple(np.empty(geom.shape) for _ in range(3))
+    a, b, c = geom._scratch
+    out = np.empty(geom.shape)
+    _conservative_form(geom, f, w, 1, out, a, b, c)
+    _conservative_form(geom, f, w, -1, c, a, b, c)
+    out += c
+    out *= 0.5
+    return out
 
 
 def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:

@@ -42,6 +42,17 @@ class TestTimeDerivative:
         state = ConformalState(geom448, np.full(geom448.shape, c))
         assert np.all(time_derivative(state) == 0.0)
 
+    def test_results_owned_by_caller(self, geom448):
+        s1 = random_state(geom448, 1)
+        s2 = random_state(geom448, 2)
+        for fn in (time_derivative, webster_curvature):
+            first = fn(s1)
+            kept = first.copy()
+            second = fn(s2)
+            assert np.array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, s1.u)
+
     def test_linearization(self, geom16):
         # du/dt ~ -(1/2) R u ~ -2*lambda_h*eps*sin(2 pi y) for the discrete
         # mode rate lambda_h = 4 N^2 sin^2(pi/N); the continuum rate 8 pi^2

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from cryf.errors import ConfigurationError
 from cryf.geometry import (
     GridSpec,
+    _shift_x,
+    _shift_y,
+    _shift_z,
     build_nilmanifold,
     canonical_index,
     frame_commutator_check,
@@ -188,6 +191,81 @@ class TestDivForm:
         assert abs(sym) <= 1e-12 * max(1.0, abs(grid_inner(geom, g, lf)))
         quad = grid_inner(geom, f, lf)
         assert quad <= 1e-12 * max(1.0, abs(quad))
+
+
+def shift_div_form_reference(geom, f, w):
+    """Shift-based evaluation of the symmetrized divergence form.
+
+    Builds every shifted field as a copy and evaluates the textbook
+    expression; the production kernel must match it bit for bit.
+    """
+    s = geom.spec
+    x = geom.x_coord
+    dxf = (_shift_x(geom, f, 1) - f) / s.hx
+    dyf = (_shift_y(f, 1) - f) / s.hy + x * (_shift_z(f, 1) - f) / s.hz
+    if w is not None:
+        dxf = w * dxf
+        dyf = w * dyf
+    out_f = (dxf - _shift_x(geom, dxf, -1)) / s.hx
+    out_f += (dyf - _shift_y(dyf, -1)) / s.hy + x * (dyf - _shift_z(dyf, -1)) / s.hz
+    dxb = (f - _shift_x(geom, f, -1)) / s.hx
+    dyb = (f - _shift_y(f, -1)) / s.hy + x * (f - _shift_z(f, -1)) / s.hz
+    if w is not None:
+        dxb = w * dxb
+        dyb = w * dyb
+    out_b = (_shift_x(geom, dxb, 1) - dxb) / s.hx
+    out_b += (_shift_y(dyb, 1) - dyb) / s.hy + x * (_shift_z(dyb, 1) - dyb) / s.hz
+    return 0.5 * (out_f + out_b)
+
+
+REFERENCE_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_bitwise_equal(self, shape, seed):
+        geom = build_nilmanifold(GridSpec(*shape))
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(shape)
+        w = 0.5 + rng.random(shape)
+        assert np.array_equal(sub_laplacian_base(geom, f),
+                              shift_div_form_reference(geom, f, None))
+        assert np.array_equal(weighted_div_form(geom, w, f),
+                              shift_div_form_reference(geom, f, w))
+
+    def test_noncontiguous_input(self, geom548):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((5, 4, 16))[..., ::2]
+        w = 0.5 + rng.random((5, 4, 16))[..., 1::2]
+        assert np.array_equal(weighted_div_form(geom548, w, f),
+                              shift_div_form_reference(geom548, f, w))
+
+    def test_results_and_inputs_not_aliased(self, geom548):
+        f, g = random_field(geom548, 1), random_field(geom548, 2)
+        w = 0.5 + np.abs(random_field(geom548, 3))
+        f0, w0 = f.copy(), w.copy()
+        first = weighted_div_form(geom548, w, f)
+        kept = first.copy()
+        second = weighted_div_form(geom548, w, g)
+        third = sub_laplacian_base(geom548, g)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(second, third)
+        assert np.array_equal(f, f0) and np.array_equal(w, w0)
+        assert np.array_equal(second, shift_div_form_reference(geom548, g, w))
+
+    def test_alternating_geometries(self):
+        geoms = [build_nilmanifold(GridSpec(6, 4, 12)), build_nilmanifold(GridSpec(8, 8, 8))]
+        for step in range(4):
+            geom = geoms[step % 2]
+            f = random_field(geom, step)
+            w = 1.0 + np.abs(random_field(geom, step + 10))
+            assert np.array_equal(weighted_div_form(geom, w, f),
+                                  shift_div_form_reference(geom, f, w))
+            assert np.array_equal(sub_laplacian_base(geom, f),
+                                  shift_div_form_reference(geom, f, None))
 
 
 class TestSubLaplacian:
