@@ -13,12 +13,15 @@ identities
 
 by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
-(h, delta) refinement.
+(h, delta) refinement.  `identity_residuals` integrates one probe pair
+(t - delta, t + delta) per state and hands it to every window residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,21 +67,26 @@ class DiagnosticsRecord:
                 self.dEdt_formula, self.min_u, self.min_R, self.max_R, self.dt)
 
 
-def _moments(state: ConformalState, u_floor: float):
+def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR):
+    """Curvature R, volume element dV and the moments int dV, int R dV, int R^2 dV."""
     geom = state.geom
     r = webster_curvature(state, u_floor)
     dv = conformal_volume_element(state)
     vol = integrate_base(geom, dv)
     int_r = integrate_base(geom, r * dv)
     int_r2 = integrate_base(geom, r * r * dv)
-    return r, vol, int_r, int_r2
+    return r, dv, vol, int_r, int_r2
+
+
+def yamabe_from_moments(vol: float, int_r: float, n: int = 1) -> float:
+    """E = int R dV / (int dV)^(n/(n+1)) from the moments."""
+    return int_r / vol ** (n / (n + 1.0))
 
 
 def yamabe_quantity(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """E = int R dV / (int dV)^(n/(n+1))."""
-    _, vol, int_r, _ = _moments(state, u_floor)
-    n = state.n
-    return int_r / vol ** (n / (n + 1.0))
+    _, _, vol, int_r, _ = curvature_moments(state, u_floor)
+    return yamabe_from_moments(vol, int_r, state.n)
 
 
 def curvature_variance(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
@@ -86,13 +94,13 @@ def curvature_variance(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) 
 
     Nonnegative up to rounding; zero exactly when R is constant.
     """
-    _, vol, int_r, int_r2 = _moments(state, u_floor)
+    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
     return int_r2 * vol - int_r * int_r
 
 
 def dE_dt_formula(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """Closed-form dE/dt = -n * variance / vol^((2n+1)/(n+1)); always <= 0."""
-    _, vol, int_r, int_r2 = _moments(state, u_floor)
+    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
     n = state.n
     var = int_r2 * vol - int_r * int_r
     return -n * var / vol ** ((2.0 * n + 1.0) / (n + 1.0))
@@ -106,7 +114,7 @@ def dE_dt_from_moments(vol: float, int_r: float, int_r2: float, n: int = 1) -> f
 def make_record(state: ConformalState, dt_used: float = 0.0,
                 u_floor: float = DEFAULT_U_FLOOR) -> DiagnosticsRecord:
     """Compute the full diagnostics row for one state."""
-    r, vol, int_r, int_r2 = _moments(state, u_floor)
+    r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
     n = state.n
     var = int_r2 * vol - int_r * int_r
     return DiagnosticsRecord(
@@ -124,19 +132,31 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
     )
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _probe_pair(state: ConformalState, delta: float, micro_steps: int, u_floor: float):
+    """States at t - delta and t + delta from high-accuracy reference steps."""
+    from . import flow
+
+    return (flow.integrate_fixed(state, -delta, micro_steps, u_floor),
+            flow.integrate_fixed(state, delta, micro_steps, u_floor))
+
+
 def identity_window(state: ConformalState, delta: float, micro_steps: int = 8,
-                    u_floor: float = DEFAULT_U_FLOOR):
+                    u_floor: float = DEFAULT_U_FLOOR, probes=None):
     """Records at t - delta, t, t + delta via high-accuracy reference steps.
 
     The reference integration error is far below the O(delta^2) centered
     difference bias, so window residuals measure the identities themselves.
+    `probes` is the (t - delta, t + delta) pair when the caller has it
+    already; otherwise it is integrated here.
     """
-    from . import flow
-
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    minus = flow.integrate_fixed(state, -delta, micro_steps, u_floor)
-    plus = flow.integrate_fixed(state, delta, micro_steps, u_floor)
+    _check_delta(delta)
+    minus, plus = probes if probes is not None else _probe_pair(
+        state, delta, micro_steps, u_floor)
     return (make_record(minus, u_floor=u_floor),
             make_record(state, u_floor=u_floor),
             make_record(plus, u_floor=u_floor))
@@ -169,6 +189,14 @@ def volume_rate_residual(window, n: int = 1) -> float:
     return abs(ddt + (n + 1.0) * r1.intR) / max(1.0, (n + 1.0) * abs(r1.intR))
 
 
+def dEdt_mismatch(window) -> float:
+    """Normalized gap between the centered difference of E and the closed-form dE/dt."""
+    span = _window_spacing(window)
+    r0, r1, r2 = window
+    fd = (r2.E - r0.E) / span
+    return abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
+
+
 def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
     """Right-hand side (n+1) Lap_u R + R^2 of the curvature evolution law."""
     n = state.n
@@ -177,17 +205,18 @@ def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
 
 def curvature_evolution_residual(state: ConformalState, delta: float,
                                  micro_steps: int = 8,
-                                 u_floor: float = DEFAULT_U_FLOOR) -> float:
+                                 u_floor: float = DEFAULT_U_FLOOR,
+                                 probes=None) -> float:
     """Normalized L2 residual of dR/dt = (n+1) Lap_u R + R^2 at one state.
 
-    R at t +/- delta comes from high-accuracy flow steps; the norm is L2
-    with the evolving volume weight, normalized by max(1, |rhs|_L2).
+    R at t +/- delta comes from high-accuracy flow steps (`probes`, as in
+    `identity_window`); the norm is L2 with the evolving volume weight,
+    normalized by max(1, |rhs|_L2).
     """
-    from . import flow
-
+    _check_delta(delta)
+    minus, plus = probes if probes is not None else _probe_pair(
+        state, delta, micro_steps, u_floor)
     geom = state.geom
-    minus = flow.integrate_fixed(state, -delta, micro_steps, u_floor)
-    plus = flow.integrate_fixed(state, delta, micro_steps, u_floor)
     r_minus = webster_curvature(minus, u_floor)
     r_plus = webster_curvature(plus, u_floor)
     r0 = webster_curvature(state, u_floor)
@@ -200,6 +229,34 @@ def curvature_evolution_residual(state: ConformalState, delta: float,
     return float(num / den)
 
 
+class IdentityResiduals(NamedTuple):
+    """The four time-derivative residuals of one state."""
+
+    volume_rate: float
+    mean_curvature_rate: float
+    curvature_evolution: float
+    dEdt_mismatch: float
+
+
+def identity_residuals(state: ConformalState, delta: float, micro_steps: int = 8,
+                       u_floor: float = DEFAULT_U_FLOOR) -> IdentityResiduals:
+    """Every window residual of one state from a single probe pair.
+
+    The pair is integrated once and dropped on return, so callers hold no
+    probe fields afterwards.
+    """
+    _check_delta(delta)
+    probes = _probe_pair(state, delta, micro_steps, u_floor)
+    window = identity_window(state, delta, micro_steps, u_floor, probes=probes)
+    return IdentityResiduals(
+        volume_rate=volume_rate_residual(window, state.n),
+        mean_curvature_rate=mean_curvature_rate_residual(window, state.n),
+        curvature_evolution=curvature_evolution_residual(
+            state, delta, micro_steps, u_floor, probes=probes),
+        dEdt_mismatch=dEdt_mismatch(window),
+    )
+
+
 def constancy_verdict(state: ConformalState, tol_rel: float = DEFAULT_CONSTANCY_TOL,
                       u_floor: float = DEFAULT_U_FLOOR) -> bool:
     """Scale-calibrated test for constant curvature.
@@ -207,7 +264,13 @@ def constancy_verdict(state: ConformalState, tol_rel: float = DEFAULT_CONSTANCY_
     True iff var/vol^2 <= tol_rel * max(1, (int R dV / vol)^2); the discrete
     stand-in for "R is constant" via the Cauchy-Schwarz equality case.
     """
-    _, vol, int_r, int_r2 = _moments(state, u_floor)
+    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
+    return constancy_from_moments(vol, int_r, int_r2, tol_rel)
+
+
+def constancy_from_moments(vol: float, int_r: float, int_r2: float,
+                           tol_rel: float = DEFAULT_CONSTANCY_TOL) -> bool:
+    """The `constancy_verdict` test on already computed moments."""
     var = int_r2 * vol - int_r * int_r
     mean = int_r / vol
     return var / (vol * vol) <= tol_rel * max(1.0, mean * mean)

@@ -1,7 +1,8 @@
 """Command-line drivers: flow runs, identity checks, convergence studies, soliton sweeps.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 environment/configuration failure.  Outputs are deterministic byte for
+2 environment/configuration failure, including an identity probe that
+leaves the positive cone.  Outputs are deterministic byte for
 byte for a fixed config and seed; no timestamps, 17-significant-digit
 decimal floats throughout (lossless float64 round trip).
 
@@ -26,7 +27,12 @@ from .conformal import (
     scale_state,
     webster_curvature,
 )
-from .errors import ConfigurationError, PositivityError, ShiftAlignmentError
+from .errors import (
+    ConfigurationError,
+    PositivityError,
+    ShiftAlignmentError,
+    StepPositivityError,
+)
 from .geometry import (
     GridSpec,
     build_nilmanifold,
@@ -127,22 +133,13 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
-    window = analysis.identity_window(state, a.delta)
-    r0, r1, r2 = window
+    res = analysis.identity_residuals(state, a.delta)
     rows = [
-        ("volume_rate", analysis.volume_rate_residual(window), a.max_volume_rate),
-        ("mean_curvature_rate", analysis.mean_curvature_rate_residual(window),
-         a.max_mean_curvature_rate),
-        ("curvature_evolution",
-         analysis.curvature_evolution_residual(state, a.delta),
-         a.max_curvature_evolution),
+        ("volume_rate", res.volume_rate, a.max_volume_rate),
+        ("mean_curvature_rate", res.mean_curvature_rate, a.max_mean_curvature_rate),
+        ("curvature_evolution", res.curvature_evolution, a.max_curvature_evolution),
+        ("dEdt_vs_finite_difference", res.dEdt_mismatch, a.max_dEdt_mismatch),
     ]
-    dEdt_fd = (r2.E - r0.E) / (r2.t - r0.t)
-    rows.append((
-        "dEdt_vs_finite_difference",
-        abs(dEdt_fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula)),
-        a.max_dEdt_mismatch,
-    ))
     e0 = analysis.yamabe_quantity(state)
     r_field = webster_curvature(state)
     r_scale = max(1e-300, float(np.abs(r_field).max()))
@@ -222,14 +219,11 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     evo, mean_rate, vol_rate, dEdt_mis = [], [], [], []
     for geom, n in zip(geoms, grids):
         state = _initial_state(cfg, geom.spec)
-        delta = base_delta * grids[0] / n
-        evo.append(analysis.curvature_evolution_residual(state, delta))
-        window = analysis.identity_window(state, delta)
-        mean_rate.append(analysis.mean_curvature_rate_residual(window))
-        vol_rate.append(analysis.volume_rate_residual(window))
-        r0, r1, r2 = window
-        fd = (r2.E - r0.E) / (r2.t - r0.t)
-        dEdt_mis.append(abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula)))
+        res = analysis.identity_residuals(state, base_delta * grids[0] / n)
+        evo.append(res.curvature_evolution)
+        mean_rate.append(res.mean_curvature_rate)
+        vol_rate.append(res.volume_rate)
+        dEdt_mis.append(res.dEdt_mismatch)
     cases.append(("curvature_evolution_residual", evo, cfg.analysis.min_order_twisted))
     cases.append(("mean_curvature_rate_residual", mean_rate, cfg.analysis.min_order_twisted))
     cases.append(("volume_rate_residual", vol_rate, cfg.analysis.min_order_twisted))
@@ -298,10 +292,11 @@ def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     lines = []
     violations = 0
     for desc, fam in _sweep_families(cfg, geom):
+        scan = soliton.scan_family(fam, sol.times)
         verdict = soliton.soliton_theorem_harness(
-            fam, sol.times, flow_tol=sol.flow_tol, var_tol=sol.var_tol
+            fam, sol.times, flow_tol=sol.flow_tol, var_tol=sol.var_tol, scan=scan
         )
-        e_dev = soliton.soliton_invariance_check(fam, sol.times)
+        e_dev = soliton.soliton_invariance_check(fam, sol.times, scan=scan)
         snapped = any(soliton.shift_steps(fam, t)[1] for t in sol.times)
         if verdict == soliton.Verdict.THEOREM_VIOLATION:
             violations += 1
@@ -352,6 +347,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args.out, args.overwrite)
     except (ConfigurationError, ShiftAlignmentError, PositivityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StepPositivityError as exc:
+        # only the fixed-step identity probes let this escape; the adaptive
+        # stepper retries it
+        print(f"identity probe failed: {exc}; try a smaller [analysis] delta",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ every parse or validation failure carries a line and column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -41,6 +42,10 @@ class AnalysisConfig:
     min_order_untwisted: float = 1.8
     min_order_twisted: float = 0.9
     constancy_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from cryf.analysis import (
     curvature_variance,
     dE_dt_formula,
     dE_dt_from_moments,
+    dEdt_mismatch,
+    identity_residuals,
     identity_window,
     make_record,
     mean_curvature_rate_residual,
@@ -27,6 +29,7 @@ from cryf.conformal import (
     pullback_state,
     webster_curvature,
 )
+import cryf.flow
 from cryf.flow import FlowConfig, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
 
@@ -166,6 +169,44 @@ class TestCurvatureEvolutionResidual:
             geom = build_nilmanifold(GridSpec(n, n, n))
             vals.append(curvature_evolution_residual(single_mode_state(geom, 0.1), 1e-4))
         assert vals[1] < vals[0]
+
+
+class TestIdentityResiduals:
+    def test_equals_separate_calls(self, geom16):
+        state = single_mode_state(geom16, 0.1)
+        res = identity_residuals(state, 1e-4)
+        window = identity_window(state, 1e-4)
+        r0, r1, r2 = window
+        fd = (r2.E - r0.E) / (r2.t - r0.t)
+        assert res.volume_rate == volume_rate_residual(window)
+        assert res.mean_curvature_rate == mean_curvature_rate_residual(window)
+        assert res.curvature_evolution == curvature_evolution_residual(state, 1e-4)
+        assert res.dEdt_mismatch == dEdt_mismatch(window) \
+            == abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
+
+    def test_one_probe_pair_per_state(self, geom448, monkeypatch):
+        calls = []
+        real = cryf.flow.integrate_fixed
+
+        def counting(state, t_offset, *args):
+            calls.append(t_offset)
+            return real(state, t_offset, *args)
+
+        monkeypatch.setattr(cryf.flow, "integrate_fixed", counting)
+        state = random_state(geom448, 5, smooth=2)
+        identity_residuals(state, 1e-4)
+        assert calls == [-1e-4, 1e-4]
+        # each function alone still integrates the pair itself
+        identity_window(state, 1e-4)
+        curvature_evolution_residual(state, 1e-4)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_bad_delta_rejected(self, geom448, delta):
+        state = random_state(geom448, 5)
+        for fn in (identity_window, curvature_evolution_residual, identity_residuals):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                fn(state, delta)
 
 
 class TestConstancyVerdict:

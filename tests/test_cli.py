@@ -1,4 +1,8 @@
+import pytest
+
 import cryf.analysis
+import cryf.conformal
+import cryf.flow
 from cryf.cli import CSV_HEADER, main
 
 BASE_CFG = """
@@ -157,6 +161,56 @@ class TestCheckIdentities:
         assert rc == 1
 
 
+    def test_integrates_one_probe_pair(self, tmp_path, monkeypatch):
+        calls = []
+        real = cryf.flow.integrate_fixed
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cryf.flow, "integrate_fixed", counting)
+        cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
+        assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [-1e-4, 1e-4]
+
+    def test_bad_delta_exit_2(self, tmp_path, capsys):
+        body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
+            "\n[analysis]\ndelta = 0\n"
+        cfg = write_cfg(tmp_path, body=body)
+        rc = main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "delta must be positive" in capsys.readouterr().err
+
+
+# an 8^3 rough field on which a delta = 1e-3 identity probe leaves the positive cone
+PROBE_FAILURE_CFG = """
+[geometry]
+N_x = 8
+N_y = 8
+N_z = 8
+
+[initial_data]
+preset = random_smooth
+seed = 3
+amplitude = 0.9
+smoothing_passes = 0
+
+[analysis]
+delta = 1e-3
+grids = 8,16
+"""
+
+
+@pytest.mark.parametrize("command", ["check-identities", "convergence-study"])
+def test_probe_failure_exit_2_without_traceback(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, body=PROBE_FAILURE_CFG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("identity probe failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestConvergenceStudy:
     def test_two_grid_study_passes(self, tmp_path):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
@@ -191,6 +245,23 @@ class TestSolitonCheck:
         assert 'verdict="not a flow solution"' in table
         assert "theorem_violations: 0" in table
         assert "THEOREM VIOLATION" not in table
+
+    def test_one_curvature_per_sampled_time(self, tmp_path, monkeypatch):
+        calls = []
+        real = cryf.conformal._webster_raw
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        cfg = write_cfg(tmp_path, body=BASE_CFG.format(preset="constant", extra="").replace(
+            "= 16", "= 8"))
+        out = tmp_path / "out"
+        assert main(["soliton-check", "--config", cfg, "--out", str(out)]) == 0
+        # 3 x 3 sweep families plus 2 controls, 5 default times and the base
+        assert "families: 11" in (out / "verdicts.txt").read_text()
+        assert len(calls) <= 11 * (1 + 5)
 
     def test_configured_family_mode(self, tmp_path):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \

@@ -107,3 +107,8 @@ class TestValidation:
         text = MINIMAL + "\n[flow]\ndt_min = 1.0\ndt_init = 0.5\ndt_max = 2.0\n"
         with pytest.raises(ConfigurationError, match=r"\[flow\]"):
             parse_config(text)
+
+    @pytest.mark.parametrize("delta", ["0", "-1e-4", "nan", "inf"])
+    def test_bad_delta_is_config_error(self, delta):
+        with pytest.raises(ConfigurationError, match=r"\[analysis\]: delta must be positive"):
+            parse_config(MINIMAL + f"\n[analysis]\ndelta = {delta}\n")

@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cryf.analysis import yamabe_quantity
+import cryf.conformal
+from cryf.analysis import constancy_verdict, yamabe_quantity
 from cryf.conformal import ConformalState, scale_state
 from cryf.errors import ShiftAlignmentError
 from cryf.soliton import (
     SolitonFamily,
     Verdict,
+    _residual_delta,
     flow_residual_of_family,
+    scan_family,
     shift_steps,
     soliton_invariance_check,
     soliton_state,
@@ -138,3 +141,73 @@ class TestHarness:
                 for slope in (0.0, 1.0):
                     fam = constant_family(geom16, c=c, rate=rate, slope=slope)
                     assert soliton_theorem_harness(fam, TIMES) != Verdict.THEOREM_VIOLATION
+
+
+def separate_verdict(fam, times, flow_tol=1e-8, var_tol=1e-6):
+    """The harness's decision from per-time quantities computed one call each."""
+    e0 = yamabe_quantity(fam.base)
+    dev = 0.0
+    for t in times:
+        dev = max(dev, abs(yamabe_quantity(soliton_state(fam, t)) - e0))
+    if dev > 1e-12 * max(1.0, abs(e0)):
+        return Verdict.NOT_INVARIANT, dev
+    d = _residual_delta(fam)
+    if max(flow_residual_of_family(fam, t, d) for t in times) > flow_tol:
+        return Verdict.NOT_A_FLOW_SOLUTION, dev
+    for t in times:
+        if not constancy_verdict(soliton_state(fam, t), var_tol):
+            return Verdict.THEOREM_VIOLATION, dev
+    return Verdict.CONSTANT_CURVATURE, dev
+
+
+def sweep_and_controls(geom):
+    fams = [constant_family(geom, c=c, rate=rate)
+            for c in (0.5, 1.0, 2.0) for rate in (0.0, 1.0, 2.0)]
+    fams.append(SolitonFamily(single_mode_state(geom, 0.1), lambda t: 1.0, 0.0))
+    fams.append(constant_family(geom, c=1.0, slope=1.0))
+    return fams
+
+
+class TestFamilyScan:
+    def test_matches_separate_quantities(self, geom16):
+        verdicts = []
+        for fam in sweep_and_controls(geom16):
+            scan = scan_family(fam, TIMES)
+            verdict, dev = separate_verdict(fam, TIMES)
+            assert soliton_theorem_harness(fam, TIMES, scan=scan) == verdict
+            assert soliton_theorem_harness(fam, TIMES) == verdict
+            assert soliton_invariance_check(fam, TIMES, scan=scan) == dev
+            assert soliton_invariance_check(fam, TIMES) == dev
+            verdicts.append(verdict)
+        assert verdicts == [Verdict.CONSTANT_CURVATURE] * 9 + [Verdict.NOT_A_FLOW_SOLUTION] * 2
+
+    def test_samples_hold_scalars_only(self, geom448):
+        scan = scan_family(constant_family(geom448, rate=1.0, slope=0.5), TIMES)
+        assert len(scan.samples) == len(TIMES)
+        for sample in scan.samples:
+            assert all(type(v) is float for v in sample)
+
+    def test_one_curvature_per_sampled_time(self, geom448, monkeypatch):
+        calls = []
+        real = cryf.conformal._webster_raw
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        fam = constant_family(geom448, rate=1.0)
+        scan = scan_family(fam, TIMES)
+        soliton_theorem_harness(fam, TIMES, scan=scan)
+        soliton_invariance_check(fam, TIMES, scan=scan)
+        assert len(calls) == 1 + len(TIMES)
+
+    def test_foreign_scan_rejected(self, geom448):
+        fam = constant_family(geom448)
+        scan = scan_family(fam, TIMES)
+        with pytest.raises(ValueError, match="scan"):
+            soliton_theorem_harness(constant_family(geom448), TIMES, scan=scan)
+        with pytest.raises(ValueError, match="scan"):
+            soliton_invariance_check(fam, TIMES[:3], scan=scan)
+        with pytest.raises(ValueError, match="scan"):
+            soliton_theorem_harness(fam, TIMES, delta=1e-3, scan=scan)
