@@ -85,8 +85,7 @@ def yamabe_from_moments(vol: float, int_r: float, n: int = 1) -> float:
 
 def yamabe_quantity(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """E = int R dV / (int dV)^(n/(n+1))."""
-    _, _, vol, int_r, _ = curvature_moments(state, u_floor)
-    return yamabe_from_moments(vol, int_r, state.n)
+    return make_record(state, u_floor=u_floor).E
 
 
 def curvature_variance(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
@@ -94,16 +93,12 @@ def curvature_variance(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) 
 
     Nonnegative up to rounding; zero exactly when R is constant.
     """
-    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
-    return int_r2 * vol - int_r * int_r
+    return make_record(state, u_floor=u_floor).var
 
 
 def dE_dt_formula(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """Closed-form dE/dt = -n * variance / vol^((2n+1)/(n+1)); always <= 0."""
-    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
-    n = state.n
-    var = int_r2 * vol - int_r * int_r
-    return -n * var / vol ** ((2.0 * n + 1.0) / (n + 1.0))
+    return make_record(state, u_floor=u_floor).dEdt_formula
 
 
 def dE_dt_from_moments(vol: float, int_r: float, int_r2: float, n: int = 1) -> float:
@@ -119,7 +114,7 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
     var = int_r2 * vol - int_r * int_r
     return DiagnosticsRecord(
         t=state.t,
-        E=int_r / vol ** (n / (n + 1.0)),
+        E=yamabe_from_moments(vol, int_r, n),
         vol=vol,
         intR=int_r,
         intR2=int_r2,
@@ -264,8 +259,8 @@ def constancy_verdict(state: ConformalState, tol_rel: float = DEFAULT_CONSTANCY_
     True iff var/vol^2 <= tol_rel * max(1, (int R dV / vol)^2); the discrete
     stand-in for "R is constant" via the Cauchy-Schwarz equality case.
     """
-    _, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
-    return constancy_from_moments(vol, int_r, int_r2, tol_rel)
+    rec = make_record(state, u_floor=u_floor)
+    return constancy_from_moments(rec.vol, rec.intR, rec.intR2, tol_rel)
 
 
 def constancy_from_moments(vol: float, int_r: float, int_r2: float,

@@ -2,13 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
-leaves the positive cone.  Outputs are deterministic byte for
+leaves the positive cone and a soliton family whose sigma is not positive
+at a sampled time.  Outputs are deterministic byte for
 byte for a fixed config and seed; no timestamps, 17-significant-digit
 decimal floats throughout (lossless float64 round trip).
-
-CRYF_THREADS caps the data-parallel width (0 = auto).  All kernels run as
-single-process vectorized array code, so any cap is trivially honored; the
-value is validated and echoed in reports.
 """
 
 from __future__ import annotations
@@ -21,12 +18,7 @@ import numpy as np
 
 from . import analysis, flow, manufactured, soliton
 from .config import RunConfig, load_config
-from .conformal import (
-    ConformalState,
-    pullback_state,
-    scale_state,
-    webster_curvature,
-)
+from .conformal import ConformalState, pullback_state, scale_state
 from .errors import (
     ConfigurationError,
     PositivityError,
@@ -52,17 +44,6 @@ EXIT_CONFIG = 2
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("CRYF_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"CRYF_THREADS must be an integer >= 0, got {raw!r}")
-    if cap < 0:
-        raise ConfigurationError(f"CRYF_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
@@ -95,7 +76,6 @@ def _initial_state(cfg: RunConfig, spec: GridSpec | None = None) -> ConformalSta
 
 
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    cap = _threads_cap()
     csv_path = _out_path(outdir, cfg.output.csv, overwrite)
     report_path = _out_path(outdir, cfg.output.report, overwrite)
     state = _initial_state(cfg)
@@ -119,7 +99,6 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         f"final_E: {_fmt(traj.records[-1].E)}",
         f"monotonicity_violations: {violations}",
         f"worst_violation: {_fmt(worst)}",
-        f"threads_cap: {cap}",
         f"status: {'PASS' if ok else 'FAIL'}",
     ])
     if not ok:
@@ -131,6 +110,12 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     return EXIT_OK
 
 
+def _yamabe_and_curvature(state: ConformalState):
+    """E and the curvature field R of one state, from one curvature evaluation."""
+    r, _, vol, int_r, _ = analysis.curvature_moments(state)
+    return analysis.yamabe_from_moments(vol, int_r, state.n), r
+
+
 def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
     res = analysis.identity_residuals(state, a.delta)
@@ -140,24 +125,22 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
         ("curvature_evolution", res.curvature_evolution, a.max_curvature_evolution),
         ("dEdt_vs_finite_difference", res.dEdt_mismatch, a.max_dEdt_mismatch),
     ]
-    e0 = analysis.yamabe_quantity(state)
-    r_field = webster_curvature(state)
+    e0, r_field = _yamabe_and_curvature(state)
     r_scale = max(1e-300, float(np.abs(r_field).max()))
-    scaled = scale_state(state, 2.0)
-    e_dev = abs(analysis.yamabe_quantity(scaled) - e0) / max(1.0, abs(e0))
-    r_dev = float(np.abs(webster_curvature(scaled) - 0.5 * r_field).max()) / r_scale
+    e_scaled, r_scaled = _yamabe_and_curvature(scale_state(state, 2.0))
+    e_dev = abs(e_scaled - e0) / max(1.0, abs(e0))
+    r_dev = float(np.abs(r_scaled - 0.5 * r_field).max()) / r_scale
     rows.append(("scaling_invariance", max(e_dev, r_dev), a.max_scaling_invariance))
-    pulled = pullback_state(state, 3)
-    e_dev = abs(analysis.yamabe_quantity(pulled) - e0) / max(1.0, abs(e0))
+    e_pulled, r_pulled = _yamabe_and_curvature(pullback_state(state, 3))
+    e_dev = abs(e_pulled - e0) / max(1.0, abs(e0))
     commute = float(np.abs(
-        webster_curvature(pulled) - pullback_z_shift(state.geom, r_field, 3)
+        r_pulled - pullback_z_shift(state.geom, r_field, 3)
     ).max()) / r_scale
     rows.append(("pullback_invariance", max(e_dev, commute), a.max_pullback_invariance))
     return rows
 
 
 def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    cap = _threads_cap()
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
     state = _initial_state(cfg)
     rows = _identity_rows(cfg, state)
@@ -168,7 +151,6 @@ def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         if not ok:
             failed.append(name)
         lines.append(f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if ok else 'FAIL'}")
-    lines.append(f"threads_cap: {cap}")
     lines.append(f"status: {'PASS' if not failed else 'FAIL'}")
     _write_lines(table_path, lines)
     if failed:
@@ -193,7 +175,6 @@ def _l2_error(geom, approx, exact) -> float:
 
 
 def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    cap = _threads_cap()
     table_path = _out_path(outdir, cfg.output.orders, overwrite)
     grids = cfg.analysis.grids
     if len(grids) < 2:
@@ -241,7 +222,6 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
             f"orders={','.join(_fmt(o) for o in orders)} "
             f"min={_fmt(min_order)} {'pass' if ok else 'FAIL'}"
         )
-    lines.append(f"threads_cap: {cap}")
     lines.append(f"status: {'PASS' if not failed else 'FAIL'}")
     _write_lines(table_path, lines)
     if failed:
@@ -285,7 +265,6 @@ def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFami
 
 
 def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    cap = _threads_cap()
     table_path = _out_path(outdir, cfg.output.verdicts, overwrite)
     geom = build_nilmanifold(cfg.geometry)
     sol = cfg.soliton
@@ -306,7 +285,6 @@ def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         )
     lines.append(f"families: {len(lines)}")
     lines.append(f"theorem_violations: {violations}")
-    lines.append(f"threads_cap: {cap}")
     lines.append(f"status: {'PASS' if violations == 0 else 'FAIL'}")
     _write_lines(table_path, lines)
     if violations:

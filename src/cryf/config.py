@@ -4,12 +4,16 @@ Deliberately not an external config language: the format is line-based with
 `[section]` headers, `#` comments, and typed keys.  Unknown sections or keys
 are fatal (no silent typos), duplicates are errors citing both lines, and
 every parse or validation failure carries a line and column.
+
+Each section's keys are the fields of its dataclass, parsed by the field's
+type annotation; the dataclasses are the only list of keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import ConfigurationError
 from .flow import FlowConfig
@@ -41,7 +45,6 @@ class AnalysisConfig:
     max_pullback_invariance: float = 1e-12
     min_order_untwisted: float = 1.8
     min_order_twisted: float = 0.9
-    constancy_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
@@ -88,115 +91,45 @@ class _Entry:
     col: int
 
 
-def _parse_int(entry: _Entry, key: str) -> int:
-    try:
-        return int(entry.value)
-    except ValueError:
-        raise ConfigurationError(
-            f"line {entry.line}, column {entry.col}: "
-            f"expected integer for {key}, got {entry.value!r}"
-        ) from None
-
-
-def _parse_float(entry: _Entry, key: str) -> float:
-    try:
-        return float(entry.value)
-    except ValueError:
-        raise ConfigurationError(
-            f"line {entry.line}, column {entry.col}: "
-            f"expected number for {key}, got {entry.value!r}"
-        ) from None
-
-
-def _parse_bool(entry: _Entry, key: str) -> bool:
-    low = entry.value.lower()
+def _bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ConfigurationError(
-        f"line {entry.line}, column {entry.col}: "
-        f"expected true/false for {key}, got {entry.value!r}"
-    )
+    raise ValueError(text)
 
 
-def _parse_str(entry: _Entry, key: str) -> str:
-    return entry.value
+def _list_of(convert):
+    return lambda text: tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_int_list(entry: _Entry, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in entry.value.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"line {entry.line}, column {entry.col}: "
-            f"expected comma-separated integers for {key}, got {entry.value!r}"
-        ) from None
+# field annotation -> (converter, what a "line L, column C: expected ..." error names)
+_PARSERS = {
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "bool": (_bool, "true/false"),
+    "str": (str, "text"),
+    "tuple[int, ...]": (_list_of(int), "comma-separated integers"),
+    "tuple[float, ...]": (_list_of(float), "comma-separated numbers"),
+}
 
+# [section] -> dataclass, read off the RunConfig fields; [initial_data] fills `initial`
+_SECTIONS = {
+    "initial_data" if name == "initial" else name: cls
+    for name, cls in get_type_hints(RunConfig).items()
+}
+# [geometry] spells the GridSpec fields nx, ny, nz as N_x, N_y, N_z
+_KEY_NAMES = {"geometry": {"nx": "N_x", "ny": "N_y", "nz": "N_z"}}
 
-def _parse_float_list(entry: _Entry, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok.strip()) for tok in entry.value.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"line {entry.line}, column {entry.col}: "
-            f"expected comma-separated numbers for {key}, got {entry.value!r}"
-        ) from None
-
-
+# section -> key -> (field name, converter, expected); every key is a field of
+# its section's dataclass, and an annotation with no parser fails here at import
 _SCHEMA = {
-    "geometry": {"N_x": _parse_int, "N_y": _parse_int, "N_z": _parse_int},
-    "initial_data": {
-        "preset": _parse_str,
-        "c": _parse_float,
-        "epsilon": _parse_float,
-        "seed": _parse_int,
-        "amplitude": _parse_float,
-        "smoothing_passes": _parse_int,
-    },
-    "flow": {
-        "t_end": _parse_float,
-        "dt_init": _parse_float,
-        "dt_min": _parse_float,
-        "dt_max": _parse_float,
-        "safety": _parse_float,
-        "err_tol": _parse_float,
-        "u_floor": _parse_float,
-        "record_every": _parse_int,
-        "snapshot_every": _parse_int,
-    },
-    "analysis": {
-        "delta": _parse_float,
-        "grids": _parse_int_list,
-        "max_volume_rate": _parse_float,
-        "max_mean_curvature_rate": _parse_float,
-        "max_curvature_evolution": _parse_float,
-        "max_dEdt_mismatch": _parse_float,
-        "max_scaling_invariance": _parse_float,
-        "max_pullback_invariance": _parse_float,
-        "min_order_untwisted": _parse_float,
-        "min_order_twisted": _parse_float,
-        "constancy_tol": _parse_float,
-    },
-    "soliton": {
-        "sigma_slope": _parse_float,
-        "psi_rate": _parse_float,
-        "times": _parse_float_list,
-        "flow_tol": _parse_float,
-        "var_tol": _parse_float,
-        "sweep": _parse_bool,
-        "sweep_base_constants": _parse_float_list,
-        "sweep_psi_rates": _parse_float_list,
-        "include_negative_controls": _parse_bool,
-    },
-    "output": {
-        "csv": _parse_str,
-        "report": _parse_str,
-        "residuals": _parse_str,
-        "orders": _parse_str,
-        "verdicts": _parse_str,
-        "snapshot_prefix": _parse_str,
-    },
+    section: {
+        _KEY_NAMES.get(section, {}).get(f.name, f.name): (f.name, *_PARSERS[f.type])
+        for f in fields(cls)
+    }
+    for section, cls in _SECTIONS.items()
 }
 
 _REQUIRED = {"geometry": ("N_x", "N_y", "N_z"), "initial_data": ("preset",)}
@@ -252,13 +185,25 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     return sections
 
 
-def _build_section(sections, name, cls):
-    entries = sections.get(name, {})
-    kwargs = {}
+def _values(name: str, entries: dict[str, _Entry]) -> dict:
+    """Field name -> parsed value; a value that does not parse is an error at its position."""
+    values = {}
     for key, entry in entries.items():
-        kwargs[key] = _SCHEMA[name][key](entry, key)
+        field, convert, expected = _SCHEMA[name][key]
+        try:
+            values[field] = convert(entry.value)
+        except ValueError:
+            raise ConfigurationError(
+                f"line {entry.line}, column {entry.col}: "
+                f"expected {expected} for {key}, got {entry.value!r}"
+            ) from None
+    return values
+
+
+def _build_section(sections, name):
+    values = _values(name, sections.get(name, {}))
     try:
-        return cls(**kwargs)
+        return _SECTIONS[name](**values)
     except ValueError as exc:
         raise ConfigurationError(f"[{name}]: {exc}") from None
 
@@ -273,12 +218,10 @@ def parse_config(text: str) -> RunConfig:
             if key not in sections[sec]:
                 raise ConfigurationError(f"missing required key {key!r} in [{sec}]")
     geo = sections["geometry"]
-    spec = GridSpec(
-        _parse_int(geo["N_x"], "N_x"),
-        _parse_int(geo["N_y"], "N_y"),
-        _parse_int(geo["N_z"], "N_z"),
-    )
-    initial = _build_section(sections, "initial_data", InitialDataConfig)
+    # N_x, N_y, N_z parse in that order whatever the file order; GridSpec
+    # raises ConfigurationError itself, without the [section] prefix
+    spec = GridSpec(**_values("geometry", {key: geo[key] for key in _SCHEMA["geometry"]}))
+    initial = _build_section(sections, "initial_data")
     if initial.preset not in PRESETS:
         entry = sections["initial_data"]["preset"]
         raise ConfigurationError(
@@ -288,10 +231,10 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         geometry=spec,
         initial=initial,
-        flow=_build_section(sections, "flow", FlowConfig),
-        analysis=_build_section(sections, "analysis", AnalysisConfig),
-        soliton=_build_section(sections, "soliton", SolitonConfig),
-        output=_build_section(sections, "output", OutputConfig),
+        flow=_build_section(sections, "flow"),
+        analysis=_build_section(sections, "analysis"),
+        soliton=_build_section(sections, "soliton"),
+        output=_build_section(sections, "output"),
     )
 
 

@@ -33,7 +33,7 @@ from .conformal import (
     scale_state,
     webster_curvature,
 )
-from .errors import ShiftAlignmentError
+from .errors import PositivityError, ShiftAlignmentError
 from .geometry import integrate_base
 
 _ALIGN_TOL = 1e-9
@@ -82,10 +82,10 @@ def shift_steps(family: SolitonFamily, t: float) -> tuple[int, bool]:
 
 
 def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
-    """State sigma(t) * psi_t^*(theta) at time t."""
+    """State sigma(t) * psi_t^*(theta) at time t; PositivityError unless sigma(t) > 0."""
     sig = float(family.sigma(t))
     if not sig > 0.0:
-        raise ValueError(f"sigma({t}) = {sig} is not positive")
+        raise PositivityError(f"sigma({t}) = {sig} is not positive")
     m, _ = shift_steps(family, t)
     state = scale_state(pullback_state(family.base, m), sig)
     return ConformalState(state.geom, state.u, t)
@@ -185,7 +185,10 @@ def flow_residual_of_family(family: SolitonFamily, t: float, delta: float) -> fl
 def _residual_delta(family: SolitonFamily) -> float:
     # one lattice step of central shift keeps t +/- delta grid-aligned
     if family.psi_rate != 0.0:
-        return 1.0 / (abs(family.psi_rate) * family.base.geom.spec.nz)
+        step = 1.0 / (abs(family.psi_rate) * family.base.geom.spec.nz)
+        if not 0.0 < step < np.inf:
+            raise ShiftAlignmentError(f"psi_rate {family.psi_rate} has no finite lattice step")
+        return step
     return 1e-4
 
 

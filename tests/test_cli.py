@@ -1,4 +1,11 @@
+import contextlib
+import io
+import pathlib
+import tempfile
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cryf.analysis
 import cryf.conformal
@@ -102,20 +109,6 @@ class TestRunFlow:
             assert ",".join(f"{v:.17g}" for v in row) == line
 
 
-class TestThreadsCap:
-    def test_invalid_cap_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRYF_THREADS", "many")
-        cfg = write_cfg(tmp_path)
-        assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
-    def test_cap_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRYF_THREADS", "4")
-        cfg = write_cfg(tmp_path)
-        out = tmp_path / "out"
-        assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
-        assert "threads_cap: 4" in (out / "report.txt").read_text()
-
-
 class TestCheckIdentities:
     def test_single_mode_passes_default_bounds(self, tmp_path):
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
@@ -173,6 +166,22 @@ class TestCheckIdentities:
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [-1e-4, 1e-4]
+
+    def test_curvature_evaluations_outside_rhs(self, tmp_path, monkeypatch):
+        # curvatures outside the flow right-hand side: R at t - delta, t and
+        # t + delta for the window and the evolution residual (6), plus the
+        # centre, scaled and pulled-back states for the invariance rows (3)
+        calls = []
+        real = cryf.conformal._webster_raw
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
+        assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 9
 
     def test_bad_delta_exit_2(self, tmp_path, capsys):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
@@ -280,3 +289,50 @@ class TestSolitonCheck:
         cfg = write_cfg(tmp_path, body=body)
         assert main(["soliton-check", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_nonpositive_sigma_exit_2_without_traceback(self, tmp_path, capsys):
+        # sigma(t) = 1 - 2t vanishes at the sampled time 0.5
+        cfg = write_cfg(tmp_path, body=SOLITON_FAMILY_CFG.format(
+            sigma_slope=-2.0, psi_rate=0.0, times="0.0,0.25,0.5,0.75,1.0"))
+        assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: sigma(0.5) = 0.0 is not positive\n"
+
+
+SOLITON_FAMILY_CFG = """
+[geometry]
+N_x = 8
+N_y = 8
+N_z = 8
+
+[initial_data]
+preset = constant
+
+[soliton]
+sweep = false
+sigma_slope = {sigma_slope!r}
+psi_rate = {psi_rate!r}
+times = {times}
+"""
+
+# grid-aligned values (multiples of 1/N_z) alongside arbitrary ones, so that
+# both aligned families and misaligned shifts are drawn
+_soliton_values = st.one_of(st.integers(-16, 16).map(lambda k: k / 8.0),
+                            st.floats(-4.0, 4.0))
+
+
+@given(sigma_slope=_soliton_values, psi_rate=_soliton_values,
+       times=st.lists(_soliton_values.filter(lambda t: -1.0 <= t <= 2.0),
+                      min_size=1, max_size=4))
+@example(sigma_slope=0.125, psi_rate=5e-324, times=[0.0])  # lattice step overflows
+@settings(max_examples=25, deadline=None)
+def test_soliton_check_fuzz_ends_on_an_exit_code(sigma_slope, psi_rate, times):
+    body = SOLITON_FAMILY_CFG.format(sigma_slope=sigma_slope, psi_rate=psi_rate,
+                                     times=",".join(repr(t) for t in times))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(pathlib.Path(tmp), body=body)
+        with contextlib.redirect_stderr(err):
+            rc = main(["soliton-check", "--config", cfg, "--out", f"{tmp}/o"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
