@@ -14,7 +14,8 @@ identities
 by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
 (h, delta) refinement.  `identity_residuals` integrates one probe pair
-(t - delta, t + delta) per state and hands it to every window residual.
+(t - delta, t + delta) per state, computes the curvature of each of the
+three window states once, and hands both to every window residual.
 """
 
 from __future__ import annotations
@@ -67,10 +68,15 @@ class DiagnosticsRecord:
                 self.dEdt_formula, self.min_u, self.min_R, self.max_R, self.dt)
 
 
-def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR):
-    """Curvature R, volume element dV and the moments int dV, int R dV, int R^2 dV."""
+def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
+                      r: np.ndarray | None = None):
+    """Curvature R, volume element dV and the moments int dV, int R dV, int R^2 dV.
+
+    `r` is the curvature of `state` when the caller has it already.
+    """
     geom = state.geom
-    r = webster_curvature(state, u_floor)
+    if r is None:
+        r = webster_curvature(state, u_floor)
     dv = conformal_volume_element(state)
     vol = integrate_base(geom, dv)
     int_r = integrate_base(geom, r * dv)
@@ -107,9 +113,10 @@ def dE_dt_from_moments(vol: float, int_r: float, int_r2: float, n: int = 1) -> f
 
 
 def make_record(state: ConformalState, dt_used: float = 0.0,
-                u_floor: float = DEFAULT_U_FLOOR) -> DiagnosticsRecord:
-    """Compute the full diagnostics row for one state."""
-    r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor)
+                u_floor: float = DEFAULT_U_FLOOR,
+                r: np.ndarray | None = None) -> DiagnosticsRecord:
+    """Compute the full diagnostics row for one state (`r` as in `curvature_moments`)."""
+    r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor, r)
     n = state.n
     var = int_r2 * vol - int_r * int_r
     return DiagnosticsRecord(
@@ -140,21 +147,28 @@ def _probe_pair(state: ConformalState, delta: float, micro_steps: int, u_floor: 
             flow.integrate_fixed(state, delta, micro_steps, u_floor))
 
 
+def _window_curvatures(states, u_floor: float, curvatures):
+    if curvatures is not None:
+        return curvatures
+    return tuple(webster_curvature(s, u_floor) for s in states)
+
+
 def identity_window(state: ConformalState, delta: float, micro_steps: int = 8,
-                    u_floor: float = DEFAULT_U_FLOOR, probes=None):
+                    u_floor: float = DEFAULT_U_FLOOR, probes=None, curvatures=None):
     """Records at t - delta, t, t + delta via high-accuracy reference steps.
 
     The reference integration error is far below the O(delta^2) centered
     difference bias, so window residuals measure the identities themselves.
-    `probes` is the (t - delta, t + delta) pair when the caller has it
-    already; otherwise it is integrated here.
+    `probes` is the (t - delta, t + delta) pair and `curvatures` the R
+    fields at t - delta, t, t + delta when the caller has them already;
+    otherwise they are computed here.
     """
     _check_delta(delta)
     minus, plus = probes if probes is not None else _probe_pair(
         state, delta, micro_steps, u_floor)
-    return (make_record(minus, u_floor=u_floor),
-            make_record(state, u_floor=u_floor),
-            make_record(plus, u_floor=u_floor))
+    states = (minus, state, plus)
+    return tuple(make_record(s, u_floor=u_floor, r=r) for s, r in zip(
+        states, _window_curvatures(states, u_floor, curvatures)))
 
 
 def _window_spacing(window) -> float:
@@ -201,20 +215,18 @@ def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
 def curvature_evolution_residual(state: ConformalState, delta: float,
                                  micro_steps: int = 8,
                                  u_floor: float = DEFAULT_U_FLOOR,
-                                 probes=None) -> float:
+                                 probes=None, curvatures=None) -> float:
     """Normalized L2 residual of dR/dt = (n+1) Lap_u R + R^2 at one state.
 
-    R at t +/- delta comes from high-accuracy flow steps (`probes`, as in
-    `identity_window`); the norm is L2 with the evolving volume weight,
-    normalized by max(1, |rhs|_L2).
+    R at t +/- delta comes from high-accuracy flow steps (`probes` and
+    `curvatures`, as in `identity_window`); the norm is L2 with the evolving
+    volume weight, normalized by max(1, |rhs|_L2).
     """
     _check_delta(delta)
     minus, plus = probes if probes is not None else _probe_pair(
         state, delta, micro_steps, u_floor)
     geom = state.geom
-    r_minus = webster_curvature(minus, u_floor)
-    r_plus = webster_curvature(plus, u_floor)
-    r0 = webster_curvature(state, u_floor)
+    r_minus, r0, r_plus = _window_curvatures((minus, state, plus), u_floor, curvatures)
     drdt = (r_plus - r_minus) / (2.0 * delta)
     rhs = _curvature_rhs(state, r0)
     resid = drdt - rhs
@@ -234,20 +246,27 @@ class IdentityResiduals(NamedTuple):
 
 
 def identity_residuals(state: ConformalState, delta: float, micro_steps: int = 8,
-                       u_floor: float = DEFAULT_U_FLOOR) -> IdentityResiduals:
+                       u_floor: float = DEFAULT_U_FLOOR,
+                       r: np.ndarray | None = None) -> IdentityResiduals:
     """Every window residual of one state from a single probe pair.
 
-    The pair is integrated once and dropped on return, so callers hold no
-    probe fields afterwards.
+    The pair is integrated once and the curvature of each window state is
+    computed once (`r` is that of `state` when the caller has it); both are
+    dropped on return, so callers hold no probe fields afterwards.
     """
     _check_delta(delta)
-    probes = _probe_pair(state, delta, micro_steps, u_floor)
-    window = identity_window(state, delta, micro_steps, u_floor, probes=probes)
+    minus, plus = _probe_pair(state, delta, micro_steps, u_floor)
+    if r is None:
+        r = webster_curvature(state, u_floor)
+    curvatures = (webster_curvature(minus, u_floor), r, webster_curvature(plus, u_floor))
+    window = identity_window(state, delta, micro_steps, u_floor, probes=(minus, plus),
+                             curvatures=curvatures)
     return IdentityResiduals(
         volume_rate=volume_rate_residual(window, state.n),
         mean_curvature_rate=mean_curvature_rate_residual(window, state.n),
         curvature_evolution=curvature_evolution_residual(
-            state, delta, micro_steps, u_floor, probes=probes),
+            state, delta, micro_steps, u_floor, probes=(minus, plus),
+            curvatures=curvatures),
         dEdt_mismatch=dEdt_mismatch(window),
     )
 

@@ -3,9 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone and a soliton family whose sigma is not positive
-at a sampled time.  Outputs are deterministic byte for
-byte for a fixed config and seed; no timestamps, 17-significant-digit
-decimal floats throughout (lossless float64 round trip).
+at a sampled time or whose values overflow float64.  Outputs are
+deterministic byte for byte for a fixed config and seed; no timestamps,
+17-significant-digit decimal floats throughout (lossless float64 round
+trip).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .config import RunConfig, load_config
 from .conformal import ConformalState, pullback_state, scale_state
 from .errors import (
     ConfigurationError,
+    FloatRangeError,
     PositivityError,
     ShiftAlignmentError,
     StepPositivityError,
@@ -118,14 +120,14 @@ def _yamabe_and_curvature(state: ConformalState):
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
-    res = analysis.identity_residuals(state, a.delta)
+    e0, r_field = _yamabe_and_curvature(state)
+    res = analysis.identity_residuals(state, a.delta, r=r_field)
     rows = [
         ("volume_rate", res.volume_rate, a.max_volume_rate),
         ("mean_curvature_rate", res.mean_curvature_rate, a.max_mean_curvature_rate),
         ("curvature_evolution", res.curvature_evolution, a.max_curvature_evolution),
         ("dEdt_vs_finite_difference", res.dEdt_mismatch, a.max_dEdt_mismatch),
     ]
-    e0, r_field = _yamabe_and_curvature(state)
     r_scale = max(1e-300, float(np.abs(r_field).max()))
     e_scaled, r_scaled = _yamabe_and_curvature(scale_state(state, 2.0))
     e_dev = abs(e_scaled - e0) / max(1.0, abs(e0))
@@ -323,7 +325,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.overwrite)
-    except (ConfigurationError, ShiftAlignmentError, PositivityError) as exc:
+    except (ConfigurationError, ShiftAlignmentError, PositivityError,
+            FloatRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepPositivityError as exc:

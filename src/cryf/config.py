@@ -63,6 +63,13 @@ class SolitonConfig:
     sweep_psi_rates: tuple[float, ...] = (0.0, 1.0, 2.0)
     include_negative_controls: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("sigma_slope", "psi_rate", "times", "sweep_base_constants",
+                     "sweep_psi_rates"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:

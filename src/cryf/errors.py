@@ -21,6 +21,10 @@ class PositivityFloorError(RuntimeError):
     """Positivity retries pushed the step size below dt_min; the flow hit the floor."""
 
 
+class FloatRangeError(ValueError):
+    """A value computed from the inputs overflowed float64 or became nan."""
+
+
 class ShiftAlignmentError(ValueError):
     """Requested central translation does not land on a lattice point."""
 

@@ -16,7 +16,7 @@ The left-invariant frame is X = d/dx, Y = d/dy + x d/dz, Z = d/dz with
 [X, Y] = Z.  The horizontal sub-Laplacian X^2 + Y^2 is assembled from
 one-sided differences paired with their exact adjoints under the uniform
 grid inner product <f, g> = w0 * sum(f*g), averaging the forward form with
-its backward mirror.  Built this way, symmetry, negative semidefiniteness
+its backward mirror where a weight varies.  Built this way, symmetry, negative semidefiniteness
 and exact zero mean of the divergence-form operator are grid identities
 (telescoping sums), not approximations; consistency orders are measured,
 never assumed.
@@ -301,31 +301,35 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
 
 
 def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Average of the forward-flux and backward-flux conservative forms.
+    """Conservative form -D*(w D f), symmetrized when the weight varies.
 
     Each one-sided form carries an exact adjoint pair, so symmetry, negative
-    semidefiniteness and exact zero mean hold for any positive weight; the
-    average additionally cancels the O(h) weight-offset error of either
-    one-sided form, giving second-order consistency for smooth weights (the
-    two forms coincide bit for bit when w is constant).  Works in the
-    geometry's three scratch fields; only the returned array is new.
+    semidefiniteness and exact zero mean hold for any positive weight.  For
+    a weight that varies, the forward-flux and backward-flux forms are
+    averaged, which cancels the O(h) weight-offset error of either one and
+    gives second-order consistency for smooth weights.  For no weight or a
+    constant one the two forms are the same linear operator (the lattice
+    shifts commute, and x is constant along y and z), so only the forward
+    form is evaluated; it differs from the average only by rounding.  Works
+    in the geometry's three scratch fields; only the returned array is new.
     """
     if geom._scratch is None:
         geom._scratch = tuple(np.empty(geom.shape) for _ in range(3))
     a, b, c = geom._scratch
     out = np.empty(geom.shape)
     _conservative_form(geom, f, w, 1, out, a, b, c)
-    _conservative_form(geom, f, w, -1, c, a, b, c)
-    out += c
-    out *= 0.5
+    if w is not None and w.min() != w.max():
+        _conservative_form(geom, f, w, -1, c, a, b, c)
+        out += c
+        out *= 0.5
     return out
 
 
 def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
     """Horizontal sub-Laplacian of the background contact form.
 
-    Mean of -(Dx* Dx + Dy* Dy) f built from forward differences with their
-    exact adjoints and of the backward-difference mirror of the same form.
+    -(Dx* Dx + Dy* Dy) f built from forward differences with their exact
+    adjoints (the backward-difference mirror is the same operator).
     Negative semidefinite by construction ("Laplacian of sin is negative")
     and identical bit for bit to `weighted_div_form` with unit weight.
     """
@@ -337,9 +341,10 @@ def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.nd
     """Weighted divergence-form operator over the horizontal frame {X, Y}.
 
     Symmetrized conservative form: the mean of -Dv*(w Dv f) built from the
-    forward differences and its backward-difference mirror.  Symmetric in
-    the grid inner product, negative semidefinite for w > 0, grid sum
-    telescoping to zero exactly, and second-order consistent with
+    forward differences and its backward-difference mirror, or the forward
+    form alone when w is constant, where the two are the same operator.
+    Symmetric in the grid inner product, negative semidefinite for w > 0,
+    grid sum telescoping to zero exactly, and second-order consistent with
     div(w grad f) for smooth positive weights.
     """
     f = _check_field(geom, f)

@@ -19,6 +19,7 @@ that pass, and a caller that needs both passes the same scan to each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -33,7 +34,7 @@ from .conformal import (
     scale_state,
     webster_curvature,
 )
-from .errors import PositivityError, ShiftAlignmentError
+from .errors import FloatRangeError, PositivityError, ShiftAlignmentError
 from .geometry import integrate_base
 
 _ALIGN_TOL = 1e-9
@@ -69,6 +70,8 @@ class SolitonFamily:
 def shift_steps(family: SolitonFamily, t: float) -> tuple[int, bool]:
     """Lattice shift round(psi_rate * t * N_z) and whether snapping occurred."""
     exact = family.psi_rate * t * family.base.geom.spec.nz
+    if not math.isfinite(exact):
+        raise ShiftAlignmentError(f"central shift {exact} at t={t} is not finite")
     m = round(exact)
     off = abs(exact - m)
     if off > _ALIGN_TOL * max(1.0, abs(exact)):
@@ -82,10 +85,15 @@ def shift_steps(family: SolitonFamily, t: float) -> tuple[int, bool]:
 
 
 def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
-    """State sigma(t) * psi_t^*(theta) at time t; PositivityError unless sigma(t) > 0."""
+    """State sigma(t) * psi_t^*(theta) at time t.
+
+    PositivityError unless sigma(t) > 0, FloatRangeError unless it is finite.
+    """
     sig = float(family.sigma(t))
     if not sig > 0.0:
         raise PositivityError(f"sigma({t}) = {sig} is not positive")
+    if not math.isfinite(sig):
+        raise FloatRangeError(f"sigma({t}) = {sig} is not finite")
     m, _ = shift_steps(family, t)
     state = scale_state(pullback_state(family.base, m), sig)
     return ConformalState(state.geom, state.u, t)
@@ -136,15 +144,20 @@ def scan_family(family: SolitonFamily, times: Sequence[float],
     """E, moments and flow residual at every sampled time, one state each.
 
     `delta` is the residual's time step (default: one lattice step of
-    central shift, or 1e-4 for a static relabeling).
+    central shift, or 1e-4 for a static relabeling).  A family whose
+    fields or moments overflow float64 raises FloatRangeError.
     """
     d = delta if delta is not None else _residual_delta(family)
     if not d > 0.0:
         raise ValueError("delta must be positive")
-    _, _, vol, int_r, _ = curvature_moments(family.base)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _, _, vol, int_r, _ = curvature_moments(family.base)
+            samples = tuple(_sample(family, t, d) for t in times)
+    except FloatingPointError as exc:
+        raise FloatRangeError(f"soliton family leaves the float64 range: {exc}") from None
     e0 = yamabe_from_moments(vol, int_r, family.base.n)
-    return FamilyScan(family, tuple(times), d, e0,
-                      tuple(_sample(family, t, d) for t in times))
+    return FamilyScan(family, tuple(times), d, e0, samples)
 
 
 def _scan_for(family: SolitonFamily, times: Sequence[float], delta: float | None,

@@ -204,3 +204,11 @@ class TestValidation:
     def test_bad_delta_is_config_error(self, delta):
         with pytest.raises(ConfigurationError, match=r"\[analysis\]: delta must be positive"):
             parse_config(MINIMAL + f"\n[analysis]\ndelta = {delta}\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("sigma_slope", "inf"), ("psi_rate", "nan"), ("times", "0.0, -inf"),
+        ("sweep_base_constants", "1.0, nan"), ("sweep_psi_rates", "inf"),
+    ])
+    def test_non_finite_soliton_value_is_config_error(self, key, value):
+        with pytest.raises(ConfigurationError, match=rf"\[soliton\]: {key} must be finite"):
+            parse_config(MINIMAL + f"\n[soliton]\n{key} = {value}\n")

@@ -22,6 +22,7 @@ from cryf.geometry import (
     sub_laplacian_base,
     weighted_div_form,
 )
+from cryf import geometry
 from cryf import manufactured as mfg
 
 from conftest import random_field
@@ -193,11 +194,11 @@ class TestDivForm:
         assert quad <= 1e-12 * max(1.0, abs(quad))
 
 
-def shift_div_form_reference(geom, f, w):
-    """Shift-based evaluation of the symmetrized divergence form.
+def shift_forms(geom, f, w):
+    """Shift-based forward-flux and backward-flux conservative forms.
 
     Builds every shifted field as a copy and evaluates the textbook
-    expression; the production kernel must match it bit for bit.
+    expressions -D+*(w D+ f) and -D-*(w D- f).
     """
     s = geom.spec
     x = geom.x_coord
@@ -215,7 +216,25 @@ def shift_div_form_reference(geom, f, w):
         dyb = w * dyb
     out_b = (_shift_x(geom, dxb, 1) - dxb) / s.hx
     out_b += (_shift_y(dyb, 1) - dyb) / s.hy + x * (_shift_z(dyb, 1) - dyb) / s.hz
+    return out_f, out_b
+
+
+def shift_div_form_symmetrized(geom, f, w):
+    """Mean of the forward and backward forms, for any weight."""
+    out_f, out_b = shift_forms(geom, f, w)
     return 0.5 * (out_f + out_b)
+
+
+def shift_div_form_reference(geom, f, w):
+    """Shift-based evaluation of the divergence form the kernel computes.
+
+    The forward form alone when the weight is None or constant, where both
+    forms are the same operator; the symmetrized mean for a varying weight.
+    The production kernel must match it bit for bit.
+    """
+    if w is None or w.min() == w.max():
+        return shift_forms(geom, f, w)[0]
+    return shift_div_form_symmetrized(geom, f, w)
 
 
 REFERENCE_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
@@ -230,10 +249,52 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(shape)
         w = 0.5 + rng.random(shape)
+        c = np.full(shape, 2.5)
         assert np.array_equal(sub_laplacian_base(geom, f),
                               shift_div_form_reference(geom, f, None))
         assert np.array_equal(weighted_div_form(geom, w, f),
                               shift_div_form_reference(geom, f, w))
+        assert np.array_equal(weighted_div_form(geom, c, f),
+                              shift_div_form_reference(geom, f, c))
+
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    @pytest.mark.parametrize("weight", [None, 2.5, 0.3])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3, 1e5]))
+    @settings(max_examples=5, deadline=None)
+    def test_constant_weight_within_rounding_of_symmetrized(self, shape, weight,
+                                                            seed, scale):
+        # no weight or a constant one evaluates the forward form alone; it
+        # equals the symmetrized mean in exact arithmetic, so the two may
+        # differ only by rounding, bounded per unit weight and per unit f
+        geom = build_nilmanifold(GridSpec(*shape))
+        f = scale * np.random.default_rng(seed).standard_normal(shape)
+        w = None if weight is None else np.full(shape, weight)
+        got = (sub_laplacian_base(geom, f) if w is None
+               else weighted_div_form(geom, w, f))
+        old = shift_div_form_symmetrized(geom, f, w)
+        s = geom.spec
+        tol = (32 * np.finfo(float).eps * (1.0 if w is None else weight)
+               * np.abs(f).max() * (s.hx ** -2 + s.hy ** -2 + s.hz ** -2))
+        assert np.abs(got - old).max() <= tol
+
+    @pytest.mark.parametrize("weight,passes", [(None, 1), ("constant", 1), ("varying", 2)])
+    def test_conservative_form_passes(self, geom548, monkeypatch, weight, passes):
+        calls = []
+        real = geometry._conservative_form
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_conservative_form", counting)
+        f = random_field(geom548, 7)
+        if weight is None:
+            sub_laplacian_base(geom548, f)
+        else:
+            w = (np.full(geom548.shape, 1.7) if weight == "constant"
+                 else 0.5 + np.abs(random_field(geom548, 8)))
+            weighted_div_form(geom548, w, f)
+        assert calls == [1, -1][:passes]
 
     def test_noncontiguous_input(self, geom548):
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import pytest
 import cryf.conformal
 from cryf.analysis import constancy_verdict, yamabe_quantity
 from cryf.conformal import ConformalState, scale_state
-from cryf.errors import ShiftAlignmentError
+from cryf.errors import FloatRangeError, ShiftAlignmentError
 from cryf.soliton import (
     SolitonFamily,
     Verdict,
@@ -72,6 +72,23 @@ class TestSolitonState:
         fam = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 1.0)
         m, snapped = shift_steps(fam, 0.25)
         assert m == 4 and not snapped
+
+    def test_overflowing_shift_rejected(self, geom448):
+        # 2e225 * 1.1e83 * N_z overflows to inf
+        fam = constant_family(geom448, rate=2e225)
+        with pytest.raises(ShiftAlignmentError, match="not finite"):
+            shift_steps(fam, 1.1e83)
+
+    def test_infinite_sigma_rejected(self, geom448):
+        fam = constant_family(geom448, slope=1e308)
+        with pytest.raises(FloatRangeError, match="not finite"):
+            soliton_state(fam, 2.0)
+
+    def test_overflowing_family_rejected_by_scan(self, geom448):
+        # sigma(1) = 1e160 is finite, but the volume element sigma^2 u^4 is not
+        fam = constant_family(geom448, slope=1e160)
+        with pytest.raises(FloatRangeError, match="float64 range"):
+            scan_family(fam, (1.0,))
 
 
 class TestInvarianceCheck:

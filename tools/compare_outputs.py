@@ -7,15 +7,19 @@ then runs the five shipped configs and an 8^3 `constant` run-flow through
 `cryf.cli` once with that tree and once with the working tree's `src/`.
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
-byte; a unified diff is printed for each file that differs.  Exits 0 when
-all outputs are identical and 1 otherwise.  Standard library only.
+byte; for each file that differs a unified diff is printed, followed by the
+largest relative difference over its numeric tokens and whether any
+non-numeric token differs.  Exits 0 when all outputs are identical and 1
+otherwise.  Standard library only.
 """
 
 from __future__ import annotations
 
 import difflib
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -69,6 +73,39 @@ def run_all(src: Path, workdir: Path, constant_cfg: Path) -> None:
             f"exit: {proc.returncode}\n".encode() + proc.stderr)
 
 
+# tokens are the pieces between whitespace, commas, '=' and ':'
+_SEPARATORS = re.compile(r"[\s,=:]+")
+
+
+def token_differences(old_lines: list[str], new_lines: list[str]) -> tuple[float, bool]:
+    """Largest relative difference over numeric tokens, and whether any other token differs.
+
+    Lines, and tokens within a line, are paired by position; a differing
+    number of lines or of tokens in a line counts as a non-numeric
+    difference.  A numeric pair with a non-finite side differs by inf.
+    """
+    worst = 0.0
+    other = len(old_lines) != len(new_lines)
+    for old, new in zip(old_lines, new_lines):
+        old_tokens, new_tokens = _SEPARATORS.split(old), _SEPARATORS.split(new)
+        if len(old_tokens) != len(new_tokens):
+            other = True
+            continue
+        for a, b in zip(old_tokens, new_tokens):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                other = True
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                worst = math.inf
+            elif x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst, other
+
+
 def relative_files(top: Path) -> set[Path]:
     return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
 
@@ -95,6 +132,9 @@ def diff_trees(base: Path, head: Path, base_label: str) -> int:
             continue
         sys.stdout.writelines(difflib.unified_diff(
             old_lines, new_lines, f"{base_label}/{rel}", f"working-tree/{rel}"))
+        worst, other = token_differences(old_lines, new_lines)
+        print(f"{rel}: largest relative difference over numeric tokens {worst:.3g}; "
+              f"non-numeric tokens {'differ' if other else 'identical'}")
     return differing
 
 
