@@ -11,6 +11,7 @@ from .analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
+    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -40,8 +41,6 @@ from .flow import (
     integrate_fixed,
     run_flow,
     step_adaptive,
-    step_rk4,
-    time_derivative,
 )
 from .geometry import (
     BaseGeometry,
@@ -62,7 +61,7 @@ from .snapshot import read_snapshot, write_snapshot
 from .soliton import (
     SolitonFamily,
     Verdict,
-    flow_residual_of_family,
+    scan_family,
     soliton_invariance_check,
     soliton_state,
     soliton_theorem_harness,

@@ -13,13 +13,14 @@ identities
 
 by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
-(h, delta) refinement.  `identity_residuals` integrates one probe pair
-(t - delta, t + delta) per state, computes the curvature of each of the
-three window states once, and hands both to every window residual.
+(h, delta) refinement.  `probe_window` integrates the probe pair
+(t - delta, t + delta) of a state and computes the curvature of each of the
+three window states once; every window residual reads that `ProbeWindow`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,10 +34,13 @@ from .conformal import (
     conformal_volume_element,
     webster_curvature,
 )
+from .errors import FloatRangeError
 from .geometry import integrate_base
 
 MONOTONE_SLACK = 1e-8
 DEFAULT_CONSTANCY_TOL = 1e-8
+# fixed RK4 steps per probe: their error is far below the centered differences' O(delta^2) bias
+PROBE_MICRO_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -68,19 +72,33 @@ class DiagnosticsRecord:
                 self.dEdt_formula, self.min_u, self.min_R, self.max_R, self.dt)
 
 
+@contextlib.contextmanager
+def float64_range(what: str):
+    """Turn a float64 overflow or invalid operation in the block into FloatRangeError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise FloatRangeError(f"{what} leaves the float64 range: {exc}") from None
+
+
 def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
                       r: np.ndarray | None = None):
     """Curvature R, volume element dV and the moments int dV, int R dV, int R^2 dV.
 
-    `r` is the curvature of `state` when the caller has it already.
+    `r` is the curvature of `state` when the caller has it already.  A moment
+    that is not a finite float64 raises FloatRangeError.
     """
     geom = state.geom
-    if r is None:
-        r = webster_curvature(state, u_floor)
-    dv = conformal_volume_element(state)
-    vol = integrate_base(geom, dv)
-    int_r = integrate_base(geom, r * dv)
-    int_r2 = integrate_base(geom, r * r * dv)
+    with float64_range("a curvature moment"):
+        if r is None:
+            r = webster_curvature(state, u_floor)
+        dv = conformal_volume_element(state)
+        vol = integrate_base(geom, dv)
+        int_r = integrate_base(geom, r * dv)
+        int_r2 = integrate_base(geom, r * r * dv)
+    if not all(map(math.isfinite, (vol, int_r, int_r2))):
+        raise FloatRangeError(f"curvature moments are not finite: {vol}, {int_r}, {int_r2}")
     return r, dv, vol, int_r, int_r2
 
 
@@ -119,6 +137,8 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
     r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor, r)
     n = state.n
     var = int_r2 * vol - int_r * int_r
+    with float64_range("dE/dt"):
+        dedt = -n * var / vol ** ((2.0 * n + 1.0) / (n + 1.0))
     return DiagnosticsRecord(
         t=state.t,
         E=yamabe_from_moments(vol, int_r, n),
@@ -126,7 +146,7 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
         intR=int_r,
         intR2=int_r2,
         var=var,
-        dEdt_formula=-n * var / vol ** ((2.0 * n + 1.0) / (n + 1.0)),
+        dEdt_formula=dedt,
         min_u=float(state.u.min()),
         min_R=float(r.min()),
         max_R=float(r.max()),
@@ -134,41 +154,30 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
     )
 
 
-def _check_delta(delta: float) -> None:
+class ProbeWindow(NamedTuple):
+    """States at t - delta, t and t + delta, and the curvature R of each."""
+
+    states: tuple[ConformalState, ConformalState, ConformalState]
+    curvatures: tuple[np.ndarray, np.ndarray, np.ndarray]
+    delta: float
+
+
+def probe_window(state: ConformalState, delta: float,
+                 u_floor: float = DEFAULT_U_FLOOR) -> ProbeWindow:
+    """The probes of `state` at t +/- delta from high-accuracy reference steps,
+    and the curvature of each of the three window states, computed once."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-
-
-def _probe_pair(state: ConformalState, delta: float, micro_steps: int, u_floor: float):
-    """States at t - delta and t + delta from high-accuracy reference steps."""
     from . import flow
 
-    return (flow.integrate_fixed(state, -delta, micro_steps, u_floor),
-            flow.integrate_fixed(state, delta, micro_steps, u_floor))
+    states = (flow.integrate_fixed(state, -delta, PROBE_MICRO_STEPS, u_floor), state,
+              flow.integrate_fixed(state, delta, PROBE_MICRO_STEPS, u_floor))
+    return ProbeWindow(states, tuple(webster_curvature(s, u_floor) for s in states), delta)
 
 
-def _window_curvatures(states, u_floor: float, curvatures):
-    if curvatures is not None:
-        return curvatures
-    return tuple(webster_curvature(s, u_floor) for s in states)
-
-
-def identity_window(state: ConformalState, delta: float, micro_steps: int = 8,
-                    u_floor: float = DEFAULT_U_FLOOR, probes=None, curvatures=None):
-    """Records at t - delta, t, t + delta via high-accuracy reference steps.
-
-    The reference integration error is far below the O(delta^2) centered
-    difference bias, so window residuals measure the identities themselves.
-    `probes` is the (t - delta, t + delta) pair and `curvatures` the R
-    fields at t - delta, t, t + delta when the caller has them already;
-    otherwise they are computed here.
-    """
-    _check_delta(delta)
-    minus, plus = probes if probes is not None else _probe_pair(
-        state, delta, micro_steps, u_floor)
-    states = (minus, state, plus)
-    return tuple(make_record(s, u_floor=u_floor, r=r) for s, r in zip(
-        states, _window_curvatures(states, u_floor, curvatures)))
+def identity_window(window: ProbeWindow):
+    """Records at t - delta, t, t + delta of a probe window."""
+    return tuple(make_record(s, r=r) for s, r in zip(window.states, window.curvatures))
 
 
 def _window_spacing(window) -> float:
@@ -212,22 +221,16 @@ def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
     return (n + 1.0) * conformal_sub_laplacian(state, r) + r * r
 
 
-def curvature_evolution_residual(state: ConformalState, delta: float,
-                                 micro_steps: int = 8,
-                                 u_floor: float = DEFAULT_U_FLOOR,
-                                 probes=None, curvatures=None) -> float:
-    """Normalized L2 residual of dR/dt = (n+1) Lap_u R + R^2 at one state.
+def curvature_evolution_residual(window: ProbeWindow) -> float:
+    """Normalized L2 residual of dR/dt = (n+1) Lap_u R + R^2 at a window's centre.
 
-    R at t +/- delta comes from high-accuracy flow steps (`probes` and
-    `curvatures`, as in `identity_window`); the norm is L2 with the evolving
-    volume weight, normalized by max(1, |rhs|_L2).
+    The norm is L2 with the evolving volume weight, normalized by
+    max(1, |rhs|_L2).
     """
-    _check_delta(delta)
-    minus, plus = probes if probes is not None else _probe_pair(
-        state, delta, micro_steps, u_floor)
+    state = window.states[1]
     geom = state.geom
-    r_minus, r0, r_plus = _window_curvatures((minus, state, plus), u_floor, curvatures)
-    drdt = (r_plus - r_minus) / (2.0 * delta)
+    r_minus, r0, r_plus = window.curvatures
+    drdt = (r_plus - r_minus) / (2.0 * window.delta)
     rhs = _curvature_rhs(state, r0)
     resid = drdt - rhs
     dv = conformal_volume_element(state)
@@ -245,29 +248,15 @@ class IdentityResiduals(NamedTuple):
     dEdt_mismatch: float
 
 
-def identity_residuals(state: ConformalState, delta: float, micro_steps: int = 8,
-                       u_floor: float = DEFAULT_U_FLOOR,
-                       r: np.ndarray | None = None) -> IdentityResiduals:
-    """Every window residual of one state from a single probe pair.
-
-    The pair is integrated once and the curvature of each window state is
-    computed once (`r` is that of `state` when the caller has it); both are
-    dropped on return, so callers hold no probe fields afterwards.
-    """
-    _check_delta(delta)
-    minus, plus = _probe_pair(state, delta, micro_steps, u_floor)
-    if r is None:
-        r = webster_curvature(state, u_floor)
-    curvatures = (webster_curvature(minus, u_floor), r, webster_curvature(plus, u_floor))
-    window = identity_window(state, delta, micro_steps, u_floor, probes=(minus, plus),
-                             curvatures=curvatures)
+def identity_residuals(window: ProbeWindow) -> IdentityResiduals:
+    """Every window residual of the centre state of one probe window."""
+    records = identity_window(window)
+    n = window.states[1].n
     return IdentityResiduals(
-        volume_rate=volume_rate_residual(window, state.n),
-        mean_curvature_rate=mean_curvature_rate_residual(window, state.n),
-        curvature_evolution=curvature_evolution_residual(
-            state, delta, micro_steps, u_floor, probes=(minus, plus),
-            curvatures=curvatures),
-        dEdt_mismatch=dEdt_mismatch(window),
+        volume_rate=volume_rate_residual(records, n),
+        mean_curvature_rate=mean_curvature_rate_residual(records, n),
+        curvature_evolution=curvature_evolution_residual(window),
+        dEdt_mismatch=dEdt_mismatch(records),
     )
 
 
@@ -291,16 +280,17 @@ def constancy_from_moments(vol: float, int_r: float, int_r2: float,
 
 
 def monotonicity_audit(records, slack: float = MONOTONE_SLACK):
-    """Count record pairs where E increases beyond slack * max(1, |E|).
+    """Count record pairs where E increases beyond slack * max(1, |E|) or is nan.
 
     Returns (violation_count, worst_violation); the worst violation is the
-    largest excess over the slack (0.0 when none).
+    largest excess over the slack (0.0 when none, nan when an E is nan).
     """
     count = 0
     worst = 0.0
     for prev, cur in zip(records, records[1:]):
         allowed = prev.E + slack * max(1.0, abs(prev.E))
-        if cur.E > allowed:
+        # a nan E is no decrease: it counts, and a nan excess stays the worst
+        if not cur.E <= allowed:
             count += 1
-            worst = max(worst, cur.E - allowed)
+            worst = float(np.maximum(worst, cur.E - allowed))
     return count, worst

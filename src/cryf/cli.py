@@ -2,11 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
-leaves the positive cone and a soliton family whose sigma is not positive
-at a sampled time or whose values overflow float64.  Outputs are
-deterministic byte for byte for a fixed config and seed; no timestamps,
-17-significant-digit decimal floats throughout (lossless float64 round
-trip).
+leaves the positive cone, a soliton family whose sigma is not positive at
+a sampled time, and fields or diagnostics that overflow float64.
+Outputs are deterministic byte for byte for a fixed config and seed; no
+timestamps, 17-significant-digit decimal floats throughout (lossless
+float64 round trip).
 """
 
 from __future__ import annotations
@@ -120,8 +120,11 @@ def _yamabe_and_curvature(state: ConformalState):
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
-    e0, r_field = _yamabe_and_curvature(state)
-    res = analysis.identity_residuals(state, a.delta, r=r_field)
+    window = analysis.probe_window(state, a.delta)
+    res = analysis.identity_residuals(window)
+    r_field = window.curvatures[1]
+    e0 = analysis.make_record(state, r=r_field).E
+    del window  # the probe fields go before the scaled and pulled-back states come
     rows = [
         ("volume_rate", res.volume_rate, a.max_volume_rate),
         ("mean_curvature_rate", res.mean_curvature_rate, a.max_mean_curvature_rate),
@@ -202,7 +205,7 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     evo, mean_rate, vol_rate, dEdt_mis = [], [], [], []
     for geom, n in zip(geoms, grids):
         state = _initial_state(cfg, geom.spec)
-        res = analysis.identity_residuals(state, base_delta * grids[0] / n)
+        res = analysis.identity_residuals(analysis.probe_window(state, base_delta * grids[0] / n))
         evo.append(res.curvature_evolution)
         mean_rate.append(res.mean_curvature_rate)
         vol_rate.append(res.volume_rate)
@@ -274,16 +277,13 @@ def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     violations = 0
     for desc, fam in _sweep_families(cfg, geom):
         scan = soliton.scan_family(fam, sol.times)
-        verdict = soliton.soliton_theorem_harness(
-            fam, sol.times, flow_tol=sol.flow_tol, var_tol=sol.var_tol, scan=scan
-        )
-        e_dev = soliton.soliton_invariance_check(fam, sol.times, scan=scan)
-        snapped = any(soliton.shift_steps(fam, t)[1] for t in sol.times)
+        verdict = soliton.soliton_theorem_harness(scan, sol.flow_tol, sol.var_tol)
         if verdict == soliton.Verdict.THEOREM_VIOLATION:
             violations += 1
+        # snapped is always false: a shift off the lattice exits 2 in scan_family
         lines.append(
             f'family={desc} verdict="{verdict.value}" '
-            f"e_deviation={_fmt(e_dev)} snapped={str(snapped).lower()}"
+            f"e_deviation={_fmt(soliton.soliton_invariance_check(scan))} snapped=false"
         )
     lines.append(f"families: {len(lines)}")
     lines.append(f"theorem_violations: {violations}")

@@ -21,6 +21,14 @@ from .geometry import GridSpec
 from .presets import PRESETS
 
 
+def _require_finite(config, names, allow_zero: bool = False) -> None:
+    rule = "non-negative" if allow_zero else "positive"
+    for name in names:
+        value = getattr(config, name)
+        if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
+            raise ValueError(f"{name} must be {rule} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class InitialDataConfig:
     preset: str = "constant"
@@ -47,8 +55,9 @@ class AnalysisConfig:
     min_order_twisted: float = 0.9
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _require_finite(self, ("delta", "min_order_untwisted", "min_order_twisted"))
+        # an identity bound of zero demands an exact identity
+        _require_finite(self, [n for n in vars(self) if n.startswith("max_")], allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ class SolitonConfig:
     include_negative_controls: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("flow_tol", "var_tol"))
         for name in ("sigma_slope", "psi_rate", "times", "sweep_base_constants",
                      "sweep_psi_rates"):
             value = getattr(self, name)

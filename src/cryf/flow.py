@@ -15,6 +15,7 @@ error; only error-control underflow is anomalous.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,6 +52,9 @@ class FlowConfig:
     snapshot_every: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("t_end", "dt_init", "dt_min", "dt_max", "safety", "err_tol", "u_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError(
                 f"need 0 < dt_min <= dt_init <= dt_max, got "
@@ -77,12 +81,8 @@ class Trajectory:
     termination: FlowTermination = FlowTermination.REACHED_T_END
 
 
-def time_derivative(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
-    """Right-hand side -(n/2) R u of the conformal-factor flow."""
-    return _du_dt(state.geom, state.u, u_floor)
-
-
 def _du_dt(geom, u: np.ndarray, u_floor: float) -> np.ndarray:
+    """Right-hand side -(n/2) R u of the conformal-factor flow."""
     r = _webster_raw(geom, u, u_floor)
     r *= -0.5 * geom.n
     r *= u
@@ -96,6 +96,7 @@ def _check_floor(u: np.ndarray, u_floor: float) -> None:
 
 
 def _rk4_any(state: ConformalState, dt: float, u_floor: float) -> ConformalState:
+    """One four-stage step of either sign; StepPositivityError if a stage hits the floor."""
     geom, u = state.geom, state.u
     k1 = _du_dt(geom, u, u_floor)
     u2 = u + (0.5 * dt) * k1
@@ -110,15 +111,6 @@ def _rk4_any(state: ConformalState, dt: float, u_floor: float) -> ConformalState
     u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _check_floor(u_new, u_floor)
     return ConformalState(geom, u_new, state.t + dt)
-
-
-def step_rk4(state: ConformalState, dt: float,
-             u_floor: float = DEFAULT_U_FLOOR) -> ConformalState:
-    """One classical four-stage step; raises StepPositivityError if any stage
-    dips to the floor (callers may retry with smaller dt)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _rk4_any(state, dt, u_floor)
 
 
 def integrate_fixed(state: ConformalState, t_offset: float, n_steps: int = 8,

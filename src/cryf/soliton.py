@@ -13,8 +13,8 @@ a "THEOREM VIOLATION" verdict is never expected for any input.
 
 `scan_family` makes one pass over the sampled times: it builds each state
 once, computes its curvature once (plus one for the base), and keeps only
-scalars across times.  The harness and the invariance check both read
-that pass, and a caller that needs both passes the same scan to each.
+scalars across times.  The harness and the invariance check take that
+`FamilyScan` as their argument, so a caller that needs both scans once.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import constancy_from_moments, curvature_moments, yamabe_from_moments
-from .conformal import (
-    ConformalState,
-    conformal_volume_element,
-    pullback_state,
-    scale_state,
-    webster_curvature,
+from .analysis import (
+    constancy_from_moments,
+    curvature_moments,
+    float64_range,
+    yamabe_from_moments,
 )
+from .conformal import ConformalState, pullback_state, scale_state
 from .errors import FloatRangeError, PositivityError, ShiftAlignmentError
 from .geometry import integrate_base
 
@@ -53,13 +52,12 @@ class SolitonFamily:
 
     psi_t translates the central direction by psi_rate * t (one full period
     per 1/psi_rate time units); the corresponding lattice shift is
-    psi_rate * t * N_z and must land on integers unless snapping is enabled.
+    psi_rate * t * N_z and must land on an integer.
     """
 
     base: ConformalState
     sigma: Callable[[float], float]
     psi_rate: float = 0.0
-    allow_snapping: bool = False
 
     def __post_init__(self) -> None:
         s0 = float(self.sigma(0.0))
@@ -67,21 +65,18 @@ class SolitonFamily:
             raise ValueError(f"sigma(0) must equal 1, got {s0}")
 
 
-def shift_steps(family: SolitonFamily, t: float) -> tuple[int, bool]:
-    """Lattice shift round(psi_rate * t * N_z) and whether snapping occurred."""
+def shift_steps(family: SolitonFamily, t: float) -> int:
+    """Lattice shift psi_rate * t * N_z; ShiftAlignmentError unless it is an integer."""
     exact = family.psi_rate * t * family.base.geom.spec.nz
     if not math.isfinite(exact):
         raise ShiftAlignmentError(f"central shift {exact} at t={t} is not finite")
     m = round(exact)
-    off = abs(exact - m)
-    if off > _ALIGN_TOL * max(1.0, abs(exact)):
-        if not family.allow_snapping:
-            raise ShiftAlignmentError(
-                f"central shift {exact} at t={t} is not grid-aligned "
-                "(enable snapping to round to the nearest lattice step)"
-            )
-        return int(m), True
-    return int(m), False
+    if abs(exact - m) > _ALIGN_TOL * max(1.0, abs(exact)):
+        raise ShiftAlignmentError(
+            f"central shift {exact} at t={t} is not grid-aligned "
+            "(psi_rate * t * N_z must be an integer)"
+        )
+    return int(m)
 
 
 def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
@@ -94,8 +89,7 @@ def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
         raise PositivityError(f"sigma({t}) = {sig} is not positive")
     if not math.isfinite(sig):
         raise FloatRangeError(f"sigma({t}) = {sig} is not finite")
-    m, _ = shift_steps(family, t)
-    state = scale_state(pullback_state(family.base, m), sig)
+    state = scale_state(pullback_state(family.base, shift_steps(family, t)), sig)
     return ConformalState(state.geom, state.u, t)
 
 
@@ -110,11 +104,8 @@ class FamilySample(NamedTuple):
 
 
 class FamilyScan(NamedTuple):
-    """One pass over a family's sampled times, one sample per time; holds no fields."""
+    """One pass over a family's sampled times: E of the base, one sample per time."""
 
-    family: SolitonFamily
-    times: tuple[float, ...]
-    delta: float
     e0: float
     samples: tuple[FamilySample, ...]
 
@@ -150,49 +141,19 @@ def scan_family(family: SolitonFamily, times: Sequence[float],
     d = delta if delta is not None else _residual_delta(family)
     if not d > 0.0:
         raise ValueError("delta must be positive")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            _, _, vol, int_r, _ = curvature_moments(family.base)
-            samples = tuple(_sample(family, t, d) for t in times)
-    except FloatingPointError as exc:
-        raise FloatRangeError(f"soliton family leaves the float64 range: {exc}") from None
-    e0 = yamabe_from_moments(vol, int_r, family.base.n)
-    return FamilyScan(family, tuple(times), d, e0, samples)
+    with float64_range("soliton family"):
+        _, _, vol, int_r, _ = curvature_moments(family.base)
+        samples = tuple(_sample(family, t, d) for t in times)
+    return FamilyScan(yamabe_from_moments(vol, int_r, family.base.n), samples)
 
 
-def _scan_for(family: SolitonFamily, times: Sequence[float], delta: float | None,
-              scan: FamilyScan | None) -> FamilyScan:
-    # a delta of None skips the delta comparison: the caller reads no residuals
-    if scan is None:
-        return scan_family(family, times, delta)
-    if (scan.family is not family or scan.times != tuple(times)
-            or (delta is not None and scan.delta != delta)):
-        raise ValueError("scan was made for another family, times or delta")
-    return scan
-
-
-def soliton_invariance_check(family: SolitonFamily, times: Sequence[float],
-                             scan: FamilyScan | None = None) -> float:
+def soliton_invariance_check(scan: FamilyScan) -> float:
     """max over sampled times of |E(t) - E(0)|; zero up to rounding by the
     scaling/relabeling algebra for every exactly representable family."""
-    scan = _scan_for(family, times, None, scan)
     dev = 0.0
     for sample in scan.samples:
         dev = max(dev, abs(sample.E - scan.e0))
     return dev
-
-
-def flow_residual_of_family(family: SolitonFamily, t: float, delta: float) -> float:
-    """Normalized L2 norm of du/dt + (n/2) R u sampled from the family itself.
-
-    Small only when the family genuinely solves the flow; on the flat
-    geometry that forces sigma' = 0 and a static state.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    s0 = soliton_state(family, t)
-    return _flow_residual(family, s0, webster_curvature(s0),
-                          conformal_volume_element(s0), delta)
 
 
 def _residual_delta(family: SolitonFamily) -> float:
@@ -205,23 +166,18 @@ def _residual_delta(family: SolitonFamily) -> float:
     return 1e-4
 
 
-def soliton_theorem_harness(family: SolitonFamily, times: Sequence[float],
-                            flow_tol: float = 1e-8, var_tol: float = 1e-6,
-                            delta: float | None = None,
-                            scan: FamilyScan | None = None) -> Verdict:
-    """Decision procedure for the constancy theorem on one family.
+def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = 1e-8,
+                            var_tol: float = 1e-6) -> Verdict:
+    """Decision procedure for the constancy theorem on one scanned family.
 
     (a) E must be constant along the family (always true for genuine
     families, up to 1e-12).  (b) If the family additionally solves the flow
     (residual <= flow_tol at every sampled time), its curvature must pass
     the constancy test at every sampled time -- otherwise the monotonicity
     and invariance facts would contradict each other and the harness returns
-    THEOREM_VIOLATION, which no input is expected to produce.  `scan`, when
-    given, must come from `scan_family(family, times, delta)`.
+    THEOREM_VIOLATION, which no input is expected to produce.
     """
-    d = delta if delta is not None else _residual_delta(family)
-    scan = _scan_for(family, times, d, scan)
-    if soliton_invariance_check(family, times, scan) > 1e-12 * max(1.0, abs(scan.e0)):
+    if soliton_invariance_check(scan) > 1e-12 * max(1.0, abs(scan.e0)):
         return Verdict.NOT_INVARIANT
     worst = 0.0
     for sample in scan.samples:

@@ -17,6 +17,7 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
+    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -45,7 +46,7 @@ from cryf.geometry import (
 from cryf import manufactured as mfg
 from cryf.presets import make_initial_state
 from cryf.snapshot import read_snapshot, write_snapshot
-from cryf.soliton import SolitonFamily, Verdict, soliton_invariance_check, \
+from cryf.soliton import SolitonFamily, Verdict, scan_family, soliton_invariance_check, \
     soliton_state, soliton_theorem_harness
 
 from conftest import random_state, single_mode_state
@@ -86,7 +87,7 @@ def test_c02_dEdt_identity(geom16s):
         state = single_mode_state(geom16s, 0.1)
 
         def mismatch(delta):
-            r0, r1, r2 = identity_window(state, delta)
+            r0, r1, r2 = identity_window(probe_window(state, delta))
             fd = (r2.E - r0.E) / (r2.t - r0.t)
             return abs(fd - r1.dEdt_formula) / abs(r1.dEdt_formula)
 
@@ -150,7 +151,7 @@ def test_c06_volume_and_mean_curvature_rates():
         resids = []
         for n, delta in ((8, 2e-4), (16, 1e-4), (32, 5e-5)):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            window = identity_window(single_mode_state(geom, 0.1), delta)
+            window = identity_window(probe_window(single_mode_state(geom, 0.1), delta))
             resids.append((volume_rate_residual(window),
                            mean_curvature_rate_residual(window)))
         # frozen single-grid bounds (16^3, delta=1e-4): calibrated defaults
@@ -166,7 +167,7 @@ def test_c07_curvature_evolution(geom16s):
         vals = []
         for n in (8, 16, 32):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            vals.append(curvature_evolution_residual(single_mode_state(geom, 0.1), 1e-4))
+            vals.append(curvature_evolution_residual(probe_window(single_mode_state(geom, 0.1), 1e-4)))
         assert vals[0] > vals[1] > vals[2]
         assert np.log2(vals[0] / vals[1]) >= 1.0
         assert np.log2(vals[1] / vals[2]) >= 1.0
@@ -219,13 +220,13 @@ def test_c09_theorem_harness(geom16s):
         ]
         for fam in families + controls:
             e0 = yamabe_quantity(fam.base)
-            assert soliton_invariance_check(fam, times) <= 1e-12 * max(1.0, abs(e0))
-            verdict = soliton_theorem_harness(fam, times)
+            assert soliton_invariance_check(scan_family(fam, times)) <= 1e-12 * max(1.0, abs(e0))
+            verdict = soliton_theorem_harness(scan_family(fam, times))
             assert verdict != Verdict.THEOREM_VIOLATION
         for fam in families:
-            assert soliton_theorem_harness(fam, times) == Verdict.CONSTANT_CURVATURE
+            assert soliton_theorem_harness(scan_family(fam, times)) == Verdict.CONSTANT_CURVATURE
         for fam in controls:
-            assert soliton_theorem_harness(fam, times) == Verdict.NOT_A_FLOW_SOLUTION
+            assert soliton_theorem_harness(scan_family(fam, times)) == Verdict.NOT_A_FLOW_SOLUTION
 
         cfg = FlowConfig(t_end=0.004, err_tol=1e-8, record_every=5)
         trajectories = [run_flow(single_mode_state(geom16s, eps), cfg)

@@ -9,6 +9,7 @@ from cryf.analysis import (
     DiagnosticsRecord,
     constancy_verdict,
     curvature_evolution_residual,
+    curvature_moments,
     curvature_variance,
     dE_dt_formula,
     dE_dt_from_moments,
@@ -18,6 +19,7 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
+    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -30,6 +32,7 @@ from cryf.conformal import (
     webster_curvature,
 )
 import cryf.flow
+from cryf.errors import FloatRangeError
 from cryf.flow import FlowConfig, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
 
@@ -78,6 +81,26 @@ class TestYamabeQuantity:
         assert abs(yamabe_quantity(pullback_state(state, 3)) - e0) <= 1e-12 * max(1.0, abs(e0))
 
 
+class TestCurvatureMoments:
+    def test_overflow_raises_float_range_error(self, geom448):
+        # the volume element u^4 of u = 1e100 overflows float64
+        state = ConformalState(geom448, np.full(geom448.shape, 1e100))
+        with pytest.raises(FloatRangeError, match="float64 range"):
+            curvature_moments(state)
+        with pytest.raises(FloatRangeError, match="float64 range"):
+            make_record(state)
+        # finite moments, but vol^(3/2) in the closed-form dE/dt overflows
+        state = ConformalState(geom448, np.full(geom448.shape, 1e70))
+        with pytest.raises(FloatRangeError, match="dE/dt leaves the float64 range"):
+            make_record(state)
+
+    def test_nonfinite_curvature_rejected(self, geom448):
+        state = ConformalState(geom448, np.ones(geom448.shape))
+        r = np.full(geom448.shape, np.inf)
+        with pytest.raises(FloatRangeError, match="not finite"):
+            curvature_moments(state, r=r)
+
+
 class TestCurvatureVariance:
     def test_constant_zero(self, geom448):
         state = ConformalState(geom448, np.full(geom448.shape, 0.7))
@@ -121,7 +144,7 @@ class TestDEdtFormula:
 
     def test_matches_finite_difference(self, geom16):
         state = single_mode_state(geom16, 0.1)
-        window = identity_window(state, 1e-4)
+        window = identity_window(probe_window(state, 1e-4))
         r0, r1, r2 = window
         fd = (r2.E - r0.E) / (r2.t - r0.t)
         assert abs(fd - r1.dEdt_formula) <= 0.01 * abs(r1.dEdt_formula)
@@ -130,14 +153,14 @@ class TestDEdtFormula:
 class TestRateResiduals:
     def test_constant_state_zero(self, geom448):
         state = ConformalState(geom448, np.full(geom448.shape, 1.0))
-        window = identity_window(state, 1e-4)
+        window = identity_window(probe_window(state, 1e-4))
         assert mean_curvature_rate_residual(window) == 0.0
         assert volume_rate_residual(window) == 0.0
 
     def test_single_mode_small_and_delta_squared(self, geom16):
         state = single_mode_state(geom16, 0.1)
-        w1 = identity_window(state, 1e-4)
-        w2 = identity_window(state, 5e-5)
+        w1 = identity_window(probe_window(state, 1e-4))
+        w2 = identity_window(probe_window(state, 5e-5))
         m1, m2 = mean_curvature_rate_residual(w1), mean_curvature_rate_residual(w2)
         v1, v2 = volume_rate_residual(w1), volume_rate_residual(w2)
         assert m1 <= 2e-4 and v1 <= 2e-4
@@ -157,30 +180,31 @@ class TestRateResiduals:
 class TestCurvatureEvolutionResidual:
     def test_constant_state_zero(self, geom448):
         state = ConformalState(geom448, np.full(geom448.shape, 2.0))
-        assert curvature_evolution_residual(state, 1e-4) == 0.0
+        assert curvature_evolution_residual(probe_window(state, 1e-4)) == 0.0
 
     def test_single_mode_magnitude(self, geom16):
         state = single_mode_state(geom16, 0.1)
-        assert curvature_evolution_residual(state, 1e-4) <= 2e-3
+        assert curvature_evolution_residual(probe_window(state, 1e-4)) <= 2e-3
 
     def test_decreases_under_grid_refinement(self):
         vals = []
         for n in (8, 16):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            vals.append(curvature_evolution_residual(single_mode_state(geom, 0.1), 1e-4))
+            window = probe_window(single_mode_state(geom, 0.1), 1e-4)
+            vals.append(curvature_evolution_residual(window))
         assert vals[1] < vals[0]
 
 
 class TestIdentityResiduals:
     def test_equals_separate_calls(self, geom16):
-        state = single_mode_state(geom16, 0.1)
-        res = identity_residuals(state, 1e-4)
-        window = identity_window(state, 1e-4)
+        probes = probe_window(single_mode_state(geom16, 0.1), 1e-4)
+        res = identity_residuals(probes)
+        window = identity_window(probes)
         r0, r1, r2 = window
         fd = (r2.E - r0.E) / (r2.t - r0.t)
         assert res.volume_rate == volume_rate_residual(window)
         assert res.mean_curvature_rate == mean_curvature_rate_residual(window)
-        assert res.curvature_evolution == curvature_evolution_residual(state, 1e-4)
+        assert res.curvature_evolution == curvature_evolution_residual(probes)
         assert res.dEdt_mismatch == dEdt_mismatch(window) \
             == abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
 
@@ -194,19 +218,18 @@ class TestIdentityResiduals:
 
         monkeypatch.setattr(cryf.flow, "integrate_fixed", counting)
         state = random_state(geom448, 5, smooth=2)
-        identity_residuals(state, 1e-4)
+        window = probe_window(state, 1e-4)
         assert calls == [-1e-4, 1e-4]
-        # each function alone still integrates the pair itself
-        identity_window(state, 1e-4)
-        curvature_evolution_residual(state, 1e-4)
-        assert len(calls) == 6
+        identity_residuals(window)
+        assert len(calls) == 2
+        assert window.states[1] is state and window.delta == 1e-4
+        assert [s.t for s in window.states] == [-1e-4, 0.0, 1e-4]
 
     @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_delta_rejected(self, geom448, delta):
         state = random_state(geom448, 5)
-        for fn in (identity_window, curvature_evolution_residual, identity_residuals):
-            with pytest.raises(ValueError, match="delta must be positive"):
-                fn(state, delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            probe_window(state, delta)
 
 
 class TestConstancyVerdict:
@@ -237,6 +260,14 @@ class TestMonotonicityAudit:
                         FlowConfig(t_end=0.01, err_tol=1e-8, record_every=2))
         count, worst = monotonicity_audit(traj.records)
         assert count == 0 and worst == 0.0
+
+    def test_nan_E_flagged(self, geom448):
+        rec = make_record(ConformalState(geom448, np.ones(geom448.shape)))
+        nan = dataclasses.replace(rec, E=float("nan"))
+        assert monotonicity_audit([rec, nan])[0] == 1
+        assert monotonicity_audit([nan, rec])[0] == 1
+        count, worst = monotonicity_audit([rec, nan, rec, rec])
+        assert count == 2 and np.isnan(worst)
 
     def test_reversed_trajectory_flagged(self, geom16):
         traj = run_flow(single_mode_state(geom16, 0.2),

@@ -192,6 +192,28 @@ class TestCheckIdentities:
         assert "delta must be positive" in capsys.readouterr().err
 
 
+# 8^3 inputs that once ended in a false verdict or a false PASS: each must exit 2
+@pytest.mark.parametrize("command, preset, extra, message", [
+    ("soliton-check", "constant", "[soliton]\nvar_tol = nan\n",
+     "[soliton]: var_tol must be positive and finite, got nan"),
+    ("soliton-check", "constant", "[soliton]\nflow_tol = nan\n",
+     "[soliton]: flow_tol must be positive and finite, got nan"),
+    ("check-identities", "single_mode_y", "[analysis]\nmax_volume_rate = nan\n",
+     "[analysis]: max_volume_rate must be non-negative and finite, got nan"),
+    ("run-flow", "constant", "c = 1e100\n", "a curvature moment leaves the float64 range"),
+    ("check-identities", "single_mode_y", "c = 1e70\n", "dE/dt leaves the float64 range"),
+    ("run-flow", "constant", "[flow]\nt_end = inf\n", "[flow]: t_end must be finite, got inf"),
+], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70", "t_end_inf"])
+def test_out_of_range_input_exit_2_without_traceback(tmp_path, capsys, command, preset,
+                                                     extra, message):
+    cfg = write_cfg(tmp_path, body="[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n"
+                                   f"[initial_data]\npreset = {preset}\n{extra}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # an 8^3 rough field on which a delta = 1e-3 identity probe leaves the positive cone
 PROBE_FAILURE_CFG = """
 [geometry]

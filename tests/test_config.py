@@ -212,3 +212,19 @@ class TestValidation:
     def test_non_finite_soliton_value_is_config_error(self, key, value):
         with pytest.raises(ConfigurationError, match=rf"\[soliton\]: {key} must be finite"):
             parse_config(MINIMAL + f"\n[soliton]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("section,key,value,rule", [
+        ("soliton", "flow_tol", "0", "positive"), ("soliton", "var_tol", "inf", "positive"),
+        ("analysis", "min_order_untwisted", "nan", "positive"),
+        ("analysis", "min_order_twisted", "-1", "positive"),
+        ("analysis", "max_dEdt_mismatch", "-1e-3", "non-negative"),
+        ("analysis", "max_scaling_invariance", "inf", "non-negative"),
+        ("flow", "err_tol", "inf", "finite"), ("flow", "dt_max", "inf", "finite"),
+    ])
+    def test_out_of_range_tolerance_is_config_error(self, section, key, value, rule):
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\]: {key} must be {rule}"):
+            parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+
+    def test_zero_identity_bound_accepted(self):
+        cfg = parse_config(MINIMAL + "\n[analysis]\nmax_curvature_evolution = 0\n")
+        assert cfg.analysis.max_curvature_evolution == 0.0

@@ -2,22 +2,25 @@ import numpy as np
 import pytest
 
 from cryf.analysis import monotonicity_audit
-from cryf.conformal import ConformalState, webster_curvature
+from cryf.conformal import DEFAULT_U_FLOOR, ConformalState, webster_curvature
 from cryf.errors import StepPositivityError
 from cryf.flow import (
     FlowConfig,
     FlowTermination,
+    _du_dt,
     integrate_fixed,
     run_flow,
     step_adaptive,
-    step_rk4,
-    time_derivative,
 )
 from conftest import random_state, single_mode_state
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
 # 16^3 integrated to t_end=0.05 at err_tol=1e-8 (reference run)
 FROZEN_DECAY_RATIO = 5.233e-4
+
+
+def time_derivative(state):
+    return _du_dt(state.geom, state.u, DEFAULT_U_FLOOR)
 
 
 class TestFlowConfig:
@@ -34,6 +37,13 @@ class TestFlowConfig:
             FlowConfig(safety=1.5)
         with pytest.raises(ValueError):
             FlowConfig(record_every=0)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["t_end", "dt_init", "dt_min", "dt_max", "safety",
+                                      "err_tol", "u_floor"])
+    def test_nonfinite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FlowConfig(**{name: value})
 
 
 class TestTimeDerivative:
@@ -73,19 +83,14 @@ class TestTimeDerivative:
 class TestStepRK4:
     def test_constant_unchanged_bitwise(self, geom448):
         state = ConformalState(geom448, np.full(geom448.shape, 1.0))
-        stepped = step_rk4(state, 0.37)
+        stepped = integrate_fixed(state, 0.37, 1)
         assert np.array_equal(stepped.u, state.u)
         assert stepped.t == pytest.approx(0.37)
-
-    def test_rejects_nonpositive_dt(self, geom4):
-        state = random_state(geom4, 1)
-        with pytest.raises(ValueError):
-            step_rk4(state, 0.0)
 
     def test_against_euler_microsteps(self, geom16):
         state = single_mode_state(geom16, 0.1)
         dt = 1e-4
-        rk = step_rk4(state, dt)
+        rk = integrate_fixed(state, dt, 1)
         u = state.u.copy()
         for _ in range(100):
             r = webster_curvature(ConformalState(geom16, u))
@@ -96,7 +101,7 @@ class TestStepRK4:
         # a large step on a strongly curved state overshoots the floor
         state = single_mode_state(geom16, 0.3)
         with pytest.raises(StepPositivityError):
-            step_rk4(state, 0.05, u_floor=0.5)
+            integrate_fixed(state, 0.05, 1, u_floor=0.5)
 
 
 class TestStepAdaptive:
@@ -213,7 +218,7 @@ class TestDecayRateFit:
         ts, amps = [], []
         cur = state
         for k in range(500):
-            cur = step_rk4(cur, 2e-5)
+            cur = integrate_fixed(cur, 2e-5, 1)
             if k % 25 == 24:
                 ts.append(cur.t)
                 amps.append(integrate_base(geom16, cur.u * mode))

@@ -11,7 +11,6 @@ from cryf.soliton import (
     SolitonFamily,
     Verdict,
     _residual_delta,
-    flow_residual_of_family,
     scan_family,
     shift_steps,
     soliton_invariance_check,
@@ -22,6 +21,10 @@ from cryf.soliton import (
 from conftest import single_mode_state
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def flow_residual(fam, t, delta):
+    return scan_family(fam, (t,), delta).samples[0].flow_residual
 
 
 def constant_family(geom, c=1.0, rate=0.0, slope=0.0):
@@ -56,22 +59,20 @@ class TestSolitonState:
     def test_invariance_for_scaled_shifted_family(self, geom16):
         base = single_mode_state(geom16, 0.1)
         fam = SolitonFamily(base, lambda t: 1.0 + t, 2.0)
-        dev = soliton_invariance_check(fam, TIMES)
+        dev = soliton_invariance_check(scan_family(fam, TIMES))
         assert dev <= 1e-12 * max(1.0, abs(yamabe_quantity(base)))
 
     def test_alignment_guard(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 0.3)
-        with pytest.raises(ShiftAlignmentError):
+        with pytest.raises(ShiftAlignmentError, match="not grid-aligned"):
             soliton_state(fam, 0.1)
-        snapping = dataclasses.replace(fam, allow_snapping=True)
-        m, snapped = shift_steps(snapping, 0.1)
-        assert snapped
-        soliton_state(snapping, 0.1)
+        with pytest.raises(ShiftAlignmentError, match="not grid-aligned"):
+            shift_steps(fam, 0.1)
 
     def test_grid_aligned_shift_not_snapped(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 1.0)
-        m, snapped = shift_steps(fam, 0.25)
-        assert m == 4 and not snapped
+        assert shift_steps(fam, 0.25) == 4
+        assert type(shift_steps(fam, -0.5)) is int and shift_steps(fam, -0.5) == -8
 
     def test_overflowing_shift_rejected(self, geom448):
         # 2e225 * 1.1e83 * N_z overflows to inf
@@ -93,7 +94,7 @@ class TestSolitonState:
 
 class TestInvarianceCheck:
     def test_constant_family_zero(self, geom448):
-        assert soliton_invariance_check(constant_family(geom448), TIMES) == 0.0
+        assert soliton_invariance_check(scan_family(constant_family(geom448), TIMES)) == 0.0
 
     def test_corrupted_base_detected(self, geom16):
         # replacing the base mid-stream breaks the invariance claim
@@ -107,57 +108,58 @@ class TestInvarianceCheck:
 class TestFlowResidual:
     def test_static_constant_base_zero(self, geom448):
         fam = constant_family(geom448, c=2.0)
-        assert flow_residual_of_family(fam, 0.5, 1e-4) == 0.0
+        assert flow_residual(fam, 0.5, 1e-4) == 0.0
 
     def test_shifted_constant_base_still_zero(self, geom16):
         # relabeling commutes with everything; sigma = 1 - R0 t with R0 = 0
         fam = constant_family(geom16, c=1.0, rate=2.0)
         delta = 1.0 / (2.0 * geom16.spec.nz)
-        assert flow_residual_of_family(fam, 0.5, delta) <= 1e-10
+        assert flow_residual(fam, 0.5, delta) <= 1e-10
 
     def test_linear_sigma_is_not_a_flow_solution(self, geom448):
         fam = constant_family(geom448, c=1.0, slope=1.0)
-        assert flow_residual_of_family(fam, 0.0, 1e-4) >= 0.1
+        assert flow_residual(fam, 0.0, 1e-4) >= 0.1
 
     def test_alignment_failure_raises(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 1.0)
         with pytest.raises(ShiftAlignmentError):
-            flow_residual_of_family(fam, 0.25, 1e-4)
+            flow_residual(fam, 0.25, 1e-4)
 
 
 class TestHarness:
     def test_constant_base_constant_curvature(self, geom448):
-        assert soliton_theorem_harness(constant_family(geom448), TIMES) \
+        assert soliton_theorem_harness(scan_family(constant_family(geom448), TIMES)) \
             == Verdict.CONSTANT_CURVATURE
 
     def test_reeb_translated_constant_base(self, geom16):
         for rate in (0.0, 1.0, 2.0):
             fam = constant_family(geom16, c=0.5, rate=rate)
-            assert soliton_theorem_harness(fam, TIMES) == Verdict.CONSTANT_CURVATURE
+            assert soliton_theorem_harness(scan_family(fam, TIMES)) == Verdict.CONSTANT_CURVATURE
 
     def test_mode_base_not_a_flow_solution(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 0.0)
-        assert soliton_theorem_harness(fam, TIMES) == Verdict.NOT_A_FLOW_SOLUTION
+        assert soliton_theorem_harness(scan_family(fam, TIMES)) == Verdict.NOT_A_FLOW_SOLUTION
 
     def test_linear_sigma_not_a_flow_solution(self, geom448):
         fam = constant_family(geom448, slope=1.0)
-        assert soliton_theorem_harness(fam, TIMES) == Verdict.NOT_A_FLOW_SOLUTION
+        assert soliton_theorem_harness(scan_family(fam, TIMES)) == Verdict.NOT_A_FLOW_SOLUTION
 
     def test_verdicts_invariant_under_base_rescaling(self, geom16):
         for sigma in (0.5, 2.0, 7.3):
             fam = constant_family(geom16, rate=1.0)
             scaled = dataclasses.replace(fam, base=scale_state(fam.base, sigma))
-            assert soliton_theorem_harness(scaled, TIMES) == Verdict.CONSTANT_CURVATURE
+            assert soliton_theorem_harness(scan_family(scaled, TIMES)) == Verdict.CONSTANT_CURVATURE
         mode = SolitonFamily(single_mode_state(geom16, 0.1), lambda t: 1.0, 0.0)
         scaled = dataclasses.replace(mode, base=scale_state(mode.base, 7.3))
-        assert soliton_theorem_harness(scaled, TIMES) == Verdict.NOT_A_FLOW_SOLUTION
+        assert soliton_theorem_harness(scan_family(scaled, TIMES)) == Verdict.NOT_A_FLOW_SOLUTION
 
     def test_never_theorem_violation_over_sweep(self, geom16):
         for c in (0.5, 1.0, 2.0):
             for rate in (0.0, 1.0, 2.0):
                 for slope in (0.0, 1.0):
                     fam = constant_family(geom16, c=c, rate=rate, slope=slope)
-                    assert soliton_theorem_harness(fam, TIMES) != Verdict.THEOREM_VIOLATION
+                    verdict = soliton_theorem_harness(scan_family(fam, TIMES))
+                    assert verdict != Verdict.THEOREM_VIOLATION
 
 
 def separate_verdict(fam, times, flow_tol=1e-8, var_tol=1e-6):
@@ -169,7 +171,7 @@ def separate_verdict(fam, times, flow_tol=1e-8, var_tol=1e-6):
     if dev > 1e-12 * max(1.0, abs(e0)):
         return Verdict.NOT_INVARIANT, dev
     d = _residual_delta(fam)
-    if max(flow_residual_of_family(fam, t, d) for t in times) > flow_tol:
+    if max(flow_residual(fam, t, d) for t in times) > flow_tol:
         return Verdict.NOT_A_FLOW_SOLUTION, dev
     for t in times:
         if not constancy_verdict(soliton_state(fam, t), var_tol):
@@ -191,10 +193,8 @@ class TestFamilyScan:
         for fam in sweep_and_controls(geom16):
             scan = scan_family(fam, TIMES)
             verdict, dev = separate_verdict(fam, TIMES)
-            assert soliton_theorem_harness(fam, TIMES, scan=scan) == verdict
-            assert soliton_theorem_harness(fam, TIMES) == verdict
-            assert soliton_invariance_check(fam, TIMES, scan=scan) == dev
-            assert soliton_invariance_check(fam, TIMES) == dev
+            assert soliton_theorem_harness(scan) == verdict
+            assert soliton_invariance_check(scan) == dev
             verdicts.append(verdict)
         assert verdicts == [Verdict.CONSTANT_CURVATURE] * 9 + [Verdict.NOT_A_FLOW_SOLUTION] * 2
 
@@ -215,16 +215,6 @@ class TestFamilyScan:
         monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
         fam = constant_family(geom448, rate=1.0)
         scan = scan_family(fam, TIMES)
-        soliton_theorem_harness(fam, TIMES, scan=scan)
-        soliton_invariance_check(fam, TIMES, scan=scan)
+        soliton_theorem_harness(scan)
+        soliton_invariance_check(scan)
         assert len(calls) == 1 + len(TIMES)
-
-    def test_foreign_scan_rejected(self, geom448):
-        fam = constant_family(geom448)
-        scan = scan_family(fam, TIMES)
-        with pytest.raises(ValueError, match="scan"):
-            soliton_theorem_harness(constant_family(geom448), TIMES, scan=scan)
-        with pytest.raises(ValueError, match="scan"):
-            soliton_invariance_check(fam, TIMES[:3], scan=scan)
-        with pytest.raises(ValueError, match="scan"):
-            soliton_theorem_harness(fam, TIMES, delta=1e-3, scan=scan)

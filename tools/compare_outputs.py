@@ -3,8 +3,10 @@
 Usage: python3 tools/compare_outputs.py BASE_REV
 
 Exports `src/` at BASE_REV with `git archive` into a temporary directory,
-then runs the five shipped configs and an 8^3 `constant` run-flow through
-`cryf.cli` once with that tree and once with the working tree's `src/`.
+then runs the five shipped configs and three 8^3 configs (a `constant`
+run-flow, a single-family soliton-check and a `random_smooth`
+check-identities) through `cryf.cli` once with that tree and once with the
+working tree's `src/`.
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -28,18 +30,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CONSTANT_8 = """\
+GRID_8 = """\
 [geometry]
 N_x = 8
 N_y = 8
 N_z = 8
 
-[initial_data]
-preset = constant
-c = 1.5
 """
 
-# (run name, command, config path relative to the repo or None for CONSTANT_8)
+# run name -> config text of the runs that have no shipped config
+INLINE_CONFIGS = {
+    "constant_8": GRID_8 + "[initial_data]\npreset = constant\nc = 1.5\n",
+    # one scaled, Reeb-translated family besides the two negative controls
+    "soliton_family_8": GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
+                        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 2\n",
+    # exits 1: the identity bounds are calibrated on single_mode_y at 16^3
+    "identities_random_8": GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\n",
+}
+
+# (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
 RUNS = (
     ("flow_random_16", "run-flow", "configs/flow_random_16.cfg"),
     ("flow_single_mode_16", "run-flow", "configs/flow_single_mode_16.cfg"),
@@ -47,6 +56,8 @@ RUNS = (
     ("convergence", "convergence-study", "configs/convergence.cfg"),
     ("soliton_sweep", "soliton-check", "configs/soliton_sweep.cfg"),
     ("constant_8", "run-flow", None),
+    ("soliton_family_8", "soliton-check", None),
+    ("identities_random_8", "check-identities", None),
 )
 
 
@@ -57,11 +68,14 @@ def export_src(rev: str, dest: Path) -> None:
         archive.extractall(dest)
 
 
-def run_all(src: Path, workdir: Path, constant_cfg: Path) -> None:
-    """Run every entry of RUNS with `src` on the path; outputs go to workdir/<run name>."""
+def run_all(src: Path, workdir: Path, inline_dir: Path) -> None:
+    """Run every entry of RUNS with `src` on the path; outputs go to workdir/<run name>.
+
+    A run without a shipped config reads `inline_dir/<run name>.cfg`.
+    """
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for name, command, cfg in RUNS:
-        config = constant_cfg if cfg is None else ROOT / cfg
+        config = inline_dir / f"{name}.cfg" if cfg is None else ROOT / cfg
         # a relative --out keeps paths in stderr equal between the two trees
         proc = subprocess.run(
             [sys.executable, "-m", "cryf.cli", command, "--config", str(config),
@@ -146,13 +160,13 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp_path = Path(tmp)
         export_src(base_rev, tmp_path / "base")
-        constant_cfg = tmp_path / "constant_8.cfg"
-        constant_cfg.write_text(CONSTANT_8)
+        for name, text in INLINE_CONFIGS.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
         outputs = {}
         for side, src in (("base", tmp_path / "base" / "src"), ("head", ROOT / "src")):
             outputs[side] = tmp_path / f"out_{side}"
             outputs[side].mkdir()
-            run_all(src, outputs[side], constant_cfg)
+            run_all(src, outputs[side], tmp_path)
         differing = diff_trees(outputs["base"], outputs["head"], base_rev)
     n_files = "file differs" if differing == 1 else "files differ"
     print(f"{differing} {n_files} between {base_rev} and the working tree")
