@@ -58,11 +58,13 @@ class ConformalState:
         return self.geom.n
 
 
-def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:
+def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
     if u.min() <= u_floor:
-        raise PositivityError(
-            f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}"
-        )
+        raise PositivityError(f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}")
+
+
+def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:
+    _check_above_floor(u, u_floor)
     n = geom.n
     rhs = sub_laplacian_base(geom, u)
     rhs *= -(2.0 + 2.0 / n)

@@ -127,6 +127,8 @@ class BaseGeometry:
         # z-index permutation of the wrapped x-plane, one row per j
         self._wrap_fwd = (kk - jj * spec.twist) % spec.nz
         self._wrap_bwd = (kk + jj * spec.twist) % spec.nz
+        # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
+        self._q = self.x_coord * spec.twist
         # work fields of _div_form, allocated on its first call
         self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -266,37 +268,35 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
                        c: np.ndarray) -> None:
     """One conservative form -D*(w D f) into out, D one-sided in direction `step`.
 
-    With d = _diff(.., step) and d' = _diff(.., -step) = -h D*, it evaluates
+    With d = _diff(.., step), d' = _diff(.., -step) = -h D* and the column
+    q = x * hy/hz, it takes differences unscaled and scales each part once:
 
-        Fx = w * (d_x f / hx)          Fy = w * (d_y f / hy + (x * d_z f) / hz)
-        out = d'_x Fx / hx + (d'_y Fy / hy + (x * d'_z Fy) / hz)
+        Fx = w * d_x f                 Fy = w * (d_y f + q * d_z f)
+        out = d'_x Fx * hx^-2 + (d'_y Fy + q * d'_z Fy) * hy^-2
 
-    with exactly this grouping, so the result equals the shift-and-subtract
-    evaluation of the same expression bit for bit.  a, b, c are scratch;
-    out may be c, whose last read comes before out's first write.
+    Exactly, this is the textbook grouping d'_x(w d_x f / hx) / hx + ...;
+    a power-of-two scale commutes with rounding, so on grids whose cell
+    sizes are powers of two the two agree bit for bit, and elsewhere they
+    differ by rounding.  a, b, c are scratch; out may be c, whose last read
+    comes before out's first write.
     """
-    s = geom.spec
-    x = geom.x_coord
+    q = geom._q
     _diff(geom, f, 1, step, b)
-    b /= s.hy
     _diff(geom, f, 2, step, c)
-    c *= x
-    c /= s.hz
+    c *= q
     b += c
     if w is not None:
         b *= w
     _diff(geom, b, 1, -step, a)
-    a /= s.hy
     _diff(geom, b, 2, -step, c)
-    c *= x
-    c /= s.hz
+    c *= q
     a += c
+    a *= geom.spec.ny ** 2
     _diff(geom, f, 0, step, b)
-    b /= s.hx
     if w is not None:
         b *= w
     _diff(geom, b, 0, -step, out)
-    out /= s.hx
+    out *= geom.spec.nx ** 2
     out += a
 
 

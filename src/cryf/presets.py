@@ -40,13 +40,14 @@ def make_initial_state(geom: BaseGeometry, preset: str, *, c: float = 1.0,
     if preset not in PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; choose from {PRESETS}")
     if preset == "constant":
-        if not c > 0.0:
-            raise ConfigurationError(f"constant preset needs c > 0, got {c}")
+        if not 0.0 < c < np.inf:
+            raise ConfigurationError(f"constant preset needs finite c > 0, got {c}")
         u = np.full(geom.shape, float(c))
     elif preset in ("single_mode_y", "single_mode_x"):
-        if not c - abs(epsilon) > 0.0:
+        if not (c - abs(epsilon) > 0.0 and c + abs(epsilon) < np.inf):
             raise ConfigurationError(
-                f"mode preset needs c - |epsilon| > 0, got c={c}, epsilon={epsilon}"
+                f"mode preset needs c - |epsilon| > 0 and c + |epsilon| finite, "
+                f"got c={c}, epsilon={epsilon}"
             )
         x, y, _ = geom.coords()
         coord = y if preset == "single_mode_y" else x
@@ -58,6 +59,8 @@ def make_initial_state(geom: BaseGeometry, preset: str, *, c: float = 1.0,
             )
         if smoothing_passes < 0:
             raise ConfigurationError("smoothing_passes must be >= 0")
+        if seed < 0:
+            raise ConfigurationError(f"random_smooth needs seed >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         u = rng.uniform(1.0 - amplitude, 1.0 + amplitude, size=geom.shape)
         u = seven_point_smooth(geom, u, smoothing_passes)

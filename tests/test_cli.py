@@ -203,7 +203,12 @@ class TestCheckIdentities:
     ("run-flow", "constant", "c = 1e100\n", "a curvature moment leaves the float64 range"),
     ("check-identities", "single_mode_y", "c = 1e70\n", "dE/dt leaves the float64 range"),
     ("run-flow", "constant", "[flow]\nt_end = inf\n", "[flow]: t_end must be finite, got inf"),
-], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70", "t_end_inf"])
+    ("run-flow", "random_smooth", "seed = -1\n", "random_smooth needs seed >= 0, got -1"),
+    ("run-flow", "constant", "c = inf\n", "constant preset needs finite c > 0, got inf"),
+    ("check-identities", "single_mode_x", "c = 1.5e308\nepsilon = 1e308\n",
+     "mode preset needs c - |epsilon| > 0 and c + |epsilon| finite"),
+], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70", "t_end_inf",
+        "seed_negative", "c_inf", "mode_overflows"])
 def test_out_of_range_input_exit_2_without_traceback(tmp_path, capsys, command, preset,
                                                      extra, message):
     cfg = write_cfg(tmp_path, body="[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n"
@@ -239,6 +244,16 @@ def test_probe_failure_exit_2_without_traceback(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("identity probe failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-identities", "convergence-study"])
+def test_probe_overflow_exit_2_without_traceback(tmp_path, capsys, command):
+    # a probe step of delta / 8 = 1.25e306 overflows its first stage
+    cfg = write_cfg(tmp_path, body=PROBE_FAILURE_CFG.replace("delta = 1e-3", "delta = 1e307"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("identity probe failed: stage value overflowed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -343,6 +358,17 @@ times = {times}
 _soliton_values = st.one_of(st.integers(-16, 16).map(lambda k: k / 8.0), st.floats())
 
 
+def exit_code_without_traceback(command, body):
+    """Run one command on a config text in a temporary directory; return its exit code."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(pathlib.Path(tmp), body=body)
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", cfg, "--out", f"{tmp}/o"])
+    assert "Traceback" not in err.getvalue()
+    return rc
+
+
 @given(sigma_slope=_soliton_values, psi_rate=_soliton_values,
        times=st.lists(_soliton_values, min_size=1, max_size=4))
 @example(sigma_slope=0.125, psi_rate=5e-324, times=[0.0])  # lattice step overflows
@@ -353,10 +379,60 @@ _soliton_values = st.one_of(st.integers(-16, 16).map(lambda k: k / 8.0), st.floa
 def test_soliton_check_fuzz_ends_on_an_exit_code(sigma_slope, psi_rate, times):
     body = SOLITON_FAMILY_CFG.format(sigma_slope=sigma_slope, psi_rate=psi_rate,
                                      times=",".join(repr(t) for t in times))
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_cfg(pathlib.Path(tmp), body=body)
-        with contextlib.redirect_stderr(err):
-            rc = main(["soliton-check", "--config", cfg, "--out", f"{tmp}/o"])
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert exit_code_without_traceback("soliton-check", body) in (0, 1, 2)
+
+
+def _section(name, values):
+    return f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                   for key, value in values.items() if value is not None)
+
+
+def _key(*values, free=None):
+    """A drawn config value, or None to leave the key at its default."""
+    return st.one_of(st.none(), st.sampled_from(values), *([free] if free is not None else []))
+
+
+_NAN, _INF = float("nan"), float("inf")
+# mostly valid flow settings, so that most draws reach the commands; t_end is
+# always short and dt_min and safety mild, so that no drawn run takes long
+_FLOW_VALUES = st.fixed_dictionaries({
+    "t_end": st.sampled_from([2e-5, 1e-6, 0.0, -1e-5]),
+    "dt_init": _key(1e-6, 1e-5),
+    "dt_min": _key(1e-12, 1e-6),
+    "dt_max": _key(1e-2, 1e-5, 1e300),
+    "safety": _key(0.9, 1.0, 0.5),
+    "err_tol": _key(1e-8, 1e-14, 1e300),
+    "u_floor": _key(1e-6, 0.5, 0.99, 1e300),
+    "record_every": _key(1, 3),
+    "snapshot_every": _key(0, 2),
+})
+# initial data and delta are also drawn freely (inf and nan included):
+# overflow, underflow and the positivity floor are reached from here
+_INITIAL_VALUES = st.fixed_dictionaries({
+    "preset": st.sampled_from(["single_mode_y", "single_mode_x", "random_smooth", "constant"]),
+    "c": _key(1.0, 1.5, 1e-200, 1e100, free=st.floats()),
+    "epsilon": _key(0.1, 0.9, free=st.floats()),
+    "seed": _key(0, 1, 2**64, -1, free=st.integers(-2**64, 2**70)),
+    "amplitude": _key(0.2, 0.9, 0.999, free=st.floats()),
+    "smoothing_passes": _key(0, 1, 3),
+})
+_ANALYSIS_VALUES = st.fixed_dictionaries({
+    "delta": _key(1e-4, 1e-3, 1e-2, free=st.floats()),
+    "max_volume_rate": _key(0.0, 1e-3, _NAN),
+    "max_curvature_evolution": _key(0.0, 1e-3, _INF),
+    "min_order_untwisted": _key(1.8, 0.1),
+    "min_order_twisted": _key(0.9, 1e300),
+})
+
+
+@pytest.mark.parametrize("command, examples", [
+    ("run-flow", 30), ("check-identities", 15), ("convergence-study", 10)])
+def test_fuzz_ends_on_an_exit_code(command, examples):
+    @given(initial=_INITIAL_VALUES, flow=_FLOW_VALUES, analysis=_ANALYSIS_VALUES)
+    @settings(max_examples=examples, deadline=None)
+    def run(initial, flow, analysis):
+        body = ("[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n" + _section("initial_data", initial)
+                + _section("flow", flow) + _section("analysis", analysis) + "grids = 8,16\n")
+        assert exit_code_without_traceback(command, body) in (0, 1, 2)
+
+    run()

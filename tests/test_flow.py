@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from cryf.analysis import monotonicity_audit
 from cryf.conformal import DEFAULT_U_FLOOR, ConformalState, webster_curvature
-from cryf.errors import StepPositivityError
+from cryf.errors import PositivityError, StepPositivityError
 from cryf.flow import (
     FlowConfig,
     FlowTermination,
@@ -12,6 +14,7 @@ from cryf.flow import (
     run_flow,
     step_adaptive,
 )
+from cryf.geometry import BaseGeometry, GridSpec, build_nilmanifold
 from conftest import random_state, single_mode_state
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
@@ -62,6 +65,31 @@ class TestTimeDerivative:
             assert np.array_equal(first, kept)
             assert not np.shares_memory(first, second)
             assert not np.shares_memory(first, s1.u)
+
+    def test_geometry_dimension_is_one(self):
+        # _du_dt evaluates (n+1) Lap(u) u^(-2/n) as 2 Lap(u) / u / u
+        assert BaseGeometry(GridSpec(4, 4, 4)).n == 1
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("make", [
+        lambda g: random_state(g, 4),
+        lambda g: random_state(g, 5, amplitude=0.8, smooth=1),
+        lambda g: single_mode_state(g, 0.2),
+        lambda g: single_mode_state(g, 0.3, coord="x"),
+    ], ids=["random", "random_smooth", "mode_y", "mode_x"])
+    def test_matches_curvature_form(self, n, make):
+        state = make(build_nilmanifold(GridSpec(n, n, n)))
+        got = time_derivative(state)
+        want = -(state.n / 2.0) * webster_curvature(state) * state.u
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
+
+    def test_floor_raises_positivity_error(self, geom448):
+        u = np.ones(geom448.shape)
+        u[1, 2, 3] = 1e-7
+        message = f"conformal factor at/below floor: min u = {1e-7} <= {DEFAULT_U_FLOOR}"
+        with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
+            _du_dt(geom448, u, DEFAULT_U_FLOOR)
 
     def test_linearization(self, geom16):
         # du/dt ~ -(1/2) R u ~ -2*lambda_h*eps*sin(2 pi y) for the discrete
@@ -129,6 +157,32 @@ class TestStepAdaptive:
 
 
 class TestIntegrateFixed:
+    def test_bitwise_classical_rk4(self, geom16):
+        # dt * |lambda_max| is about 1, so every stage's rounding reaches u
+        state = random_state(geom16, 6, amplitude=0.4, smooth=2)
+        u0 = state.u.copy()
+        dt = 3e-4 / 3
+
+        def rhs(u):
+            return _du_dt(geom16, u, DEFAULT_U_FLOOR)
+
+        u = state.u
+        for _ in range(3):
+            k1 = rhs(u)
+            k2 = rhs(u + (0.5 * dt) * k1)
+            k3 = rhs(u + (0.5 * dt) * k2)
+            k4 = rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(integrate_fixed(state, 3e-4, 3).u, u)
+        steps = [state]
+        for _ in range(3):
+            steps.append(integrate_fixed(steps[-1], dt, 1))
+        assert np.array_equal(steps[-1].u, u)
+        for i, a in enumerate(steps):
+            for b in steps[i + 1:]:
+                assert not np.shares_memory(a.u, b.u)
+        assert np.array_equal(state.u, u0)
+
     def test_time_bookkeeping_exact(self, geom448):
         state = random_state(geom448, 3, amplitude=0.1, smooth=2)
         delta = 1e-4

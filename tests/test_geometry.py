@@ -197,9 +197,31 @@ class TestDivForm:
 def shift_forms(geom, f, w):
     """Shift-based forward-flux and backward-flux conservative forms.
 
-    Builds every shifted field as a copy and evaluates the textbook
-    expressions -D+*(w D+ f) and -D-*(w D- f).
+    Builds every shifted field as a copy and evaluates -D+*(w D+ f) and
+    -D-*(w D- f) in the kernel's grouping: unscaled differences, the column
+    q = x * hy/hz in Y = (d_y + q d_z)/hy, and one 1/h^2 scale per part.
     """
+    s = geom.spec
+    q = geom.x_coord * (s.nz // s.ny)
+    dxf = _shift_x(geom, f, 1) - f
+    dyf = (_shift_y(f, 1) - f) + q * (_shift_z(f, 1) - f)
+    if w is not None:
+        dxf = w * dxf
+        dyf = w * dyf
+    out_f = (dxf - _shift_x(geom, dxf, -1)) * s.nx ** 2
+    out_f += ((dyf - _shift_y(dyf, -1)) + q * (dyf - _shift_z(dyf, -1))) * s.ny ** 2
+    dxb = f - _shift_x(geom, f, -1)
+    dyb = (f - _shift_y(f, -1)) + q * (f - _shift_z(f, -1))
+    if w is not None:
+        dxb = w * dxb
+        dyb = w * dyb
+    out_b = (_shift_x(geom, dxb, 1) - dxb) * s.nx ** 2
+    out_b += ((_shift_y(dyb, 1) - dyb) + q * (_shift_z(dyb, 1) - dyb)) * s.ny ** 2
+    return out_f, out_b
+
+
+def shift_forms_textbook(geom, f, w):
+    """The same two forms in the textbook grouping, each difference divided by h."""
     s = geom.spec
     x = geom.x_coord
     dxf = (_shift_x(geom, f, 1) - f) / s.hx
@@ -219,22 +241,29 @@ def shift_forms(geom, f, w):
     return out_f, out_b
 
 
-def shift_div_form_symmetrized(geom, f, w):
+def shift_div_form_symmetrized(geom, f, w, forms=shift_forms):
     """Mean of the forward and backward forms, for any weight."""
-    out_f, out_b = shift_forms(geom, f, w)
+    out_f, out_b = forms(geom, f, w)
     return 0.5 * (out_f + out_b)
 
 
-def shift_div_form_reference(geom, f, w):
+def shift_div_form_reference(geom, f, w, forms=shift_forms):
     """Shift-based evaluation of the divergence form the kernel computes.
 
     The forward form alone when the weight is None or constant, where both
     forms are the same operator; the symmetrized mean for a varying weight.
-    The production kernel must match it bit for bit.
+    With the default `forms` the production kernel must match it bit for bit.
     """
     if w is None or w.min() == w.max():
-        return shift_forms(geom, f, w)[0]
-    return shift_div_form_symmetrized(geom, f, w)
+        return forms(geom, f, w)[0]
+    return shift_div_form_symmetrized(geom, f, w, forms)
+
+
+def rounding_tol(geom, f, weight):
+    """32 eps * w * max|f| * (hx^-2 + hy^-2 + hz^-2): a rounding-level kernel difference."""
+    s = geom.spec
+    return (32 * np.finfo(float).eps * weight * np.abs(f).max()
+            * (s.hx ** -2 + s.hy ** -2 + s.hz ** -2))
 
 
 REFERENCE_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
@@ -272,10 +301,34 @@ class TestKernelMatchesReference:
         got = (sub_laplacian_base(geom, f) if w is None
                else weighted_div_form(geom, w, f))
         old = shift_div_form_symmetrized(geom, f, w)
-        s = geom.spec
-        tol = (32 * np.finfo(float).eps * (1.0 if w is None else weight)
-               * np.abs(f).max() * (s.hx ** -2 + s.hy ** -2 + s.hz ** -2))
-        assert np.abs(got - old).max() <= tol
+        assert np.abs(got - old).max() <= rounding_tol(geom, f, weight or 1.0)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (8, 8, 8), (16, 8, 16), (32, 32, 32)])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_bitwise_textbook_on_power_of_two_grids(self, shape, seed):
+        # every cell size is a power of two, and scaling by one commutes
+        # with rounding, so the regrouping changes no bit
+        geom = build_nilmanifold(GridSpec(*shape))
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(shape)
+        for w in (None, np.full(shape, 2.5), 0.5 + rng.random(shape)):
+            got = sub_laplacian_base(geom, f) if w is None else weighted_div_form(geom, w, f)
+            assert np.array_equal(got, shift_div_form_reference(geom, f, w,
+                                                                shift_forms_textbook))
+
+    @pytest.mark.parametrize("shape", [(5, 4, 8), (6, 4, 12), (12, 12, 24)])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3, 1e5]))
+    @settings(max_examples=3, deadline=None)
+    def test_within_rounding_of_textbook(self, shape, seed, scale):
+        geom = build_nilmanifold(GridSpec(*shape))
+        rng = np.random.default_rng(seed)
+        f = scale * rng.standard_normal(shape)
+        for w in (None, np.full(shape, 0.3), 0.5 + rng.random(shape)):
+            got = sub_laplacian_base(geom, f) if w is None else weighted_div_form(geom, w, f)
+            old = shift_div_form_reference(geom, f, w, shift_forms_textbook)
+            weight = 1.0 if w is None else w.max()
+            assert np.abs(got - old).max() <= rounding_tol(geom, f, weight)
 
     @pytest.mark.parametrize("weight,passes", [(None, 1), ("constant", 1), ("varying", 2)])
     def test_conservative_form_passes(self, geom548, monkeypatch, weight, passes):
