@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone, a soliton family whose sigma is not positive at
-a sampled time, and fields or diagnostics that overflow float64.
+a sampled time, fields or diagnostics that overflow float64, and a grid too
+large for memory.
 Outputs are deterministic byte for byte for a fixed config and seed; no
 timestamps, 17-significant-digit decimal floats throughout (lossless
 float64 round trip).
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

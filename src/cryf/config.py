@@ -79,6 +79,10 @@ class SolitonConfig:
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # an empty sample would pass every family vacuously
+        for name in ("times", "sweep_base_constants", "sweep_psi_rates"):
+            if not getattr(self, name) and (name == "times" or self.sweep):
+                raise ValueError(f"{name} must list at least one value")
 
 
 @dataclass(frozen=True)

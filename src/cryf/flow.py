@@ -8,14 +8,17 @@ the next step scaled by safety * (err_tol/err)^(1/5).  An explicit scheme
 keeps the time error a clean high-order term for the identity checks;
 stiffness (the sub-parabolic CFL ~ h^2) is handled by dt_max and adaptivity.
 
-Positivity of u is guarded at every stage.  Hitting the floor is a
-first-class termination (the unnormalized flow can collapse volume), not an
-error; only error-control underflow is anomalous.
+Positivity of u is guarded with one check per field: the input when
+`integrate_fixed` or `step_adaptive` is entered, each stage, and each step's
+result.  The steps map arrays to arrays, so each call builds one state: the
+accepted one, or the probe at its final time.  The next step size always lies
+in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
+unnormalized flow can collapse volume), not an error; only error-control
+underflow is anomalous.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,13 +86,13 @@ class Trajectory:
     termination: FlowTermination = FlowTermination.REACHED_T_END
 
 
-def _du_dt(geom, u: np.ndarray, u_floor: float) -> np.ndarray:
+def _du_dt(geom, u: np.ndarray) -> np.ndarray:
     """Right-hand side -(n/2) R u = (n+1) Lap(u) u^(-2/n) of the conformal-factor flow.
 
-    Written for n = 1, the only dimension `BaseGeometry` has: 2 Lap(u) / u / u,
-    in place on the kernel's result with no power and no temporary field.
+    Requires u > u_floor, which the caller has checked.  Written for n = 1,
+    the only dimension `BaseGeometry` has: 2 Lap(u) / u / u, in place on the
+    kernel's result with no power and no temporary field.
     """
-    _check_above_floor(u, u_floor)
     r = sub_laplacian_base(geom, u)
     r *= 2.0
     r /= u
@@ -103,23 +106,23 @@ def _check_floor(u: np.ndarray, u_floor: float) -> None:
         raise StepPositivityError(f"stage value hit the floor: min u = {m} <= {u_floor}")
 
 
-def _rk4_any(state: ConformalState, dt: float, u_floor: float) -> ConformalState:
-    """One four-stage step of either sign; StepPositivityError if a stage hits the floor.
+def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
+    """One four-stage step of either sign from u > u_floor to a new array.
 
-    An overflow is such a stage too.  The stages share one buffer, and u +
+    StepPositivityError if a stage or the result hits the floor; an overflow
+    is such a stage too.  The stages share one buffer, and u +
     (dt/6)(k1 + 2 k2 + 2 k3 + k4) is built in k2 with that expression's
     operations and groupings, bit for bit.
     """
-    geom, u = state.geom, state.u
     try:
         with np.errstate(over="raise"):
-            ks = [_du_dt(geom, u, u_floor)]
+            ks = [_du_dt(geom, u)]
             stage = np.empty_like(u)
             for c in (0.5 * dt, 0.5 * dt, dt):
                 np.multiply(ks[-1], c, out=stage)
                 stage += u
                 _check_floor(stage, u_floor)
-                ks.append(_du_dt(geom, stage, u_floor))
+                ks.append(_du_dt(geom, stage))
             k1, k2, k3, k4 = ks
             k2 *= 2.0
             k2 += k1
@@ -131,7 +134,7 @@ def _rk4_any(state: ConformalState, dt: float, u_floor: float) -> ConformalState
     except FloatingPointError as exc:
         raise StepPositivityError(f"stage value overflowed: {exc}") from None
     _check_floor(k2, u_floor)
-    return ConformalState(geom, k2, state.t + dt)
+    return k2
 
 
 def integrate_fixed(state: ConformalState, t_offset: float, n_steps: int = 8,
@@ -146,28 +149,32 @@ def integrate_fixed(state: ConformalState, t_offset: float, n_steps: int = 8,
         raise ValueError("n_steps must be >= 1")
     if t_offset == 0.0:
         return state
+    _check_above_floor(state.u, u_floor)
     dt = t_offset / n_steps
-    cur = state
+    u = state.u
     for _ in range(n_steps):
-        cur = _rk4_any(cur, dt, u_floor)
-    return dataclasses.replace(cur, t=state.t + t_offset)
+        u = _rk4_any(state.geom, u, dt, u_floor)
+    return ConformalState(state.geom, u, state.t + t_offset)
 
 
 def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
     """One accepted step under step-doubling control.
 
-    Returns (new_state, dt_used, dt_next, err_est).  Raises
-    StepUnderflowError when error control would push dt below dt_min, and
-    PositivityFloorError when positivity retries do.
+    Returns (new_state, dt_used, dt_next, err_est) with dt_next in
+    [dt_min, dt_max].  Raises StepUnderflowError when error control would
+    push dt below dt_min, and PositivityFloorError when positivity retries do.
     """
     if not dt_try > 0.0:
         raise ValueError(f"dt_try must be positive, got {dt_try}")
+    geom, u = state.geom, state.u
+    _check_above_floor(u, config.u_floor)
     dt = min(dt_try, config.dt_max)
     while True:
         try:
-            full = _rk4_any(state, dt, config.u_floor)
-            half = _rk4_any(state, 0.5 * dt, config.u_floor)
-            half = _rk4_any(half, 0.5 * dt, config.u_floor)
+            full = _rk4_any(geom, u, dt, config.u_floor)
+            # two statements, so the last attempt's half is freed before the second half step
+            half = _rk4_any(geom, u, 0.5 * dt, config.u_floor)
+            half = _rk4_any(geom, half, 0.5 * dt, config.u_floor)
         except StepPositivityError:
             dt_new = 0.5 * dt
             if dt_new < config.dt_min:
@@ -176,23 +183,13 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
                 ) from None
             dt = dt_new
             continue
-        scale = float(np.abs(half.u).max())
-        err = float(np.abs(full.u - half.u).max()) / max(scale, 1e-300)
+        # half > u_floor > 0, so its maximum is its L-infinity norm
+        err = float(np.abs(full - half).max()) / max(float(half.max()), 1e-300)
+        factor = _GROWTH_CAP if err == 0.0 else config.safety * (config.err_tol / err) ** 0.2
         if err <= config.err_tol:
-            if err == 0.0:
-                dt_next = min(config.dt_max, _GROWTH_CAP * dt)
-            else:
-                grow = config.safety * (config.err_tol / err) ** 0.2
-                dt_next = dt * min(_GROWTH_CAP, grow)
-                dt_next = min(config.dt_max, max(config.dt_min, dt_next))
-            accepted = ConformalState(state.geom, half.u, state.t + dt)
-            if accepted.u.min() <= config.u_floor:
-                raise PositivityFloorError(
-                    f"accepted state at/below u_floor={config.u_floor}"
-                )
-            return accepted, dt, dt_next, err
-        shrink = config.safety * (config.err_tol / err) ** 0.2
-        dt_new = dt * max(_SHRINK_FLOOR, shrink)
+            dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))
+            return ConformalState(geom, half, state.t + dt), dt, dt_next, err
+        dt_new = dt * max(_SHRINK_FLOOR, factor)
         if dt_new < config.dt_min:
             raise StepUnderflowError(
                 f"error control pushed dt below dt_min={config.dt_min} (err={err})"

@@ -136,8 +136,11 @@ def scan_family(family: SolitonFamily, times: Sequence[float],
 
     `delta` is the residual's time step (default: one lattice step of
     central shift, or 1e-4 for a static relabeling).  A family whose
-    fields or moments overflow float64 raises FloatRangeError.
+    fields or moments overflow float64 raises FloatRangeError, and no
+    times raise ValueError.
     """
+    if len(times) == 0:
+        raise ValueError("times must list at least one time")
     d = delta if delta is not None else _residual_delta(family)
     if not d > 0.0:
         raise ValueError("delta must be positive")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cryf.analysis
+import cryf.cli
 import cryf.conformal
 import cryf.flow
 from cryf.cli import CSV_HEADER, main
@@ -334,6 +335,33 @@ class TestSolitonCheck:
         assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == "configuration error: sigma(0.5) = 0.0 is not positive\n"
+
+    @pytest.mark.parametrize("sample, message", [
+        ("times =\n", "times must list at least one value"),
+        ("sweep_base_constants =\ninclude_negative_controls = false\n",
+         "sweep_base_constants must list at least one value"),
+        ("sweep_psi_rates =\n", "sweep_psi_rates must list at least one value"),
+    ], ids=["times", "sweep_base_constants", "sweep_psi_rates"])
+    def test_empty_sample_exit_2_without_traceback(self, tmp_path, capsys, sample, message):
+        # an empty sample would report PASS with no family checked at any time
+        body = BASE_CFG.format(preset="constant", extra="").replace("= 16", "= 8") + \
+            "\n[soliton]\n" + sample
+        cfg = write_cfg(tmp_path, body=body)
+        assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: [soliton]: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    "run-flow", "check-identities", "convergence-study", "soliton-check"])
+def test_out_of_memory_exit_2_without_traceback(tmp_path, capsys, monkeypatch, command):
+    # stands in for a grid too large to allocate, without allocating it
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cryf.cli, "build_nilmanifold", no_memory)
+    cfg = write_cfg(tmp_path)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 8.00 TiB for an array\n"
 
 
 SOLITON_FAMILY_CFG = """

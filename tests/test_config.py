@@ -213,6 +213,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=rf"\[soliton\]: {key} must be finite"):
             parse_config(MINIMAL + f"\n[soliton]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("key", ["times", "sweep_base_constants", "sweep_psi_rates"])
+    def test_empty_soliton_sample_is_config_error(self, key):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^\[soliton\]: {key} must list at least one value$"):
+            parse_config(MINIMAL + f"\n[soliton]\n{key} =\n")
+
+    def test_empty_sweep_lists_unused_without_sweep(self):
+        cfg = parse_config(MINIMAL + "\n[soliton]\nsweep = false\n"
+                           "sweep_base_constants =\nsweep_psi_rates =\n")
+        assert cfg.soliton.sweep_base_constants == () == cfg.soliton.sweep_psi_rates
+
     @pytest.mark.parametrize("section,key,value,rule", [
         ("soliton", "flow_tol", "0", "positive"), ("soliton", "var_tol", "inf", "positive"),
         ("analysis", "min_order_untwisted", "nan", "positive"),

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cryf import flow
 from cryf.analysis import monotonicity_audit
 from cryf.conformal import DEFAULT_U_FLOOR, ConformalState, webster_curvature
 from cryf.errors import PositivityError, StepPositivityError
@@ -23,7 +25,7 @@ FROZEN_DECAY_RATIO = 5.233e-4
 
 
 def time_derivative(state):
-    return _du_dt(state.geom, state.u, DEFAULT_U_FLOOR)
+    return _du_dt(state.geom, state.u)
 
 
 class TestFlowConfig:
@@ -85,11 +87,16 @@ class TestTimeDerivative:
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
 
     def test_floor_raises_positivity_error(self, geom448):
-        u = np.ones(geom448.shape)
-        u[1, 2, 3] = 1e-7
-        message = f"conformal factor at/below floor: min u = {1e-7} <= {DEFAULT_U_FLOOR}"
-        with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
-            _du_dt(geom448, u, DEFAULT_U_FLOOR)
+        # the steps check their input on entry; _du_dt trusts its caller
+        for low in (1e-7, DEFAULT_U_FLOOR):
+            u = np.ones(geom448.shape)
+            u[1, 2, 3] = low
+            state = ConformalState(geom448, u)
+            message = f"conformal factor at/below floor: min u = {low} <= {DEFAULT_U_FLOOR}"
+            with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
+                integrate_fixed(state, 1e-6, 1)
+            with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
+                step_adaptive(state, 1e-6, FlowConfig())
 
     def test_linearization(self, geom16):
         # du/dt ~ -(1/2) R u ~ -2*lambda_h*eps*sin(2 pi y) for the discrete
@@ -155,6 +162,83 @@ class TestStepAdaptive:
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert abs(slope - 5.0) <= 0.5
 
+    def test_dt_next_within_bounds_for_exact_step(self, geom4):
+        # an exact step far below dt_min: growth by the cap alone would leave dt_next < dt_min
+        state = ConformalState(geom4, np.full(geom4.shape, 1.5))
+        cfg = FlowConfig()
+        _, dt_used, dt_next, err = step_adaptive(state, 1e-13, cfg)
+        assert err == 0.0 and dt_used == 1e-13
+        assert cfg.dt_min <= dt_next <= cfg.dt_max
+
+    def test_peak_memory_of_a_rejecting_step(self, geom16, monkeypatch):
+        # Besides the field the kernel is building, a step holds at most six:
+        # the full step, the first half step, three slopes and the stage
+        # buffer.  The kernel's own peak (its result plus numpy's ufunc
+        # buffers, about 0.1 MB, so several fields at 16^3) is measured here.
+        state = single_mode_state(geom16, 0.2)
+        cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
+        real = flow._rk4_any
+        completed = []
+
+        def counting(*args):
+            out = real(*args)
+            completed.append(args[2])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_rk4_any", counting)
+            step_adaptive(state, 3e-4, cfg)  # warm-up: allocates the kernel's scratch
+        # two completed attempts: the first is rejected by error control
+        assert len(completed) == 6
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kernel = peak_of(lambda: _du_dt(geom16, state.u))
+        step = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
+        assert step <= 6.2 * state.u.nbytes + kernel
+
+
+class TestCheckCounts:
+    """Each field is checked against the floor once, and each call builds one state."""
+
+    @staticmethod
+    def count(monkeypatch):
+        counts = {"above": 0, "floor": 0, "states": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(flow, "_check_above_floor",
+                            counting("above", flow._check_above_floor))
+        monkeypatch.setattr(flow, "_check_floor", counting("floor", flow._check_floor))
+        monkeypatch.setattr(ConformalState, "__post_init__",
+                            counting("states", ConformalState.__post_init__))
+        return counts
+
+    def test_integrate_fixed(self, geom448, monkeypatch):
+        state = random_state(geom448, 3, amplitude=0.1, smooth=2)
+        counts = self.count(monkeypatch)
+        integrate_fixed(state, 1e-4, 8)
+        # the input; three stages and the result of each of 8 steps; the final state
+        assert counts == {"above": 1, "floor": 32, "states": 1}
+
+    def test_step_adaptive_accepted_first_attempt(self, geom448, monkeypatch):
+        state = random_state(geom448, 3, amplitude=0.1, smooth=2)
+        cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e9)
+        counts = self.count(monkeypatch)
+        step_adaptive(state, 1e-4, cfg)
+        # the input; the full step and two half steps; the accepted state
+        assert counts == {"above": 1, "floor": 12, "states": 1}
+
 
 class TestIntegrateFixed:
     def test_bitwise_classical_rk4(self, geom16):
@@ -164,7 +248,7 @@ class TestIntegrateFixed:
         dt = 3e-4 / 3
 
         def rhs(u):
-            return _du_dt(geom16, u, DEFAULT_U_FLOOR)
+            return _du_dt(geom16, u)
 
         u = state.u
         for _ in range(3):

@@ -218,3 +218,8 @@ class TestFamilyScan:
         soliton_theorem_harness(scan)
         soliton_invariance_check(scan)
         assert len(calls) == 1 + len(TIMES)
+
+    def test_no_times_rejected(self, geom448):
+        # a scan with no sample would pass the harness vacuously
+        with pytest.raises(ValueError, match="times must list at least one time"):
+            scan_family(constant_family(geom448), ())

@@ -3,10 +3,12 @@
 Usage: python3 tools/compare_outputs.py BASE_REV
 
 Exports `src/` at BASE_REV with `git archive` into a temporary directory,
-then runs the five shipped configs, three 8^3 configs (a `constant`
-run-flow, a single-family soliton-check and a `random_smooth`
-check-identities) and a 12^3 `random_smooth` run-flow through `cryf.cli`
-once with that tree and once with the working tree's `src/`.
+then runs the five shipped configs, six 8^3 configs (a `constant`
+run-flow, a single-family soliton-check, a `random_smooth`
+check-identities and three rough `random_smooth` run-flows that end in
+positivity retries, a step underflow and an input at the floor) and a
+12^3 `random_smooth` run-flow through `cryf.cli` once with that tree and
+once with the working tree's `src/`.
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -37,6 +39,7 @@ N_y = 8
 N_z = 8
 
 """
+ROUGH_8 = GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\nsmoothing_passes = 0\n"
 
 # run name -> config text of the runs that have no shipped config
 INLINE_CONFIGS = {
@@ -50,6 +53,15 @@ INLINE_CONFIGS = {
     "flow_random_12": "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
                       "[initial_data]\npreset = random_smooth\nseed = 2\n\n"
                       "[flow]\nt_end = 2e-3\n",
+    # stage values hit the floor five times, each halving the step; exits 1 on E increases
+    "flow_positivity_retries_8": ROUGH_8 + "amplitude = 0.5\n\n"
+                                 "[flow]\nerr_tol = 10\nt_end = 0.05\n",
+    # exits 1: error control pushes dt below dt_min
+    "flow_step_underflow_8": ROUGH_8 + "amplitude = 0.9\n\n"
+                             "[flow]\nerr_tol = 1e-6\nu_floor = 0.1\ndt_init = 1e-5\n"
+                             "dt_min = 1e-5\nt_end = 0.5\n",
+    # exits 2: the initial data lies at or below the floor
+    "flow_input_at_floor_8": ROUGH_8 + "amplitude = 0.5\n\n[flow]\nu_floor = 0.51\n",
 }
 
 # (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
@@ -63,6 +75,9 @@ RUNS = (
     ("soliton_family_8", "soliton-check", None),
     ("identities_random_8", "check-identities", None),
     ("flow_random_12", "run-flow", None),
+    ("flow_positivity_retries_8", "run-flow", None),
+    ("flow_step_underflow_8", "run-flow", None),
+    ("flow_input_at_floor_8", "run-flow", None),
 )
 
 
