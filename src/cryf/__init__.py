@@ -11,7 +11,6 @@ from .analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
-    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -39,6 +38,7 @@ from .flow import (
     FlowTermination,
     Trajectory,
     integrate_fixed,
+    probe_window,
     run_flow,
     step_adaptive,
 )

@@ -13,9 +13,9 @@ identities
 
 by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
-(h, delta) refinement.  `probe_window` integrates the probe pair
-(t - delta, t + delta) of a state and computes the curvature of each of the
-three window states once; every window residual reads that `ProbeWindow`.
+(h, delta) refinement.  The code evaluates these laws at CR dimension n = 1.
+Every window residual reads one `ProbeWindow` from `flow.probe_window`: the
+probes at t +/- delta and the curvature of each window state, computed once.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .geometry import integrate_base
 
 MONOTONE_SLACK = 1e-8
 DEFAULT_CONSTANCY_TOL = 1e-8
-# fixed RK4 steps per probe: their error is far below the centered differences' O(delta^2) bias
-PROBE_MICRO_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -102,13 +100,13 @@ def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
     return r, dv, vol, int_r, int_r2
 
 
-def yamabe_from_moments(vol: float, int_r: float, n: int = 1) -> float:
-    """E = int R dV / (int dV)^(n/(n+1)) from the moments."""
-    return int_r / vol ** (n / (n + 1.0))
+def yamabe_from_moments(vol: float, int_r: float) -> float:
+    """E = int R dV / (int dV)^(1/2) from the moments."""
+    return int_r / vol ** 0.5
 
 
 def yamabe_quantity(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
-    """E = int R dV / (int dV)^(n/(n+1))."""
+    """E = int R dV / (int dV)^(1/2)."""
     return make_record(state, u_floor=u_floor).E
 
 
@@ -121,13 +119,13 @@ def curvature_variance(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) 
 
 
 def dE_dt_formula(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
-    """Closed-form dE/dt = -n * variance / vol^((2n+1)/(n+1)); always <= 0."""
+    """Closed-form dE/dt = -variance / vol^(3/2); always <= 0."""
     return make_record(state, u_floor=u_floor).dEdt_formula
 
 
-def dE_dt_from_moments(vol: float, int_r: float, int_r2: float, n: int = 1) -> float:
+def dE_dt_from_moments(vol: float, int_r: float, int_r2: float) -> float:
     """Independent arithmetic path for dE/dt straight from the moment integrals."""
-    return (-n * (int_r2 * vol) + n * (int_r * int_r)) / vol ** (n / (n + 1.0) + 1.0)
+    return (-(int_r2 * vol) + int_r * int_r) / vol ** 1.5
 
 
 def make_record(state: ConformalState, dt_used: float = 0.0,
@@ -135,13 +133,12 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
                 r: np.ndarray | None = None) -> DiagnosticsRecord:
     """Compute the full diagnostics row for one state (`r` as in `curvature_moments`)."""
     r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor, r)
-    n = state.n
     var = int_r2 * vol - int_r * int_r
     with float64_range("dE/dt"):
-        dedt = -n * var / vol ** ((2.0 * n + 1.0) / (n + 1.0))
+        dedt = -var / vol ** 1.5
     return DiagnosticsRecord(
         t=state.t,
-        E=yamabe_from_moments(vol, int_r, n),
+        E=yamabe_from_moments(vol, int_r),
         vol=vol,
         intR=int_r,
         intR2=int_r2,
@@ -162,19 +159,6 @@ class ProbeWindow(NamedTuple):
     delta: float
 
 
-def probe_window(state: ConformalState, delta: float,
-                 u_floor: float = DEFAULT_U_FLOOR) -> ProbeWindow:
-    """The probes of `state` at t +/- delta from high-accuracy reference steps,
-    and the curvature of each of the three window states, computed once."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    from . import flow
-
-    states = (flow.integrate_fixed(state, -delta, PROBE_MICRO_STEPS, u_floor), state,
-              flow.integrate_fixed(state, delta, PROBE_MICRO_STEPS, u_floor))
-    return ProbeWindow(states, tuple(webster_curvature(s, u_floor) for s in states), delta)
-
-
 def identity_window(window: ProbeWindow):
     """Records at t - delta, t, t + delta of a probe window."""
     return tuple(make_record(s, r=r) for s, r in zip(window.states, window.curvatures))
@@ -191,20 +175,20 @@ def _window_spacing(window) -> float:
     return r2.t - r0.t
 
 
-def mean_curvature_rate_residual(window, n: int = 1) -> float:
-    """Normalized residual of d/dt int R dV = -n int R^2 dV on a record window."""
+def mean_curvature_rate_residual(window) -> float:
+    """Normalized residual of d/dt int R dV = -int R^2 dV on a record window."""
     span = _window_spacing(window)
     r0, r1, r2 = window
     ddt = (r2.intR - r0.intR) / span
-    return abs(ddt + n * r1.intR2) / max(1.0, n * r1.intR2)
+    return abs(ddt + r1.intR2) / max(1.0, r1.intR2)
 
 
-def volume_rate_residual(window, n: int = 1) -> float:
-    """Normalized residual of d/dt int dV = -(n+1) int R dV on a record window."""
+def volume_rate_residual(window) -> float:
+    """Normalized residual of d/dt int dV = -2 int R dV on a record window."""
     span = _window_spacing(window)
     r0, r1, r2 = window
     ddt = (r2.vol - r0.vol) / span
-    return abs(ddt + (n + 1.0) * r1.intR) / max(1.0, (n + 1.0) * abs(r1.intR))
+    return abs(ddt + 2.0 * r1.intR) / max(1.0, 2.0 * abs(r1.intR))
 
 
 def dEdt_mismatch(window) -> float:
@@ -216,13 +200,12 @@ def dEdt_mismatch(window) -> float:
 
 
 def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
-    """Right-hand side (n+1) Lap_u R + R^2 of the curvature evolution law."""
-    n = state.n
-    return (n + 1.0) * conformal_sub_laplacian(state, r) + r * r
+    """Right-hand side 2 Lap_u R + R^2 of the curvature evolution law."""
+    return 2.0 * conformal_sub_laplacian(state, r) + r * r
 
 
 def curvature_evolution_residual(window: ProbeWindow) -> float:
-    """Normalized L2 residual of dR/dt = (n+1) Lap_u R + R^2 at a window's centre.
+    """Normalized L2 residual of dR/dt = 2 Lap_u R + R^2 at a window's centre.
 
     The norm is L2 with the evolving volume weight, normalized by
     max(1, |rhs|_L2).
@@ -251,10 +234,9 @@ class IdentityResiduals(NamedTuple):
 def identity_residuals(window: ProbeWindow) -> IdentityResiduals:
     """Every window residual of the centre state of one probe window."""
     records = identity_window(window)
-    n = window.states[1].n
     return IdentityResiduals(
-        volume_rate=volume_rate_residual(records, n),
-        mean_curvature_rate=mean_curvature_rate_residual(records, n),
+        volume_rate=volume_rate_residual(records),
+        mean_curvature_rate=mean_curvature_rate_residual(records),
         curvature_evolution=curvature_evolution_residual(window),
         dEdt_mismatch=dEdt_mismatch(records),
     )

@@ -116,12 +116,12 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
 def _yamabe_and_curvature(state: ConformalState):
     """E and the curvature field R of one state, from one curvature evaluation."""
     r, _, vol, int_r, _ = analysis.curvature_moments(state)
-    return analysis.yamabe_from_moments(vol, int_r, state.n), r
+    return analysis.yamabe_from_moments(vol, int_r), r
 
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
-    window = analysis.probe_window(state, a.delta)
+    window = flow.probe_window(state, a.delta)
     res = analysis.identity_residuals(window)
     r_field = window.curvatures[1]
     e0 = analysis.make_record(state, r=r_field).E
@@ -206,7 +206,7 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     evo, mean_rate, vol_rate, dEdt_mis = [], [], [], []
     for geom, n in zip(geoms, grids):
         state = _initial_state(cfg, geom.spec)
-        res = analysis.identity_residuals(analysis.probe_window(state, base_delta * grids[0] / n))
+        res = analysis.identity_residuals(flow.probe_window(state, base_delta * grids[0] / n))
         evo.append(res.curvature_evolution)
         mean_rate.append(res.mean_curvature_rate)
         vol_rate.append(res.volume_rate)
@@ -239,19 +239,15 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
 def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFamily]]:
     sol = cfg.soliton
     families: list[tuple[str, soliton.SolitonFamily]] = []
-
-    def sigma_with_slope(slope):
-        return (lambda t: 1.0 + slope * t)
-
     if sol.sweep:
         for c in sol.sweep_base_constants:
             base = make_initial_state(geom, "constant", c=c)
             for rate in sol.sweep_psi_rates:
-                fam = soliton.SolitonFamily(base, sigma_with_slope(0.0), rate)
+                fam = soliton.SolitonFamily(base, 0.0, rate)
                 families.append((f"constant(c={c:g}) sigma=1 psi_rate={rate:g}", fam))
     else:
         base = _initial_state(cfg)
-        fam = soliton.SolitonFamily(base, sigma_with_slope(sol.sigma_slope), sol.psi_rate)
+        fam = soliton.SolitonFamily(base, sol.sigma_slope, sol.psi_rate)
         families.append((
             f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
             fam,
@@ -260,12 +256,12 @@ def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFami
         mode = make_initial_state(geom, "single_mode_y", c=1.0, epsilon=0.1)
         families.append((
             "control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
-            soliton.SolitonFamily(mode, sigma_with_slope(0.0), 0.0),
+            soliton.SolitonFamily(mode, 0.0, 0.0),
         ))
         const = make_initial_state(geom, "constant", c=1.0)
         families.append((
             "control:constant(c=1) sigma=1+1*t psi_rate=0",
-            soliton.SolitonFamily(const, sigma_with_slope(1.0), 0.0),
+            soliton.SolitonFamily(const, 1.0, 0.0),
         ))
     return families
 

@@ -5,8 +5,7 @@ Webster scalar curvature comes from the conformal transformation law
 
     -(2 + 2/n) Lap(u) + R_base u = R u^(1 + 2/n)
 
-which on the flat background reduces (n = 1) to R = -4 Lap(u) / u^3.  The
-conformal sub-Laplacian is kept in divergence form with weight u^2,
+The conformal sub-Laplacian is kept in divergence form with weight u^2,
 
     Lap_u f = u^(-(2n+2)/n) * div(u^2 grad f),
 
@@ -14,6 +13,10 @@ never by expanding derivatives of u: that choice makes integration by parts
 against the conformal volume element u^((2n+2)/n) exact on the grid (zero
 mean and self-adjointness hold to rounding), which is what the downstream
 time-derivative identity checks rest on.
+
+The nilmanifold is 3-dimensional, so its CR dimension is n = 1, and the code
+evaluates these laws there: on the flat background R = -4 Lap(u) / u^3, the
+volume element is u^4 and Lap_u f = u^(-4) div(u^2 grad f).
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ class ConformalState:
             raise ValueError(f"u must be positive everywhere (min={u.min()})")
         object.__setattr__(self, "u", u)
 
-    @property
-    def n(self) -> int:
-        return self.geom.n
-
 
 def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
     if u.min() <= u_floor:
@@ -65,13 +64,12 @@ def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
 
 def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:
     _check_above_floor(u, u_floor)
-    n = geom.n
     rhs = sub_laplacian_base(geom, u)
-    rhs *= -(2.0 + 2.0 / n)
+    rhs *= -4.0
     # the flat background's R_base u term is +0.0: adding it only turns a
     # -0.0 into +0.0, which the printed curvatures show
     rhs += 0.0
-    return np.multiply(u ** (-(1.0 + 2.0 / n)), rhs, out=rhs)
+    return np.multiply(u ** -3.0, rhs, out=rhs)
 
 
 def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
@@ -85,9 +83,8 @@ def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -
 
 
 def conformal_volume_element(state: ConformalState) -> np.ndarray:
-    """Pointwise density u^((2n+2)/n) of the conformal volume form."""
-    n = state.n
-    return state.u ** ((2.0 * n + 2.0) / n)
+    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form."""
+    return state.u ** 4.0
 
 
 def integrate_conformal(state: ConformalState, f: np.ndarray) -> float:
@@ -102,20 +99,19 @@ def conformal_sub_laplacian(state: ConformalState, f: np.ndarray) -> np.ndarray:
     conformal integral vanishes to rounding for every f because the u powers
     cancel against the volume element.
     """
-    n = state.n
     u = state.u
-    return u ** (-(2.0 * n + 2.0) / n) * weighted_div_form(state.geom, u * u, f)
+    return u ** -4.0 * weighted_div_form(state.geom, u * u, f)
 
 
 def scale_state(state: ConformalState, sigma: float) -> ConformalState:
-    """The state of sigma * theta: u -> sigma^(n/2) u.
+    """The state of sigma * theta: u -> sigma^(n/2) u = sigma^(1/2) u.
 
     Pointwise curvature scales by sigma^(-1) and total volume by
-    sigma^(n+1).
+    sigma^(n+1) = sigma^2.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    factor = float(sigma) ** (state.n / 2.0)
+    factor = float(sigma) ** 0.5
     return dataclasses.replace(state, u=factor * state.u)
 
 

@@ -1,12 +1,14 @@
 """Unnormalized curvature flow of the conformal factor, du/dt = -(n/2) R u.
 
 The right-hand side is taken directly as (n+1) Lap(u) u^(-2/n), without
-building R.  Classical four-stage explicit steps, their stages computed in
-place, under step-doubling error control: one full step against two half
-steps, accepted when the relative L-infinity discrepancy meets err_tol, with
-the next step scaled by safety * (err_tol/err)^(1/5).  An explicit scheme
-keeps the time error a clean high-order term for the identity checks;
-stiffness (the sub-parabolic CFL ~ h^2) is handled by dt_max and adaptivity.
+building R; the code evaluates it at the nilmanifold's CR dimension n = 1,
+where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps, their
+stages computed in place, under step-doubling error control: one full step
+against two half steps, accepted when the relative L-infinity discrepancy
+meets err_tol, with the next step scaled by safety * (err_tol/err)^(1/5).
+An explicit scheme keeps the time error a clean high-order term for the
+identity checks; stiffness (the sub-parabolic CFL ~ h^2) is handled by
+dt_max and adaptivity.
 
 Positivity of u is guarded with one check per field: the input when
 `integrate_fixed` or `step_adaptive` is entered, each stage, and each step's
@@ -14,7 +16,8 @@ result.  The steps map arrays to arrays, so each call builds one state: the
 accepted one, or the probe at its final time.  The next step size always lies
 in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
 unnormalized flow can collapse volume), not an error; only error-control
-underflow is anomalous.
+underflow is anomalous.  `probe_window` builds the identity checks' probes
+from fixed steps; the residuals that read them live in `analysis`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, make_record
-from .conformal import DEFAULT_U_FLOOR, ConformalState, _check_above_floor
+from .analysis import DiagnosticsRecord, ProbeWindow, make_record
+from .conformal import DEFAULT_U_FLOOR, ConformalState, _check_above_floor, webster_curvature
 from .errors import (
     PositivityFloorError,
     StepPositivityError,
@@ -36,6 +39,8 @@ from .geometry import sub_laplacian_base
 
 _GROWTH_CAP = 5.0
 _SHRINK_FLOOR = 0.1
+# fixed RK4 steps per probe: their error is far below the centered differences' O(delta^2) bias
+PROBE_MICRO_STEPS = 8
 
 
 class FlowTermination(str, Enum):
@@ -87,11 +92,11 @@ class Trajectory:
 
 
 def _du_dt(geom, u: np.ndarray) -> np.ndarray:
-    """Right-hand side -(n/2) R u = (n+1) Lap(u) u^(-2/n) of the conformal-factor flow.
+    """Right-hand side -(1/2) R u = 2 Lap(u) / u^2 of the conformal-factor flow.
 
-    Requires u > u_floor, which the caller has checked.  Written for n = 1,
-    the only dimension `BaseGeometry` has: 2 Lap(u) / u / u, in place on the
-    kernel's result with no power and no temporary field.
+    Requires u > u_floor, which the caller has checked.  Computed as
+    2 Lap(u) / u / u, in place on the kernel's result with no power and no
+    temporary field.
     """
     r = sub_laplacian_base(geom, u)
     r *= 2.0
@@ -137,7 +142,8 @@ def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
     return k2
 
 
-def integrate_fixed(state: ConformalState, t_offset: float, n_steps: int = 8,
+def integrate_fixed(state: ConformalState, t_offset: float,
+                    n_steps: int = PROBE_MICRO_STEPS,
                     u_floor: float = DEFAULT_U_FLOOR) -> ConformalState:
     """Advance by t_offset (either sign) with n_steps fixed reference steps.
 
@@ -155,6 +161,15 @@ def integrate_fixed(state: ConformalState, t_offset: float, n_steps: int = 8,
     for _ in range(n_steps):
         u = _rk4_any(state.geom, u, dt, u_floor)
     return ConformalState(state.geom, u, state.t + t_offset)
+
+
+def probe_window(state: ConformalState, delta: float) -> ProbeWindow:
+    """The probes of `state` at t +/- delta from high-accuracy reference steps,
+    and the curvature of each of the three window states, computed once."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    states = (integrate_fixed(state, -delta), state, integrate_fixed(state, delta))
+    return ProbeWindow(states, tuple(webster_curvature(s) for s in states), delta)
 
 
 def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):

@@ -110,15 +110,12 @@ class BaseGeometry:
 
     Attributes:
         spec: the lattice sizes.
-        n: CR dimension parameter (1 for this geometry; conformal formulas
-           elsewhere keep it symbolic).
         w0: quadrature weight per grid point (the fundamental cell has unit
            volume, so w0 = hx*hy*hz).
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        self.n = 1
         self.w0 = spec.hx * spec.hy * spec.hz
         self.x_coord = (np.arange(spec.nx) * spec.hx).reshape(-1, 1, 1)
         kk = np.arange(spec.nz)[None, :]

@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import BaseGeometry
 
 TWO_PI = 2.0 * np.pi
+THETA_KAPPA = 12.0
+THETA_M_RANGE = 4
 
 
 def sin_mode_x(geom: BaseGeometry):
@@ -61,12 +63,12 @@ class ThetaField:
         self.zf = zf
 
 
-def theta_field(geom: BaseGeometry, kappa: float = 12.0, m_range: int = 4) -> ThetaField:
+def theta_field(geom: BaseGeometry) -> ThetaField:
     """Smooth z-dependent quotient function built from a truncated theta sum.
 
-    kappa controls the Gaussian width 1/sqrt(2 kappa); with the default the
-    |m| > m_range tail is far below double-precision resolution, so the
-    truncation is exact for numerical purposes.  Exact identities used:
+    kappa = THETA_KAPPA sets the Gaussian width 1/sqrt(2 kappa); the
+    |m| > THETA_M_RANGE tail is far below double-precision resolution, so
+    the truncation is exact for numerical purposes.  Exact identities used:
 
         X f = sum_m E_m' cos(p_m)
         Y f = -2 pi sum_m (m + x) E_m sin(p_m)
@@ -81,11 +83,11 @@ def theta_field(geom: BaseGeometry, kappa: float = 12.0, m_range: int = 4) -> Th
     xf = np.zeros(geom.shape)
     yf = np.zeros(geom.shape)
     zf = np.zeros(geom.shape)
-    for m in range(-m_range, m_range + 1):
+    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
         c = x + m - 0.5
-        env = np.exp(-kappa * c * c)
-        d_env = -2.0 * kappa * c * env
-        dd_env = (4.0 * kappa**2 * c * c - 2.0 * kappa) * env
+        env = np.exp(-THETA_KAPPA * c * c)
+        d_env = -2.0 * THETA_KAPPA * c * env
+        dd_env = (4.0 * THETA_KAPPA**2 * c * c - 2.0 * THETA_KAPPA) * env
         phase = TWO_PI * (z + m * y)
         cosp = np.cos(phase)
         sinp = np.sin(phase)

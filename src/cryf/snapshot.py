@@ -1,8 +1,8 @@
 """Binary field snapshots.
 
 Little-endian layout: magic 'CRYF', u32 version (currently 1), u32 N_x, N_y,
-N_z, f64 t, f64 n, then N_x*N_y*N_z f64 values in C order (z fastest).
-Round trips are bit-exact.
+N_z, f64 t, f64 n (the CR dimension, always 1.0), then N_x*N_y*N_z f64
+values in C order (z fastest).  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _HEADER = struct.Struct("<4sIIIIdd")
 def write_snapshot(path, state: ConformalState) -> None:
     spec = state.geom.spec
     header = _HEADER.pack(MAGIC, VERSION, spec.nx, spec.ny, spec.nz,
-                          float(state.t), float(state.geom.n))
+                          float(state.t), 1.0)
     payload = np.ascontiguousarray(state.u, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
@@ -52,9 +52,9 @@ def read_snapshot(path) -> ConformalState:
             f"{spec.nx}x{spec.ny}x{spec.nz} grid needs {expected}"
         )
     geom = build_nilmanifold(spec)
-    if n != float(geom.n):
+    if n != 1.0:
         raise SnapshotFormatError(
-            f"snapshot written for CR dimension n={n}, this geometry has n={geom.n}"
+            f"snapshot written for CR dimension n={n}, this geometry has n=1"
         )
     u = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(float)
     return ConformalState(geom, u.reshape(spec.shape), float(t))

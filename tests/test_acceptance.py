@@ -17,7 +17,6 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
-    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -31,7 +30,7 @@ from cryf.conformal import (
     scale_state,
     webster_curvature,
 )
-from cryf.flow import FlowConfig, FlowTermination, integrate_fixed, run_flow
+from cryf.flow import FlowConfig, FlowTermination, integrate_fixed, probe_window, run_flow
 from cryf.geometry import (
     GridSpec,
     build_nilmanifold,
@@ -106,7 +105,7 @@ def test_c03_variance_form_two_paths():
             state = ConformalState(geom, u)
             a = dE_dt_formula(state)
             rec = make_record(state)
-            b = dE_dt_from_moments(rec.vol, rec.intR, rec.intR2, state.n)
+            b = dE_dt_from_moments(rec.vol, rec.intR, rec.intR2)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
             assert a <= 0.0 or abs(a) <= 1e-12
             assert rec.var >= -1e-12 * max(1.0, rec.intR2 * rec.vol)
@@ -212,11 +211,11 @@ def test_c09_theorem_harness(geom16s):
             base = ConformalState(geom16s, np.full(geom16s.shape, c))
             for rate in (0.0, 1.0, 2.0):
                 for slope in (0.0, -0.0):
-                    families.append(SolitonFamily(base, lambda t, s=slope: 1.0 + s * t, rate))
+                    families.append(SolitonFamily(base, slope, rate))
         controls = [
-            SolitonFamily(single_mode_state(geom16s, 0.1), lambda t: 1.0, 0.0),
+            SolitonFamily(single_mode_state(geom16s, 0.1), 0.0, 0.0),
             SolitonFamily(ConformalState(geom16s, np.ones(geom16s.shape)),
-                          lambda t: 1.0 + t, 0.0),
+                          1.0, 0.0),
         ]
         for fam in families + controls:
             e0 = yamabe_quantity(fam.base)

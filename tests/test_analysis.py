@@ -19,7 +19,6 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
-    probe_window,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -33,7 +32,7 @@ from cryf.conformal import (
 )
 import cryf.flow
 from cryf.errors import FloatRangeError
-from cryf.flow import FlowConfig, run_flow
+from cryf.flow import FlowConfig, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
 
 from conftest import random_state, single_mode_state
@@ -139,7 +138,7 @@ class TestDEdtFormula:
             val = dE_dt_formula(state)
             assert val <= 1e-12 * max(1.0, abs(val))
             rec = make_record(state)
-            alt = dE_dt_from_moments(rec.vol, rec.intR, rec.intR2, state.n)
+            alt = dE_dt_from_moments(rec.vol, rec.intR, rec.intR2)
             assert abs(val - alt) <= 1e-13 * max(1.0, abs(val))
 
     def test_matches_finite_difference(self, geom16):

@@ -136,8 +136,7 @@ class TestCheckIdentities:
         from cryf.conformal import conformal_sub_laplacian
 
         def wrong_rhs(state, r):
-            n = state.n
-            return -(n + 1.0) * conformal_sub_laplacian(state, r) + r * r
+            return -2.0 * conformal_sub_laplacian(state, r) + r * r
 
         monkeypatch.setattr(cryf.analysis, "_curvature_rhs", wrong_rhs)
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")

