@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -66,8 +66,7 @@ class DiagnosticsRecord:
             )
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.t, self.E, self.vol, self.intR, self.intR2, self.var,
-                self.dEdt_formula, self.min_u, self.min_R, self.max_R, self.dt)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 @contextlib.contextmanager
@@ -211,14 +210,16 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
     max(1, |rhs|_L2).
     """
     state = window.states[1]
-    geom = state.geom
     r_minus, r0, r_plus = window.curvatures
     drdt = (r_plus - r_minus) / (2.0 * window.delta)
     rhs = _curvature_rhs(state, r0)
-    resid = drdt - rhs
-    dv = conformal_volume_element(state)
+    return relative_l2(state.geom, drdt - rhs, rhs, conformal_volume_element(state))
+
+
+def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
+    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
     num = np.sqrt(integrate_base(geom, resid * resid * dv))
-    den = max(1.0, np.sqrt(integrate_base(geom, rhs * rhs * dv)))
+    den = max(1.0, np.sqrt(integrate_base(geom, ref * ref * dv)))
     return float(num / den)
 
 

@@ -13,6 +13,7 @@ float64 round trip).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -38,7 +39,7 @@ from .geometry import (
 from .presets import make_initial_state
 from .snapshot import write_snapshot
 
-CSV_HEADER = "t,E,vol,intR,intR2,var,dEdt_formula,min_u,min_R,max_R,dt"
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(analysis.DiagnosticsRecord))
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -60,6 +61,15 @@ def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _conclude(path: str, lines: list[str], failure: str | None) -> int:
+    """Write lines and the status line to path; a failure also goes to stderr, exit 1."""
+    _write_lines(path, lines + [f"status: {'FAIL' if failure else 'PASS'}"])
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def _write_csv(path: str, records) -> None:
@@ -84,13 +94,14 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     state = _initial_state(cfg)
     traj = flow.run_flow(state, cfg.flow)
     _write_csv(csv_path, traj.records)
-    for idx, (t, u) in enumerate(traj.snapshots):
+    for idx, snap in enumerate(traj.snapshots):
         snap_path = _out_path(outdir, f"{cfg.output.snapshot_prefix}_{idx:04d}.cryf", overwrite)
-        write_snapshot(snap_path, ConformalState(state.geom, u, t))
+        write_snapshot(snap_path, snap)
     violations, worst = analysis.monotonicity_audit(traj.records)
     anomalous = traj.termination == flow.FlowTermination.STEP_UNDERFLOW
-    ok = violations == 0 and not anomalous
-    _write_lines(report_path, [
+    failure = (f"run-flow: {violations} monotonicity violation(s), "
+               f"termination={traj.termination.value}" if violations or anomalous else None)
+    return _conclude(report_path, [
         "command: run-flow",
         f"grid: {cfg.geometry.nx} {cfg.geometry.ny} {cfg.geometry.nz}",
         f"preset: {cfg.initial.preset}",
@@ -102,21 +113,7 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         f"final_E: {_fmt(traj.records[-1].E)}",
         f"monotonicity_violations: {violations}",
         f"worst_violation: {_fmt(worst)}",
-        f"status: {'PASS' if ok else 'FAIL'}",
-    ])
-    if not ok:
-        print(
-            f"run-flow: {violations} monotonicity violation(s), "
-            f"termination={traj.termination.value}", file=sys.stderr,
-        )
-        return EXIT_VERIFICATION
-    return EXIT_OK
-
-
-def _yamabe_and_curvature(state: ConformalState):
-    """E and the curvature field R of one state, from one curvature evaluation."""
-    r, _, vol, int_r, _ = analysis.curvature_moments(state)
-    return analysis.yamabe_from_moments(vol, int_r), r
+    ], failure)
 
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
@@ -133,16 +130,19 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
         ("dEdt_vs_finite_difference", res.dEdt_mismatch, a.max_dEdt_mismatch),
     ]
     r_scale = max(1e-300, float(np.abs(r_field).max()))
-    e_scaled, r_scaled = _yamabe_and_curvature(scale_state(state, 2.0))
-    e_dev = abs(e_scaled - e0) / max(1.0, abs(e0))
-    r_dev = float(np.abs(r_scaled - 0.5 * r_field).max()) / r_scale
-    rows.append(("scaling_invariance", max(e_dev, r_dev), a.max_scaling_invariance))
-    e_pulled, r_pulled = _yamabe_and_curvature(pullback_state(state, 3))
-    e_dev = abs(e_pulled - e0) / max(1.0, abs(e0))
-    commute = float(np.abs(
-        r_pulled - pullback_z_shift(state.geom, r_field, 3)
-    ).max()) / r_scale
-    rows.append(("pullback_invariance", max(e_dev, commute), a.max_pullback_invariance))
+
+    def invariance_row(name, moved, expected_r, bound):
+        # E and R of the moved state against E of the state and the R it should have
+        r, _, vol, int_r, _ = analysis.curvature_moments(moved)
+        e_dev = abs(analysis.yamabe_from_moments(vol, int_r) - e0) / max(1.0, abs(e0))
+        r_dev = float(np.abs(r - expected_r(r_field)).max()) / r_scale
+        return name, max(e_dev, r_dev), bound
+
+    rows.append(invariance_row("scaling_invariance", scale_state(state, 2.0),
+                               lambda r: 0.5 * r, a.max_scaling_invariance))
+    rows.append(invariance_row("pullback_invariance", pullback_state(state, 3),
+                               lambda r: pullback_z_shift(state.geom, r, 3),
+                               a.max_pullback_invariance))
     return rows
 
 
@@ -157,12 +157,8 @@ def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         if not ok:
             failed.append(name)
         lines.append(f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if ok else 'FAIL'}")
-    lines.append(f"status: {'PASS' if not failed else 'FAIL'}")
-    _write_lines(table_path, lines)
-    if failed:
-        print("check-identities: failing identities: " + ", ".join(failed), file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    failure = "check-identities: failing identities: " + ", ".join(failed) if failed else None
+    return _conclude(table_path, lines, failure)
 
 
 def _orders(errors: list[float]) -> list[float]:
@@ -203,18 +199,17 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     cases.append(("laplacian_theta_twisted", errs, cfg.analysis.min_order_twisted))
 
     base_delta = cfg.analysis.delta
-    evo, mean_rate, vol_rate, dEdt_mis = [], [], [], []
-    for geom, n in zip(geoms, grids):
-        state = _initial_state(cfg, geom.spec)
-        res = analysis.identity_residuals(flow.probe_window(state, base_delta * grids[0] / n))
-        evo.append(res.curvature_evolution)
-        mean_rate.append(res.mean_curvature_rate)
-        vol_rate.append(res.volume_rate)
-        dEdt_mis.append(res.dEdt_mismatch)
-    cases.append(("curvature_evolution_residual", evo, cfg.analysis.min_order_twisted))
-    cases.append(("mean_curvature_rate_residual", mean_rate, cfg.analysis.min_order_twisted))
-    cases.append(("volume_rate_residual", vol_rate, cfg.analysis.min_order_twisted))
-    cases.append(("dEdt_vs_finite_difference", dEdt_mis, cfg.analysis.min_order_twisted))
+    residuals = [
+        analysis.identity_residuals(
+            flow.probe_window(_initial_state(cfg, geom.spec), base_delta * grids[0] / n))
+        for geom, n in zip(geoms, grids)
+    ]
+    for field, name in (("curvature_evolution", "curvature_evolution_residual"),
+                        ("mean_curvature_rate", "mean_curvature_rate_residual"),
+                        ("volume_rate", "volume_rate_residual"),
+                        ("dEdt_mismatch", "dEdt_vs_finite_difference")):
+        errs = [getattr(res, field) for res in residuals]
+        cases.append((name, errs, cfg.analysis.min_order_twisted))
 
     lines = [f"grids: {','.join(str(n) for n in grids)}"]
     failed = []
@@ -228,12 +223,8 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
             f"orders={','.join(_fmt(o) for o in orders)} "
             f"min={_fmt(min_order)} {'pass' if ok else 'FAIL'}"
         )
-    lines.append(f"status: {'PASS' if not failed else 'FAIL'}")
-    _write_lines(table_path, lines)
-    if failed:
-        print("convergence-study: failing orders: " + ", ".join(failed), file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    failure = "convergence-study: failing orders: " + ", ".join(failed) if failed else None
+    return _conclude(table_path, lines, failure)
 
 
 def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFamily]]:
@@ -284,12 +275,8 @@ def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         )
     lines.append(f"families: {len(lines)}")
     lines.append(f"theorem_violations: {violations}")
-    lines.append(f"status: {'PASS' if violations == 0 else 'FAIL'}")
-    _write_lines(table_path, lines)
-    if violations:
-        print(f"soliton-check: {violations} THEOREM VIOLATION verdict(s)", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    failure = f"soliton-check: {violations} THEOREM VIOLATION verdict(s)" if violations else None
+    return _conclude(table_path, lines, failure)
 
 
 _COMMANDS = {

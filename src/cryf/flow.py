@@ -87,7 +87,7 @@ class FlowConfig:
 @dataclass
 class Trajectory:
     records: list[DiagnosticsRecord]
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    snapshots: list[ConformalState] = field(default_factory=list)
     termination: FlowTermination = FlowTermination.REACHED_T_END
 
 
@@ -217,12 +217,11 @@ def run_flow(state0: ConformalState, config: FlowConfig) -> Trajectory:
 
     Every accepted state satisfies min u > u_floor, and the monotone
     quantity E is nonincreasing record to record up to the audit slack.
-    Termination reasons are recorded, never silent.
+    Termination reasons are recorded, never silent.  Snapshots are the
+    states themselves: nothing mutates a state's u, so none is copied.
     """
     records = [make_record(state0, 0.0, config.u_floor)]
-    snapshots: list[tuple[float, np.ndarray]] = []
-    if config.snapshot_every > 0:
-        snapshots.append((state0.t, state0.u.copy()))
+    snapshots = [state0] if config.snapshot_every > 0 else []
     state = state0
     dt_next = config.dt_init
     dt_used = 0.0
@@ -244,7 +243,7 @@ def run_flow(state0: ConformalState, config: FlowConfig) -> Trajectory:
         if accepted % config.record_every == 0:
             records.append(make_record(state, dt_used, config.u_floor))
         if config.snapshot_every > 0 and accepted % config.snapshot_every == 0:
-            snapshots.append((state.t, state.u.copy()))
+            snapshots.append(state)
     if state.t > records[-1].t:
         records.append(make_record(state, dt_used, config.u_floor))
     return Trajectory(records=records, snapshots=snapshots, termination=termination)

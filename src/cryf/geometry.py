@@ -31,6 +31,7 @@ threads that apply the kernel concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,21 +237,17 @@ def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
 
     step=+1 gives S g - g and step=-1 gives g - S^-1 g, where S samples one
     lattice step further along the axis (for x through the sheared wrap).
-    S is a permutation, so every entry is a single subtraction: one sliced
-    pass over the interior plus one over the wrap slab, with no shifted
-    copy of g.  `out` must be C-contiguous and distinct from g.
+    S is a permutation, so every entry is a single subtraction.  A lattice
+    step is `stride` places of the flat C-order array, so one flat pass
+    differences every line; the entries it takes across two lines lie in
+    the wrap slab, which the second subtraction overwrites.  `out` must be
+    C-contiguous and distinct from g.
     """
-    lo, hi = slice(None, -1), slice(1, None)
-    dst, edge = (lo, -1) if step == 1 else (hi, 0)
-    if axis == 2:
-        # z varies fastest: one contiguous pass over the flat array, whose
-        # entries that straddle two z-lines the wrap then overwrites
-        flat = g.reshape(-1)
-        np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[dst])
-        np.subtract(g[..., 0], g[..., -1], out=out[..., edge])
-        return
+    stride = math.prod(g.shape[axis + 1:])
+    flat = g.reshape(-1)
+    dst, edge = (slice(None, -stride), -1) if step == 1 else (slice(stride, None), 0)
+    np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[dst])
     ix = (slice(None),) * axis
-    np.subtract(g[ix + (hi,)], g[ix + (lo,)], out=out[ix + (dst,)])
     first, last = g[ix + (0,)], g[ix + (-1,)]
     if axis == 0:
         if step == 1:

@@ -31,11 +31,11 @@ from .analysis import (
     constancy_from_moments,
     curvature_moments,
     float64_range,
+    relative_l2,
     yamabe_from_moments,
 )
 from .conformal import ConformalState, pullback_state, scale_state
 from .errors import FloatRangeError, PositivityError, ShiftAlignmentError
-from .geometry import integrate_base
 
 _ALIGN_TOL = 1e-9
 
@@ -112,11 +112,7 @@ def _flow_residual(family: SolitonFamily, s0: ConformalState, r: np.ndarray,
     s_minus = soliton_state(family, s0.t - delta)
     dudt = (s_plus.u - s_minus.u) / (2.0 * delta)
     drift = 0.5 * r * s0.u
-    resid = dudt + drift
-    geom = s0.geom
-    num = np.sqrt(integrate_base(geom, resid * resid * dv))
-    den = max(1.0, np.sqrt(integrate_base(geom, drift * drift * dv)))
-    return float(num / den)
+    return relative_l2(s0.geom, dudt + drift, drift, dv)
 
 
 def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:

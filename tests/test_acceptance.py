@@ -25,7 +25,6 @@ from cryf.conformal import (
     ConformalState,
     conformal_sub_laplacian,
     conformal_volume_element,
-    integrate_conformal,
     pullback_state,
     scale_state,
     webster_curvature,
@@ -46,7 +45,7 @@ from cryf import manufactured as mfg
 from cryf.presets import make_initial_state
 from cryf.snapshot import read_snapshot, write_snapshot
 from cryf.soliton import SolitonFamily, Verdict, scan_family, soliton_invariance_check, \
-    soliton_state, soliton_theorem_harness
+    soliton_theorem_harness
 
 from conftest import random_state, single_mode_state
 

@@ -100,6 +100,10 @@ class TestRunFlow:
         assert main(["run-flow", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
 
+    def test_csv_header_is_the_output_contract(self):
+        # the header is read from the record's fields, so a renamed field shows here
+        assert CSV_HEADER == "t,E,vol,intR,intR2,var,dEdt_formula,min_u,min_R,max_R,dt"
+
     def test_csv_roundtrip_is_lossless(self, tmp_path):
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         out = tmp_path / "out"

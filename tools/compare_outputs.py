@@ -3,11 +3,12 @@
 Usage: python3 tools/compare_outputs.py BASE_REV
 
 Exports `src/` at BASE_REV with `git archive` into a temporary directory,
-then runs the five shipped configs, seven 8^3 configs (a `constant`
+then runs the five shipped configs, eight 8^3 configs (a `constant`
 run-flow, a single-family soliton-check, a `random_smooth`
-check-identities, a `random_smooth` run-flow that writes snapshots and
-records every second step, and three rough `random_smooth` run-flows that
-end in positivity retries, a step underflow and an input at the floor) and
+check-identities, a convergence-study that fails its orders, a
+`random_smooth` run-flow that writes snapshots and records every second
+step, and three rough `random_smooth` run-flows that end in positivity
+retries, a step underflow and an input at the floor) and
 a 12^3 `random_smooth` run-flow through `cryf.cli` once with that tree and
 once with the working tree's `src/`.
 Both runs read the working tree's configs, so only the code differs.  Every
@@ -50,6 +51,9 @@ INLINE_CONFIGS = {
                         "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 2\n",
     # exits 1: the identity bounds are calibrated on single_mode_y at 16^3
     "identities_random_8": GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\n",
+    # exits 1: the sub-Laplacian's second order misses a minimum order of 3
+    "convergence_fail_8": GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
+                          "[analysis]\ngrids = 8,16\nmin_order_untwisted = 3\n",
     # writes 9 snapshot files, so the snapshot header and payload are compared too
     "snapshots_8": GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 3\n\n"
                    "[flow]\nt_end = 2e-3\nsnapshot_every = 3\nrecord_every = 2\n",
@@ -78,6 +82,7 @@ RUNS = (
     ("constant_8", "run-flow", None),
     ("soliton_family_8", "soliton-check", None),
     ("identities_random_8", "check-identities", None),
+    ("convergence_fail_8", "convergence-study", None),
     ("snapshots_8", "run-flow", None),
     ("flow_random_12", "run-flow", None),
     ("flow_positivity_retries_8", "run-flow", None),
