@@ -122,7 +122,8 @@ def _bool(text: str) -> bool:
 
 
 def _list_of(convert):
-    return lambda text: tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+    # an empty value is an empty list, but an empty item is no item of any type
+    return lambda text: tuple(convert(tok) for tok in text.split(",")) if text.strip() else ()
 
 
 # field annotation -> (converter, what a "line L, column C: expected ..." error names)

@@ -119,12 +119,12 @@ class BaseGeometry:
         self.spec = spec
         self.w0 = spec.hx * spec.hy * spec.hz
         self.x_coord = (np.arange(spec.nx) * spec.hx).reshape(-1, 1, 1)
-        kk = np.arange(spec.nz)[None, :]
         jj = np.arange(spec.ny)[:, None]
-        self._rows = jj
-        # z-index permutation of the wrapped x-plane, one row per j
-        self._wrap_fwd = (kk - jj * spec.twist) % spec.nz
-        self._wrap_bwd = (kk + jj * spec.twist) % spec.nz
+        kk = np.arange(spec.nz)[None, :]
+        # per x step: flat (N_y, N_z) index into the x-plane reached across the
+        # wrap, which the shear shifts in z by -step * j * twist
+        self._wrap = {step: jj * spec.nz + (kk - step * jj * spec.twist) % spec.nz
+                      for step in (1, -1)}
         # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
         self._q = self.x_coord * spec.twist
         # work fields of _div_form, allocated on its first call
@@ -142,9 +142,6 @@ class BaseGeometry:
         z = (np.arange(s.nz) * s.hz).reshape(1, 1, -1)
         return x, y, z
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def build_nilmanifold(spec: GridSpec) -> BaseGeometry:
     """Construct the discretized nilmanifold for the given lattice sizes."""
@@ -158,26 +155,33 @@ def _check_field(geom: BaseGeometry, f: np.ndarray, name: str = "f") -> np.ndarr
     return f
 
 
-def _shift_x(geom: BaseGeometry, f: np.ndarray, step: int) -> np.ndarray:
-    """Sample f one lattice step away in x, routing the wrap through the shear."""
-    out = np.empty_like(f)
-    if step == 1:
-        out[:-1] = f[1:]
-        out[-1] = f[0][geom._rows, geom._wrap_fwd]
-    elif step == -1:
-        out[1:] = f[:-1]
-        out[0] = f[-1][geom._rows, geom._wrap_bwd]
-    else:
-        raise ValueError("step must be +1 or -1")
+def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """Sample f one lattice step (+1 or -1) away along an axis.
+
+    A roll, except that the x-plane rolled in across the x-wrap is read
+    through the shear.
+    """
+    out = np.roll(f, -step, axis=axis)
+    if axis == 0:
+        edge = -1 if step == 1 else 0
+        out[edge] = np.take(out[edge], geom._wrap[step])
     return out
 
 
-def _shift_y(f: np.ndarray, step: int) -> np.ndarray:
-    return np.roll(f, -step, axis=1)
+def _frame(geom: BaseGeometry, which: str, d) -> np.ndarray:
+    """Frame field X = d_x, Y = d_y + x d_z or Z = d_z, from one-axis differences.
 
-
-def _shift_z(f: np.ndarray, step: int) -> np.ndarray:
-    return np.roll(f, -step, axis=2)
+    d(axis, h) is a difference along one lattice axis, scaled by that
+    axis's cell size h.
+    """
+    if which not in FRAMES:
+        raise ValueError(f"which must be one of {FRAMES}, got {which!r}")
+    s = geom.spec
+    if which == "X":
+        return d(0, s.hx)
+    if which == "Y":
+        return d(1, s.hy) + geom.x_coord * d(2, s.hz)
+    return d(2, s.hz)
 
 
 def frame_derivative(geom: BaseGeometry, f: np.ndarray, which: str,
@@ -190,26 +194,16 @@ def frame_derivative(geom: BaseGeometry, f: np.ndarray, which: str,
     identification.
     """
     f = _check_field(geom, f)
-    if which not in FRAMES:
-        raise ValueError(f"which must be one of {FRAMES}, got {which!r}")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    s = geom.spec
-    if which == "X":
+
+    def d(axis, h):
+        # unnamed shifts, so numpy reuses them as the results' buffers
         if scheme == "forward":
-            return (_shift_x(geom, f, 1) - f) / s.hx
-        return (_shift_x(geom, f, 1) - _shift_x(geom, f, -1)) / (2.0 * s.hx)
-    if which == "Y":
-        if scheme == "forward":
-            dy = (_shift_y(f, 1) - f) / s.hy
-            dz = (_shift_z(f, 1) - f) / s.hz
-        else:
-            dy = (_shift_y(f, 1) - _shift_y(f, -1)) / (2.0 * s.hy)
-            dz = (_shift_z(f, 1) - _shift_z(f, -1)) / (2.0 * s.hz)
-        return dy + geom.x_coord * dz
-    if scheme == "forward":
-        return (_shift_z(f, 1) - f) / s.hz
-    return (_shift_z(f, 1) - _shift_z(f, -1)) / (2.0 * s.hz)
+            return (_shift(geom, f, axis, 1) - f) / h
+        return (_shift(geom, f, axis, 1) - _shift(geom, f, axis, -1)) / (2.0 * h)
+
+    return _frame(geom, which, d)
 
 
 def frame_derivative_adjoint(geom: BaseGeometry, f: np.ndarray, which: str) -> np.ndarray:
@@ -221,14 +215,7 @@ def frame_derivative_adjoint(geom: BaseGeometry, f: np.ndarray, which: str) -> n
     again local.
     """
     f = _check_field(geom, f)
-    if which not in FRAMES:
-        raise ValueError(f"which must be one of {FRAMES}, got {which!r}")
-    s = geom.spec
-    if which == "X":
-        return (_shift_x(geom, f, -1) - f) / s.hx
-    if which == "Y":
-        return (_shift_y(f, -1) - f) / s.hy + geom.x_coord * (_shift_z(f, -1) - f) / s.hz
-    return (_shift_z(f, -1) - f) / s.hz
+    return _frame(geom, which, lambda axis, h: (_shift(geom, f, axis, -1) - f) / h)
 
 
 def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
@@ -251,9 +238,9 @@ def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
     first, last = g[ix + (0,)], g[ix + (-1,)]
     if axis == 0:
         if step == 1:
-            first = first[geom._rows, geom._wrap_fwd]
+            first = np.take(first, geom._wrap[1])
         else:
-            last = last[geom._rows, geom._wrap_bwd]
+            last = np.take(last, geom._wrap[-1])
     np.subtract(first, last, out=out[ix + (edge,)])
 
 

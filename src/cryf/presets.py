@@ -6,7 +6,7 @@ import numpy as np
 
 from .conformal import ConformalState
 from .errors import ConfigurationError
-from .geometry import BaseGeometry, _shift_x, _shift_y, _shift_z
+from .geometry import BaseGeometry, _shift
 
 PRESETS = ("constant", "single_mode_y", "single_mode_x", "random_smooth")
 
@@ -17,12 +17,9 @@ def seven_point_smooth(geom: BaseGeometry, f: np.ndarray, passes: int) -> np.nda
     """Average each point with its six lattice neighbors (twisted wraps included)."""
     for _ in range(passes):
         acc = f.copy()
-        acc += _shift_x(geom, f, 1)
-        acc += _shift_x(geom, f, -1)
-        acc += _shift_y(f, 1)
-        acc += _shift_y(f, -1)
-        acc += _shift_z(f, 1)
-        acc += _shift_z(f, -1)
+        for axis in range(3):
+            acc += _shift(geom, f, axis, 1)
+            acc += _shift(geom, f, axis, -1)
         f = acc / 7.0
     return f
 

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .conformal import ConformalState
-from .errors import SnapshotFormatError
+from .errors import ConfigurationError, SnapshotFormatError
 from .geometry import GridSpec, build_nilmanifold
 
 MAGIC = b"CRYF"
@@ -44,7 +44,10 @@ def read_snapshot(path) -> ConformalState:
         raise SnapshotFormatError(
             f"unsupported snapshot version {version}, this build reads version {VERSION}"
         )
-    spec = GridSpec(int(nx), int(ny), int(nz))
+    try:
+        spec = GridSpec(int(nx), int(ny), int(nz))
+    except ConfigurationError as exc:
+        raise SnapshotFormatError(f"bad grid sizes {nx}x{ny}x{nz}: {exc}") from exc
     expected = _HEADER.size + 8 * spec.npoints
     if len(blob) != expected:
         raise SnapshotFormatError(

@@ -177,7 +177,14 @@ class TestValidation:
          "line 12, column 2: expected comma-separated integers for grids, got '8,16.5'"),
         (MINIMAL + "\n[soliton]\ntimes = 0.0,half\n",
          "line 11, column 1: expected comma-separated numbers for times, got '0.0,half'"),
-    ], ids=["int", "float", "bool", "int_list", "float_list"])
+        (MINIMAL + "\n[analysis]\ngrids = 8,,16\n",
+         "line 11, column 1: expected comma-separated integers for grids, got '8,,16'"),
+        (MINIMAL + "\n[analysis]\ngrids = 8,16,\n",
+         "line 11, column 1: expected comma-separated integers for grids, got '8,16,'"),
+        (MINIMAL + "\n[soliton]\ntimes = 0.0, ,1.0\n",
+         "line 11, column 1: expected comma-separated numbers for times, got '0.0, ,1.0'"),
+    ], ids=["int", "float", "bool", "int_list", "float_list", "int_list_empty_item",
+            "int_list_trailing_comma", "float_list_blank_item"])
     def test_type_errors_carry_position(self, text, message):
         with pytest.raises(ConfigurationError) as err:
             parse_config(text)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 from cryf.errors import ConfigurationError
 from cryf.geometry import (
     GridSpec,
-    _shift_x,
-    _shift_y,
-    _shift_z,
+    _shift,
     build_nilmanifold,
     canonical_index,
     frame_commutator_check,
@@ -203,42 +202,44 @@ def shift_forms(geom, f, w):
     q = x * hy/hz in Y = (d_y + q d_z)/hy, and one 1/h^2 scale per part.
     """
     s = geom.spec
+    shift = functools.partial(_shift, geom)
     q = geom.x_coord * (s.nz // s.ny)
-    dxf = _shift_x(geom, f, 1) - f
-    dyf = (_shift_y(f, 1) - f) + q * (_shift_z(f, 1) - f)
+    dxf = shift(f, 0, 1) - f
+    dyf = (shift(f, 1, 1) - f) + q * (shift(f, 2, 1) - f)
     if w is not None:
         dxf = w * dxf
         dyf = w * dyf
-    out_f = (dxf - _shift_x(geom, dxf, -1)) * s.nx ** 2
-    out_f += ((dyf - _shift_y(dyf, -1)) + q * (dyf - _shift_z(dyf, -1))) * s.ny ** 2
-    dxb = f - _shift_x(geom, f, -1)
-    dyb = (f - _shift_y(f, -1)) + q * (f - _shift_z(f, -1))
+    out_f = (dxf - shift(dxf, 0, -1)) * s.nx ** 2
+    out_f += ((dyf - shift(dyf, 1, -1)) + q * (dyf - shift(dyf, 2, -1))) * s.ny ** 2
+    dxb = f - shift(f, 0, -1)
+    dyb = (f - shift(f, 1, -1)) + q * (f - shift(f, 2, -1))
     if w is not None:
         dxb = w * dxb
         dyb = w * dyb
-    out_b = (_shift_x(geom, dxb, 1) - dxb) * s.nx ** 2
-    out_b += ((_shift_y(dyb, 1) - dyb) + q * (_shift_z(dyb, 1) - dyb)) * s.ny ** 2
+    out_b = (shift(dxb, 0, 1) - dxb) * s.nx ** 2
+    out_b += ((shift(dyb, 1, 1) - dyb) + q * (shift(dyb, 2, 1) - dyb)) * s.ny ** 2
     return out_f, out_b
 
 
 def shift_forms_textbook(geom, f, w):
     """The same two forms in the textbook grouping, each difference divided by h."""
     s = geom.spec
+    shift = functools.partial(_shift, geom)
     x = geom.x_coord
-    dxf = (_shift_x(geom, f, 1) - f) / s.hx
-    dyf = (_shift_y(f, 1) - f) / s.hy + x * (_shift_z(f, 1) - f) / s.hz
+    dxf = (shift(f, 0, 1) - f) / s.hx
+    dyf = (shift(f, 1, 1) - f) / s.hy + x * (shift(f, 2, 1) - f) / s.hz
     if w is not None:
         dxf = w * dxf
         dyf = w * dyf
-    out_f = (dxf - _shift_x(geom, dxf, -1)) / s.hx
-    out_f += (dyf - _shift_y(dyf, -1)) / s.hy + x * (dyf - _shift_z(dyf, -1)) / s.hz
-    dxb = (f - _shift_x(geom, f, -1)) / s.hx
-    dyb = (f - _shift_y(f, -1)) / s.hy + x * (f - _shift_z(f, -1)) / s.hz
+    out_f = (dxf - shift(dxf, 0, -1)) / s.hx
+    out_f += (dyf - shift(dyf, 1, -1)) / s.hy + x * (dyf - shift(dyf, 2, -1)) / s.hz
+    dxb = (f - shift(f, 0, -1)) / s.hx
+    dyb = (f - shift(f, 1, -1)) / s.hy + x * (f - shift(f, 2, -1)) / s.hz
     if w is not None:
         dxb = w * dxb
         dyb = w * dyb
-    out_b = (_shift_x(geom, dxb, 1) - dxb) / s.hx
-    out_b += (_shift_y(dyb, 1) - dyb) / s.hy + x * (_shift_z(dyb, 1) - dyb) / s.hz
+    out_b = (shift(dxb, 0, 1) - dxb) / s.hx
+    out_b += (shift(dyb, 1, 1) - dyb) / s.hy + x * (shift(dyb, 2, 1) - dyb) / s.hz
     return out_f, out_b
 
 
@@ -383,10 +384,18 @@ class TestKernelMatchesReference:
                                   shift_div_form_reference(geom, f, None))
 
 
-def shift_along(geom, f, axis, step):
-    if axis == 0:
-        return _shift_x(geom, f, step)
-    return (_shift_y if axis == 1 else _shift_z)(f, step)
+class TestShift:
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (5, 4, 8), (6, 4, 12)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_equals_gather_at_canonical_index(self, shape, axis, step):
+        # canonical_index encodes the twisted wrap independently of the wrap table
+        spec = GridSpec(*shape)
+        f = np.random.default_rng(4 * axis + step + 1).standard_normal(shape)
+        di, dj, dk = np.eye(3, dtype=int)[axis] * step
+        i, j, k = np.indices(shape)
+        expect = f[canonical_index(spec, i + di, j + dj, k + dk)]
+        assert np.array_equal(_shift(build_nilmanifold(spec), f, axis, step), expect)
 
 
 class TestDiff:
@@ -398,14 +407,14 @@ class TestDiff:
         g = np.random.default_rng(4 * axis + step + 1).standard_normal(shape)
         out = np.empty(shape)
         geometry._diff(geom, g, axis, step, out)
-        shifted = shift_along(geom, g, axis, step)
+        shifted = _shift(geom, g, axis, step)
         assert np.array_equal(out, shifted - g if step == 1 else g - shifted)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("step", [1, -1])
     def test_peak_memory_one_plane_plus_slack(self, geom16, axis, step):
-        # the flat pass allocates nothing; the wrap may: the axis-0 fancy
-        # index builds one x-plane, and numpy's iterator gives a strided 2-D
+        # the flat pass allocates nothing; the wrap may: the axis-0 take
+        # builds one x-plane, and numpy's iterator gives a strided 2-D
         # slab three slab-sized buffers (6 KiB here), inside the 8 KiB slack
         g = random_field(geom16, 4)
         out = np.empty(geom16.shape)

@@ -68,3 +68,14 @@ def test_bad_magic(geom448, snap_path):
     with pytest.raises(SnapshotFormatError, match="magic"):
         read_snapshot(snap_path)
     assert MAGIC == b"CRYF"
+
+
+@pytest.mark.parametrize("sizes,reason", [((2, 4, 4), "N_x must be >= 4"),
+                                          ((4, 4, 6), "N_y must divide N_z")])
+def test_header_grid_sizes_rejected(geom448, snap_path, sizes, reason):
+    write_snapshot(snap_path, random_state(geom448, 11))
+    blob = bytearray(snap_path.read_bytes())
+    struct.pack_into("<III", blob, struct.calcsize("<4sI"), *sizes)
+    snap_path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match=reason):
+        read_snapshot(snap_path)

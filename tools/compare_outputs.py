@@ -8,9 +8,10 @@ run-flow, a single-family soliton-check, a `random_smooth`
 check-identities, a convergence-study that fails its orders, a
 `random_smooth` run-flow that writes snapshots and records every second
 step, and three rough `random_smooth` run-flows that end in positivity
-retries, a step underflow and an input at the floor) and
-a 12^3 `random_smooth` run-flow through `cryf.cli` once with that tree and
-once with the working tree's `src/`.
+retries, a step underflow and an input at the floor), a 12^3
+`random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3) a
+`random_smooth` run-flow and a `single_mode_x` check-identities, through
+`cryf.cli` once with that tree and once with the working tree's `src/`.
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -39,6 +40,14 @@ GRID_8 = """\
 N_x = 8
 N_y = 8
 N_z = 8
+
+"""
+# twist N_z/N_y = 3: each x-wrap shears z by three cells per y row
+GRID_TWISTED = """\
+[geometry]
+N_x = 8
+N_y = 4
+N_z = 12
 
 """
 ROUGH_8 = GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\nsmoothing_passes = 0\n"
@@ -70,6 +79,11 @@ INLINE_CONFIGS = {
                              "dt_min = 1e-5\nt_end = 0.5\n",
     # exits 2: the initial data lies at or below the floor
     "flow_input_at_floor_8": ROUGH_8 + "amplitude = 0.5\n\n[flow]\nu_floor = 0.51\n",
+    # the smoothing and every x difference cross the sheared wrap
+    "flow_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 5\n\n"
+                    "[flow]\nt_end = 2e-3\nrecord_every = 2\n",
+    "identities_twisted": GRID_TWISTED + "[initial_data]\npreset = single_mode_x\n"
+                          "epsilon = 0.1\n",
 }
 
 # (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
@@ -88,6 +102,8 @@ RUNS = (
     ("flow_positivity_retries_8", "run-flow", None),
     ("flow_step_underflow_8", "run-flow", None),
     ("flow_input_at_floor_8", "run-flow", None),
+    ("flow_twisted", "run-flow", None),
+    ("identities_twisted", "check-identities", None),
 )
 
 
