@@ -30,6 +30,7 @@ from .errors import (
     StepPositivityError,
 )
 from .geometry import (
+    BaseGeometry,
     GridSpec,
     build_nilmanifold,
     integrate_base,
@@ -79,8 +80,7 @@ def _write_csv(path: str, records) -> None:
     _write_lines(path, lines)
 
 
-def _initial_state(cfg: RunConfig, spec: GridSpec | None = None) -> ConformalState:
-    geom = build_nilmanifold(spec if spec is not None else cfg.geometry)
+def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
     ini = cfg.initial
     return make_initial_state(
         geom, ini.preset, c=ini.c, epsilon=ini.epsilon, seed=ini.seed,
@@ -88,14 +88,32 @@ def _initial_state(cfg: RunConfig, spec: GridSpec | None = None) -> ConformalSta
     )
 
 
+def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool, snapshots: int) -> list[str]:
+    """Paths of the CSV, the report and the first `snapshots` snapshots, each checked.
+
+    ConfigurationError if a path exists without overwrite or two of them coincide.
+    """
+    out = cfg.output
+    names = [out.csv, out.report] + [
+        f"{out.snapshot_prefix}_{idx:04d}.cryf" for idx in range(snapshots)]
+    paths = [_out_path(outdir, name, overwrite) for name in names]
+    seen = set()
+    for path in map(os.path.normpath, paths):
+        if path in seen:
+            raise ConfigurationError(f"two run-flow outputs are the same file {path}")
+        seen.add(path)
+    return paths
+
+
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    csv_path = _out_path(outdir, cfg.output.csv, overwrite)
-    report_path = _out_path(outdir, cfg.output.report, overwrite)
-    state = _initial_state(cfg)
+    # the initial state is snapshot 0 whenever snapshots are taken
+    _run_flow_paths(cfg, outdir, overwrite, int(cfg.flow.snapshot_every > 0))
+    state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     traj = flow.run_flow(state, cfg.flow)
+    csv_path, report_path, *snap_paths = _run_flow_paths(
+        cfg, outdir, overwrite, len(traj.snapshots))
     _write_csv(csv_path, traj.records)
-    for idx, snap in enumerate(traj.snapshots):
-        snap_path = _out_path(outdir, f"{cfg.output.snapshot_prefix}_{idx:04d}.cryf", overwrite)
+    for snap_path, snap in zip(snap_paths, traj.snapshots):
         write_snapshot(snap_path, snap)
     violations, worst = analysis.monotonicity_audit(traj.records)
     anomalous = traj.termination == flow.FlowTermination.STEP_UNDERFLOW
@@ -148,7 +166,7 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
 
 def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
-    state = _initial_state(cfg)
+    state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     rows = _identity_rows(cfg, state)
     lines = ["identity value bound status"]
     failed = []
@@ -201,7 +219,7 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     base_delta = cfg.analysis.delta
     residuals = [
         analysis.identity_residuals(
-            flow.probe_window(_initial_state(cfg, geom.spec), base_delta * grids[0] / n))
+            flow.probe_window(_initial_state(cfg, geom), base_delta * grids[0] / n))
         for geom, n in zip(geoms, grids)
     ]
     for field, name in (("curvature_evolution", "curvature_evolution_residual"),
@@ -237,7 +255,7 @@ def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFami
                 fam = soliton.SolitonFamily(base, 0.0, rate)
                 families.append((f"constant(c={c:g}) sigma=1 psi_rate={rate:g}", fam))
     else:
-        base = _initial_state(cfg)
+        base = _initial_state(cfg, geom)
         fam = soliton.SolitonFamily(base, sol.sigma_slope, sol.psi_rate)
         families.append((
             f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",

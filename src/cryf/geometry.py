@@ -26,7 +26,8 @@ so the z index varies fastest.
 
 The divergence-form kernel works in three scratch fields that each geometry
 allocates on first use and keeps, so one geometry must not be shared by
-threads that apply the kernel concurrently.
+threads that apply the kernel concurrently.  Build one geometry per grid and
+pass it around: every further geometry of the same grid holds three more.
 """
 
 from __future__ import annotations

@@ -42,6 +42,22 @@ def read_csv(path):
     return [[float(tok) for tok in line.split(",")] for line in lines[1:]]
 
 
+OUTPUT_8_CFG = "[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n\n[initial_data]\npreset = constant\n\n"
+
+
+def count_geometries(monkeypatch):
+    """Record the grid of every geometry the CLI builds from now on."""
+    specs = []
+    real = cryf.cli.build_nilmanifold
+
+    def counting(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cryf.cli, "build_nilmanifold", counting)
+    return specs
+
+
 class TestRunFlow:
     def test_constant_preset_zero_E(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -74,6 +90,33 @@ class TestRunFlow:
         assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
         assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
         assert main(["run-flow", "--config", cfg, "--out", str(out), "--overwrite"]) == 0
+
+    def test_existing_snapshot_stops_before_any_write(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\nsnapshot_every = 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snap_0002.cryf").write_text("kept")
+        assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: output file {out / 'snap_0002.cryf'} exists")
+        assert sorted(p.name for p in out.iterdir()) == ["snap_0002.cryf"]
+        assert (out / "snap_0002.cryf").read_text() == "kept"
+
+    @pytest.mark.parametrize("output, clash", [
+        ("csv = out.txt\nreport = out.txt\n", "out.txt"),
+        ("csv = a.csv\nreport = ./a.csv\n", "a.csv"),
+        ("csv = snap_0000.cryf\n", "snap_0000.cryf"),
+    ], ids=["csv_report", "normalized", "csv_snapshot"])
+    def test_outputs_sharing_a_path_rejected(self, tmp_path, capsys, monkeypatch, output, clash):
+        geometries = count_geometries(monkeypatch)
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nsnapshot_every = 1\n\n"
+                        "[output]\n" + output)
+        out = tmp_path / "out"
+        assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: two run-flow outputs are the same file ")
+        assert err.rstrip("\n").endswith(clash)
+        assert geometries == [] and list(out.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -272,6 +315,14 @@ class TestConvergenceStudy:
         assert "laplacian_theta_twisted" in table
         assert "status: PASS" in table
 
+    def test_one_geometry_per_grid(self, tmp_path, monkeypatch):
+        geometries = count_geometries(monkeypatch)
+        body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
+            "\n[analysis]\ngrids = 4,8\n"
+        cfg = write_cfg(tmp_path, body=body)
+        assert main(["convergence-study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert [spec.nx for spec in geometries] == [4, 8]
+
     def test_single_grid_is_config_error(self, tmp_path):
         body = BASE_CFG.format(preset="constant", extra="") + "\n[analysis]\ngrids = 16\n"
         cfg = write_cfg(tmp_path, body=body)
@@ -322,6 +373,13 @@ class TestSolitonCheck:
         assert main(["soliton-check", "--config", cfg, "--out", str(out)]) == 0
         table = (out / "verdicts.txt").read_text()
         assert 'verdict="not a flow solution"' in table
+
+    def test_configured_family_builds_one_geometry(self, tmp_path, monkeypatch):
+        geometries = count_geometries(monkeypatch)
+        cfg = write_cfg(tmp_path, body=SOLITON_FAMILY_CFG.format(
+            sigma_slope=0.5, psi_rate=1.0, times="0.0,0.5"))
+        assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(geometries) == 1
 
     def test_misaligned_family_is_config_error(self, tmp_path):
         body = BASE_CFG.format(preset="constant", extra="") + \

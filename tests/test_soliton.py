@@ -1,12 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cryf.conformal
 from cryf.analysis import constancy_verdict, yamabe_quantity
-from cryf.conformal import ConformalState, scale_state
+from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
+from cryf.geometry import GridSpec, build_nilmanifold
 from cryf.soliton import (
     SolitonFamily,
     Verdict,
@@ -17,7 +19,7 @@ from cryf.soliton import (
     soliton_theorem_harness,
 )
 
-from conftest import single_mode_state
+from conftest import random_state, single_mode_state
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -60,6 +62,32 @@ class TestSolitonState:
         fam = SolitonFamily(base, 1.0, 2.0)
         dev = soliton_invariance_check(scan_family(fam, TIMES))
         assert dev <= 1e-12 * max(1.0, abs(yamabe_quantity(base)))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (16, 16, 16), (8, 4, 12)])
+    def test_bitwise_equal_to_scaled_pullback(self, shape):
+        # the public transforms are the reference, at each sampled time and
+        # one residual step (one lattice shift) either side of it
+        geom = build_nilmanifold(GridSpec(*shape))
+        fam = SolitonFamily(random_state(geom, 7, smooth=1), 0.5, 1.0)
+        delta = 1.0 / geom.spec.nz
+        for t in TIMES:
+            for s in (t - delta, t, t + delta):
+                st = soliton_state(fam, s)
+                ref = scale_state(pullback_state(fam.base, shift_steps(fam, s)), 1.0 + 0.5 * s)
+                assert st.u.tobytes() == ref.u.tobytes()
+                assert st.t == s and st.geom is geom
+
+    def test_peak_memory_one_field_plus_checks(self, geom16):
+        # the shifted copy is the only field; validation adds a boolean mask
+        fam = SolitonFamily(random_state(geom16, 7), 0.5, 1.0)
+        soliton_state(fam, 0.25)
+        tracemalloc.start()
+        try:
+            soliton_state(fam, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fam.base.u.nbytes
 
     def test_alignment_guard(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), 0.0, 0.3)

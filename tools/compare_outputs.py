@@ -3,15 +3,17 @@
 Usage: python3 tools/compare_outputs.py BASE_REV
 
 Exports `src/` at BASE_REV with `git archive` into a temporary directory,
-then runs the five shipped configs, eight 8^3 configs (a `constant`
+then runs the five shipped configs, nine 8^3 configs (a `constant`
 run-flow, a single-family soliton-check, a `random_smooth`
 check-identities, a convergence-study that fails its orders, a
 `random_smooth` run-flow that writes snapshots and records every second
-step, and three rough `random_smooth` run-flows that end in positivity
-retries, a step underflow and an input at the floor), a 12^3
-`random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3) a
-`random_smooth` run-flow and a `single_mode_x` check-identities, through
-`cryf.cli` once with that tree and once with the working tree's `src/`.
+step, three rough `random_smooth` run-flows that end in positivity
+retries, a step underflow and an input at the floor, and a soliton-check
+whose sigma turns negative one residual step after its last sampled time),
+a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
+a `random_smooth` run-flow, a `single_mode_x` check-identities and a
+scaled, Reeb-translated `random_smooth` soliton-check, through `cryf.cli`
+once with that tree and once with the working tree's `src/` (18 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -84,6 +86,14 @@ INLINE_CONFIGS = {
                     "[flow]\nt_end = 2e-3\nrecord_every = 2\n",
     "identities_twisted": GRID_TWISTED + "[initial_data]\npreset = single_mode_x\n"
                           "epsilon = 0.1\n",
+    # one scaled family whose Reeb shift (3 cells at t = 0.25) meets the sheared wrap
+    "soliton_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 4\n\n"
+                       "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 1\n"
+                       "times = 0.0,0.25,0.5\n",
+    # exits 2: sigma stays positive at every sampled time but not one residual step later
+    "soliton_sigma_neighbour_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
+                                 "[soliton]\nsweep = false\nsigma_slope = -1\n"
+                                 "times = 0.0,0.99995\n",
 }
 
 # (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
@@ -104,6 +114,8 @@ RUNS = (
     ("flow_input_at_floor_8", "run-flow", None),
     ("flow_twisted", "run-flow", None),
     ("identities_twisted", "check-identities", None),
+    ("soliton_twisted", "soliton-check", None),
+    ("soliton_sigma_neighbour_8", "soliton-check", None),
 )
 
 
