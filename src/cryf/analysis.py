@@ -68,23 +68,29 @@ class DiagnosticsRecord:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
+    def is_constant(self, tol_rel: float = DEFAULT_CONSTANCY_TOL) -> bool:
+        """var/vol^2 <= tol_rel * max(1, (int R dV / vol)^2): the scale-calibrated
+        stand-in for "R is constant" via the Cauchy-Schwarz equality case."""
+        mean = self.intR / self.vol
+        return self.var / (self.vol * self.vol) <= tol_rel * max(1.0, mean * mean)
+
 
 @contextlib.contextmanager
 def float64_range(what: str):
-    """Turn a float64 overflow or invalid operation in the block into FloatRangeError."""
+    """Turn a float64 overflow, zero division or invalid operation into FloatRangeError."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, OverflowError) as exc:
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
         raise FloatRangeError(f"{what} leaves the float64 range: {exc}") from None
 
 
 def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
-                      r: np.ndarray | None = None):
-    """Curvature R, volume element dV and the moments int dV, int R dV, int R^2 dV.
+                      r: np.ndarray | None = None, dt_used: float = 0.0):
+    """Curvature R, volume element dV and the record of `state`: its moments and E, var, dE/dt.
 
     `r` is the curvature of `state` when the caller has it already.  A moment
-    that is not a finite float64 raises FloatRangeError.
+    or a dE/dt that is not a finite float64 raises FloatRangeError.
     """
     geom = state.geom
     with float64_range("a curvature moment"):
@@ -96,12 +102,23 @@ def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
         int_r2 = integrate_base(geom, r * r * dv)
     if not all(map(math.isfinite, (vol, int_r, int_r2))):
         raise FloatRangeError(f"curvature moments are not finite: {vol}, {int_r}, {int_r2}")
-    return r, dv, vol, int_r, int_r2
-
-
-def yamabe_from_moments(vol: float, int_r: float) -> float:
-    """E = int R dV / (int dV)^(1/2) from the moments."""
-    return int_r / vol ** 0.5
+    var = int_r2 * vol - int_r * int_r
+    with float64_range("dE/dt"):
+        dedt = -var / vol ** 1.5
+    record = DiagnosticsRecord(
+        t=state.t,
+        E=int_r / vol ** 0.5,
+        vol=vol,
+        intR=int_r,
+        intR2=int_r2,
+        var=var,
+        dEdt_formula=dedt,
+        min_u=float(state.u.min()),
+        min_R=float(r.min()),
+        max_R=float(r.max()),
+        dt=dt_used,
+    )
+    return r, dv, record
 
 
 def yamabe_quantity(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> float:
@@ -130,24 +147,8 @@ def dE_dt_from_moments(vol: float, int_r: float, int_r2: float) -> float:
 def make_record(state: ConformalState, dt_used: float = 0.0,
                 u_floor: float = DEFAULT_U_FLOOR,
                 r: np.ndarray | None = None) -> DiagnosticsRecord:
-    """Compute the full diagnostics row for one state (`r` as in `curvature_moments`)."""
-    r, _, vol, int_r, int_r2 = curvature_moments(state, u_floor, r)
-    var = int_r2 * vol - int_r * int_r
-    with float64_range("dE/dt"):
-        dedt = -var / vol ** 1.5
-    return DiagnosticsRecord(
-        t=state.t,
-        E=yamabe_from_moments(vol, int_r),
-        vol=vol,
-        intR=int_r,
-        intR2=int_r2,
-        var=var,
-        dEdt_formula=dedt,
-        min_u=float(state.u.min()),
-        min_R=float(r.min()),
-        max_R=float(r.max()),
-        dt=dt_used,
-    )
+    """The diagnostics row of one state (`r` as in `curvature_moments`)."""
+    return curvature_moments(state, u_floor, r, dt_used)[2]
 
 
 class ProbeWindow(NamedTuple):
@@ -245,21 +246,8 @@ def identity_residuals(window: ProbeWindow) -> IdentityResiduals:
 
 def constancy_verdict(state: ConformalState, tol_rel: float = DEFAULT_CONSTANCY_TOL,
                       u_floor: float = DEFAULT_U_FLOOR) -> bool:
-    """Scale-calibrated test for constant curvature.
-
-    True iff var/vol^2 <= tol_rel * max(1, (int R dV / vol)^2); the discrete
-    stand-in for "R is constant" via the Cauchy-Schwarz equality case.
-    """
-    rec = make_record(state, u_floor=u_floor)
-    return constancy_from_moments(rec.vol, rec.intR, rec.intR2, tol_rel)
-
-
-def constancy_from_moments(vol: float, int_r: float, int_r2: float,
-                           tol_rel: float = DEFAULT_CONSTANCY_TOL) -> bool:
-    """The `constancy_verdict` test on already computed moments."""
-    var = int_r2 * vol - int_r * int_r
-    mean = int_r / vol
-    return var / (vol * vol) <= tol_rel * max(1.0, mean * mean)
+    """`DiagnosticsRecord.is_constant` on the record of `state`."""
+    return make_record(state, u_floor=u_floor).is_constant(tol_rel)
 
 
 def monotonicity_audit(records, slack: float = MONOTONE_SLACK):

@@ -151,8 +151,8 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
 
     def invariance_row(name, moved, expected_r, bound):
         # E and R of the moved state against E of the state and the R it should have
-        r, _, vol, int_r, _ = analysis.curvature_moments(moved)
-        e_dev = abs(analysis.yamabe_from_moments(vol, int_r) - e0) / max(1.0, abs(e0))
+        r, _, record = analysis.curvature_moments(moved)
+        e_dev = abs(record.E - e0) / max(1.0, abs(e0))
         r_dev = float(np.abs(r - expected_r(r_field)).max()) / r_scale
         return name, max(e_dev, r_dev), bound
 

@@ -2,11 +2,13 @@
 
 Little-endian layout: magic 'CRYF', u32 version (currently 1), u32 N_x, N_y,
 N_z, f64 t, f64 n (the CR dimension, always 1.0), then N_x*N_y*N_z f64
-values in C order (z fastest).  Round trips are bit-exact.
+values in C order (z fastest).  Round trips are bit-exact.  A reader
+rejects a non-finite t and a payload that is not a finite positive field.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -44,6 +46,8 @@ def read_snapshot(path) -> ConformalState:
         raise SnapshotFormatError(
             f"unsupported snapshot version {version}, this build reads version {VERSION}"
         )
+    if not math.isfinite(t):
+        raise SnapshotFormatError(f"snapshot time t={t} is not finite")
     try:
         spec = GridSpec(int(nx), int(ny), int(nz))
     except ConfigurationError as exc:
@@ -60,4 +64,7 @@ def read_snapshot(path) -> ConformalState:
             f"snapshot written for CR dimension n={n}, this geometry has n=1"
         )
     u = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(float)
-    return ConformalState(geom, u.reshape(spec.shape), float(t))
+    try:
+        return ConformalState(geom, u.reshape(spec.shape), t)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"payload is not a finite positive field: {exc}") from None

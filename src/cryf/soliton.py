@@ -15,9 +15,10 @@ a "THEOREM VIOLATION" verdict is never expected for any input.
 `scan_family` makes one pass over the sampled times: it builds each state
 once (one shifted copy of the base field, scaled in place), computes its
 curvature once (plus one for the base), reads the fields at t +/- delta
-only inside one subtraction, and keeps only scalars across times.  The
-harness and the invariance check take that `FamilyScan` as their argument,
-so a caller that needs both scans once.
+only inside one subtraction, and keeps across times only each state's flow
+residual and `DiagnosticsRecord`, the source of E and the constancy test.
+The harness and the invariance check take that `FamilyScan` as their
+argument, so a caller that needs both scans once.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analysis import (
-    constancy_from_moments,
+    DiagnosticsRecord,
     curvature_moments,
     float64_range,
+    make_record,
     relative_l2,
-    yamabe_from_moments,
 )
 from .conformal import ConformalState
 from .errors import FloatRangeError, PositivityError, ShiftAlignmentError
@@ -94,12 +95,9 @@ def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
 
 
 class FamilySample(NamedTuple):
-    """Scalars of one sampled time: E, the moments and the flow residual."""
+    """One sampled time: the state's diagnostics record and its flow residual."""
 
-    E: float
-    vol: float
-    intR: float
-    intR2: float
+    record: DiagnosticsRecord
     flow_residual: float
 
 
@@ -112,30 +110,29 @@ class FamilyScan(NamedTuple):
 
 def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:
     s0 = soliton_state(family, t)
-    r, dv, vol, int_r, int_r2 = curvature_moments(s0)
+    r, dv, record = curvature_moments(s0)
     # du/dt + R u / 2, which vanishes on a flow solution
     resid = np.subtract(soliton_state(family, t + delta).u, soliton_state(family, t - delta).u)
     resid /= 2.0 * delta
     drift = 0.5 * r * s0.u
     resid += drift
-    return FamilySample(yamabe_from_moments(vol, int_r), vol, int_r, int_r2,
-                        relative_l2(s0.geom, resid, drift, dv))
+    return FamilySample(record, relative_l2(s0.geom, resid, drift, dv))
 
 
 def scan_family(family: SolitonFamily, times: Sequence[float]) -> FamilyScan:
-    """E, moments and flow residual at every sampled time, one state each.
+    """Diagnostics record and flow residual at every sampled time, one state each.
 
     The residual's time step is one lattice step of central shift, or 1e-4
-    for a static relabeling.  A family whose fields or moments overflow
-    float64 raises FloatRangeError, and no times raise ValueError.
+    for a static relabeling.  A family whose fields, moments or dE/dt leave
+    the float64 range raises FloatRangeError, and no times raise ValueError.
     """
     if len(times) == 0:
         raise ValueError("times must list at least one time")
     delta = _residual_delta(family)
     with float64_range("soliton family"):
-        _, _, vol, int_r, _ = curvature_moments(family.base)
+        e0 = make_record(family.base).E
         samples = tuple(_sample(family, t, delta) for t in times)
-    return FamilyScan(yamabe_from_moments(vol, int_r), samples)
+    return FamilyScan(e0, samples)
 
 
 def soliton_invariance_check(scan: FamilyScan) -> float:
@@ -143,7 +140,7 @@ def soliton_invariance_check(scan: FamilyScan) -> float:
     scaling/relabeling algebra for every exactly representable family."""
     dev = 0.0
     for sample in scan.samples:
-        dev = max(dev, abs(sample.E - scan.e0))
+        dev = max(dev, abs(sample.record.E - scan.e0))
     return dev
 
 
@@ -176,6 +173,6 @@ def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = 1e-8,
     if worst > flow_tol:
         return Verdict.NOT_A_FLOW_SOLUTION
     for sample in scan.samples:
-        if not constancy_from_moments(sample.vol, sample.intR, sample.intR2, var_tol):
+        if not sample.record.is_constant(var_tol):
             return Verdict.THEOREM_VIOLATION
     return Verdict.CONSTANT_CURVATURE

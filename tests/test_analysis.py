@@ -93,6 +93,14 @@ class TestCurvatureMoments:
         with pytest.raises(FloatRangeError, match="dE/dt leaves the float64 range"):
             make_record(state)
 
+    @pytest.mark.parametrize("c", [1e-70, 1e-90])
+    def test_underflowing_volume_raises_float_range_error(self, geom448, c):
+        # vol^(3/2) underflows to 0 at c = 1e-70, and vol itself at c = 1e-90
+        state = ConformalState(geom448, np.full(geom448.shape, c))
+        with pytest.raises(FloatRangeError,
+                           match="dE/dt leaves the float64 range: float division by zero"):
+            make_record(state, u_floor=1e-300)
+
     def test_nonfinite_curvature_rejected(self, geom448):
         state = ConformalState(geom448, np.ones(geom448.shape))
         r = np.full(geom448.shape, np.inf)
@@ -246,6 +254,38 @@ class TestConstancyVerdict:
             assert constancy_verdict(scale_state(state, 7.3), 1e-6) == v
         const = ConformalState(geom448, np.full(geom448.shape, 1.0))
         assert constancy_verdict(scale_state(const, 7.3), 1e-12)
+
+
+def constancy_from_moments(vol, int_r, int_r2, tol_rel):
+    """The constancy test as once written on bare moments, kept as a reference."""
+    var = int_r2 * vol - int_r * int_r
+    mean = int_r / vol
+    return var / (vol * vol) <= tol_rel * max(1.0, mean * mean)
+
+
+class TestRecordIsConstant:
+    def test_matches_moment_formula_on_scaled_states(self, geom448, geom16):
+        states = [random_state(geom448, seed) for seed in range(3)]
+        states += [single_mode_state(geom16, 0.1),
+                   ConformalState(geom448, np.full(geom448.shape, 1.0))]
+        for state in states:
+            for sigma in (1.0, 0.5, 7.3, 1e-3):
+                rec = make_record(scale_state(state, sigma))
+                for tol in (1e-12, 1e-8, 1e-6, 1e-2):
+                    assert rec.is_constant(tol) == constancy_from_moments(
+                        rec.vol, rec.intR, rec.intR2, tol)
+
+    def test_matches_moment_formula_at_the_boundary(self, geom448):
+        rec = make_record(random_state(geom448, 3))
+        mean = rec.intR / rec.vol
+        q = rec.var / (rec.vol * rec.vol) / max(1.0, mean * mean)
+        tols = (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0),
+                q * (1.0 - 1e-15), q * (1.0 + 1e-15))
+        outcomes = [rec.is_constant(float(tol)) for tol in tols]
+        assert outcomes == [constancy_from_moments(rec.vol, rec.intR, rec.intR2, float(tol))
+                            for tol in tols]
+        # the tolerances straddle the boundary
+        assert True in outcomes and False in outcomes
 
 
 class TestMonotonicityAudit:

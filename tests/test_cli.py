@@ -239,7 +239,8 @@ class TestCheckIdentities:
         assert "delta must be positive" in capsys.readouterr().err
 
 
-# 8^3 inputs that once ended in a false verdict or a false PASS: each must exit 2
+# 8^3 inputs that once ended in a false verdict, a false PASS or a traceback:
+# each must exit 2
 @pytest.mark.parametrize("command, preset, extra, message", [
     ("soliton-check", "constant", "[soliton]\nvar_tol = nan\n",
      "[soliton]: var_tol must be positive and finite, got nan"),
@@ -249,12 +250,17 @@ class TestCheckIdentities:
      "[analysis]: max_volume_rate must be non-negative and finite, got nan"),
     ("run-flow", "constant", "c = 1e100\n", "a curvature moment leaves the float64 range"),
     ("check-identities", "single_mode_y", "c = 1e70\n", "dE/dt leaves the float64 range"),
+    ("soliton-check", "constant", "c = 1e70\n[soliton]\nsweep = false\n",
+     "dE/dt leaves the float64 range"),
+    ("run-flow", "constant", "c = 1e-70\n[flow]\nu_floor = 1e-300\n",
+     "dE/dt leaves the float64 range: float division by zero"),
     ("run-flow", "constant", "[flow]\nt_end = inf\n", "[flow]: t_end must be finite, got inf"),
     ("run-flow", "random_smooth", "seed = -1\n", "random_smooth needs seed >= 0, got -1"),
     ("run-flow", "constant", "c = inf\n", "constant preset needs finite c > 0, got inf"),
     ("check-identities", "single_mode_x", "c = 1.5e308\nepsilon = 1e308\n",
      "mode preset needs c - |epsilon| > 0 and c + |epsilon| finite"),
-], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70", "t_end_inf",
+], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70",
+        "soliton_c_1e70", "volume_underflows", "t_end_inf",
         "seed_negative", "c_inf", "mode_overflows"])
 def test_out_of_range_input_exit_2_without_traceback(tmp_path, capsys, command, preset,
                                                      extra, message):
@@ -491,7 +497,7 @@ _FLOW_VALUES = st.fixed_dictionaries({
     "dt_max": _key(1e-2, 1e-5, 1e300),
     "safety": _key(0.9, 1.0, 0.5),
     "err_tol": _key(1e-8, 1e-14, 1e300),
-    "u_floor": _key(1e-6, 0.5, 0.99, 1e300),
+    "u_floor": _key(1e-6, 0.5, 0.99, 1e300, 1e-300),
     "record_every": _key(1, 3),
     "snapshot_every": _key(0, 2),
 })
@@ -499,7 +505,7 @@ _FLOW_VALUES = st.fixed_dictionaries({
 # overflow, underflow and the positivity floor are reached from here
 _INITIAL_VALUES = st.fixed_dictionaries({
     "preset": st.sampled_from(["single_mode_y", "single_mode_x", "random_smooth", "constant"]),
-    "c": _key(1.0, 1.5, 1e-200, 1e100, free=st.floats()),
+    "c": _key(1.0, 1.5, 1e-200, 1e100, 1e-70, free=st.floats()),
     "epsilon": _key(0.1, 0.9, free=st.floats()),
     "seed": _key(0, 1, 2**64, -1, free=st.integers(-2**64, 2**70)),
     "amplitude": _key(0.2, 0.9, 0.999, free=st.floats()),

@@ -79,3 +79,22 @@ def test_header_grid_sizes_rejected(geom448, snap_path, sizes, reason):
     snap_path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotFormatError, match=reason):
         read_snapshot(snap_path)
+
+
+def test_nonfinite_time_rejected(geom448, snap_path):
+    write_snapshot(snap_path, random_state(geom448, 12))
+    blob = bytearray(snap_path.read_bytes())
+    struct.pack_into("<d", blob, struct.calcsize("<4sIIII"), float("nan"))
+    snap_path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match="t=nan is not finite"):
+        read_snapshot(snap_path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+def test_payload_not_a_positive_field_rejected(geom448, snap_path, value):
+    write_snapshot(snap_path, random_state(geom448, 13))
+    blob = bytearray(snap_path.read_bytes())
+    struct.pack_into("<d", blob, len(blob) - 8 * 5, value)
+    snap_path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match="payload is not a finite positive field"):
+        read_snapshot(snap_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cryf.conformal
-from cryf.analysis import constancy_verdict, yamabe_quantity
+from cryf.analysis import constancy_verdict, make_record, yamabe_quantity
 from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
 from cryf.geometry import GridSpec, build_nilmanifold
@@ -118,6 +118,12 @@ class TestSolitonState:
         with pytest.raises(FloatRangeError, match="float64 range"):
             scan_family(fam, (1.0,))
 
+    def test_overflowing_dEdt_rejected_by_scan(self, geom448):
+        # finite moments, but vol^(3/2) in the record's closed-form dE/dt overflows
+        fam = constant_family(geom448, c=1e70)
+        with pytest.raises(FloatRangeError, match="dE/dt leaves the float64 range"):
+            scan_family(fam, (1.0,))
+
 
 class TestInvarianceCheck:
     def test_constant_family_zero(self, geom448):
@@ -222,7 +228,20 @@ class TestFamilyScan:
         scan = scan_family(constant_family(geom448, rate=1.0, slope=0.5), TIMES)
         assert len(scan.samples) == len(TIMES)
         for sample in scan.samples:
-            assert all(type(v) is float for v in sample)
+            assert all(type(v) is float for v in sample.record.as_tuple())
+            assert type(sample.flow_residual) is float
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
+    def test_records_equal_make_record(self, shape):
+        # the record of each sample is the flow's record of that state, bit for bit
+        geom = build_nilmanifold(GridSpec(*shape))
+        for fam in sweep_and_controls(geom):
+            scan = scan_family(fam, TIMES)
+            assert scan.e0.hex() == make_record(fam.base).E.hex()
+            for t, sample in zip(TIMES, scan.samples):
+                ref = make_record(soliton_state(fam, t))
+                assert [v.hex() for v in sample.record.as_tuple()] == \
+                    [v.hex() for v in ref.as_tuple()]
 
     def test_one_curvature_per_sampled_time(self, geom448, monkeypatch):
         calls = []
