@@ -98,8 +98,12 @@ def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
             r = webster_curvature(state, u_floor)
         dv = conformal_volume_element(state)
         vol = integrate_base(geom, dv)
-        int_r = integrate_base(geom, r * dv)
-        int_r2 = integrate_base(geom, r * r * dv)
+        # one work field: r dv, then (r r) dv in the same buffer
+        work = r * dv
+        int_r = integrate_base(geom, work)
+        np.multiply(r, r, out=work)
+        work *= dv
+        int_r2 = integrate_base(geom, work)
     if not all(map(math.isfinite, (vol, int_r, int_r2))):
         raise FloatRangeError(f"curvature moments are not finite: {vol}, {int_r}, {int_r2}")
     var = int_r2 * vol - int_r * int_r
@@ -201,7 +205,10 @@ def dEdt_mismatch(window) -> float:
 
 def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
     """Right-hand side 2 Lap_u R + R^2 of the curvature evolution law."""
-    return 2.0 * conformal_sub_laplacian(state, r) + r * r
+    rhs = conformal_sub_laplacian(state, r)
+    rhs *= 2.0
+    rhs += r * r
+    return rhs
 
 
 def curvature_evolution_residual(window: ProbeWindow) -> float:
@@ -212,15 +219,22 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
     """
     state = window.states[1]
     r_minus, r0, r_plus = window.curvatures
-    drdt = (r_plus - r_minus) / (2.0 * window.delta)
     rhs = _curvature_rhs(state, r0)
-    return relative_l2(state.geom, drdt - rhs, rhs, conformal_volume_element(state))
+    # dR/dt - rhs, built in the centred difference's array
+    resid = np.subtract(r_plus, r_minus)
+    resid /= 2.0 * window.delta
+    resid -= rhs
+    return relative_l2(state.geom, resid, rhs, conformal_volume_element(state))
 
 
 def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
     """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
-    num = np.sqrt(integrate_base(geom, resid * resid * dv))
-    den = max(1.0, np.sqrt(integrate_base(geom, ref * ref * dv)))
+    work = resid * resid
+    work *= dv
+    num = np.sqrt(integrate_base(geom, work))
+    np.multiply(ref, ref, out=work)
+    work *= dv
+    den = max(1.0, np.sqrt(integrate_base(geom, work)))
     return float(num / den)
 
 

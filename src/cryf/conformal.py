@@ -22,6 +22,7 @@ volume element is u^4 and Lap_u f = u^(-4) div(u^2 grad f).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,12 @@ class ConformalState:
         u = np.asarray(self.u, dtype=float)
         if u.shape != self.geom.shape:
             raise ValueError(f"u has shape {u.shape}, expected {self.geom.shape}")
-        if not np.all(np.isfinite(u)):
+        # a nan propagates into both extremes, an infinity into one of them
+        lo, hi = u.min(), u.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("u contains non-finite values")
-        if u.min() <= 0.0:
-            raise ValueError(f"u must be positive everywhere (min={u.min()})")
+        if lo <= 0.0:
+            raise ValueError(f"u must be positive everywhere (min={lo})")
         object.__setattr__(self, "u", u)
 
 
@@ -69,7 +72,10 @@ def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarra
     # the flat background's R_base u term is +0.0: adding it only turns a
     # -0.0 into +0.0, which the printed curvatures show
     rhs += 0.0
-    return np.multiply(u ** -3.0, rhs, out=rhs)
+    rhs /= u
+    rhs /= u
+    rhs /= u
+    return rhs
 
 
 def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
@@ -83,8 +89,10 @@ def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -
 
 
 def conformal_volume_element(state: ConformalState) -> np.ndarray:
-    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form."""
-    return state.u ** 4.0
+    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form, as (u u)^2."""
+    dv = state.u * state.u
+    dv *= dv
+    return dv
 
 
 def integrate_conformal(state: ConformalState, f: np.ndarray) -> float:
@@ -100,7 +108,9 @@ def conformal_sub_laplacian(state: ConformalState, f: np.ndarray) -> np.ndarray:
     cancel against the volume element.
     """
     u = state.u
-    return u ** -4.0 * weighted_div_form(state.geom, u * u, f)
+    out = weighted_div_form(state.geom, u * u, f)
+    out *= u ** -4.0
+    return out
 
 
 def scale_state(state: ConformalState, sigma: float) -> ConformalState:

@@ -2,10 +2,15 @@
 
 The right-hand side is taken directly as (n+1) Lap(u) u^(-2/n), without
 building R; the code evaluates it at the nilmanifold's CR dimension n = 1,
-where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps, their
-stages computed in place, under step-doubling error control: one full step
-against two half steps, accepted when the relative L-infinity discrepancy
-meets err_tol, with the next step scaled by safety * (err_tol/err)^(1/5).
+where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps under
+step-doubling error control: one full step against two half steps, accepted
+when the relative L-infinity discrepancy meets err_tol, with the next step
+scaled by safety * (err_tol/err)^(1/5).  Every stage is built in the
+geometry's one stage field and the slopes are summed as they come, and the
+error estimate is formed inside the full step's array, so besides the
+kernel's results a step allocates only the arrays it returns: at 64^3 each
+2 MiB field freed and allocated again can cost a page fault per 4 KiB page,
+once the C allocator has trimmed its heap.
 An explicit scheme keeps the time error a clean high-order term for the
 identity checks; stiffness (the sub-parabolic CFL ~ h^2) is handled by
 dt_max and adaptivity.
@@ -115,25 +120,37 @@ def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
     """One four-stage step of either sign from u > u_floor to a new array.
 
     StepPositivityError if a stage or the result hits the floor; an overflow
-    is such a stage too.  The stages share one buffer, and u +
-    (dt/6)(k1 + 2 k2 + 2 k3 + k4) is built in k2 with that expression's
-    operations and groupings, bit for bit.
+    is such a stage too.  Every stage is built in the geometry's one stage
+    field, and each slope is folded into k2 as soon as the next stage has
+    been built from it, so u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) is built in k2
+    with that expression's operations and groupings, bit for bit, and the
+    returned array is the only one the step allocates besides the kernel's
+    results.
     """
+    stage = geom._stage
+    if stage is None:
+        stage = geom._stage = np.empty(geom.shape)
     try:
         with np.errstate(over="raise"):
-            ks = [_du_dt(geom, u)]
-            stage = np.empty_like(u)
-            for c in (0.5 * dt, 0.5 * dt, dt):
-                np.multiply(ks[-1], c, out=stage)
-                stage += u
-                _check_floor(stage, u_floor)
-                ks.append(_du_dt(geom, stage))
-            k1, k2, k3, k4 = ks
+            k1 = _du_dt(geom, u)
+            np.multiply(k1, 0.5 * dt, out=stage)
+            stage += u
+            _check_floor(stage, u_floor)
+            k2 = _du_dt(geom, stage)
+            np.multiply(k2, 0.5 * dt, out=stage)
+            stage += u
+            _check_floor(stage, u_floor)
             k2 *= 2.0
             k2 += k1
+            del k1
+            k3 = _du_dt(geom, stage)
+            np.multiply(k3, dt, out=stage)
+            stage += u
+            _check_floor(stage, u_floor)
             k3 *= 2.0
             k2 += k3
-            k2 += k4
+            del k3
+            k2 += _du_dt(geom, stage)
             k2 *= dt / 6.0
             k2 += u
     except FloatingPointError as exc:
@@ -199,7 +216,8 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
             dt = dt_new
             continue
         # half > u_floor > 0, so its maximum is its L-infinity norm
-        err = float(np.abs(full - half).max()) / max(float(half.max()), 1e-300)
+        np.subtract(full, half, out=full)
+        err = float(np.abs(full, out=full).max()) / max(float(half.max()), 1e-300)
         factor = _GROWTH_CAP if err == 0.0 else config.safety * (config.err_tol / err) ** 0.2
         if err <= config.err_tol:
             dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))

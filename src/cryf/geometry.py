@@ -24,10 +24,12 @@ never assumed.
 Fields are plain float64 numpy arrays of shape (N_x, N_y, N_z), C-order,
 so the z index varies fastest.
 
-The divergence-form kernel works in three scratch fields that each geometry
-allocates on first use and keeps, so one geometry must not be shared by
-threads that apply the kernel concurrently.  Build one geometry per grid and
-pass it around: every further geometry of the same grid holds three more.
+A geometry holds four work fields, each allocated on first use and kept:
+three scratch fields of the divergence-form kernel and the one stage field
+of the flow's four-stage step.  So one geometry must not be shared by
+threads that apply the kernel or step the flow concurrently.  Build one
+geometry per grid and pass it around: every further geometry of the same
+grid holds four more.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class BaseGeometry:
         self._q = self.x_coord * spec.twist
         # work fields of _div_form, allocated on its first call
         self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # stage field of flow._rk4_any, allocated on its first call
+        self._stage: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -51,16 +51,23 @@ UNTWISTED_CASES = (
 
 
 class ThetaField:
-    """Theta-sum test field and its exact frame derivatives / sub-Laplacian."""
+    """Theta-sum test field and its exact sub-Laplacian."""
 
-    __slots__ = ("f", "lap", "xf", "yf", "zf")
+    __slots__ = ("f", "lap")
 
-    def __init__(self, f, lap, xf, yf, zf):
+    def __init__(self, f, lap):
         self.f = f
         self.lap = lap
-        self.xf = xf
-        self.yf = yf
-        self.zf = zf
+
+
+def _theta_terms(geom: BaseGeometry):
+    """Per theta-sum index m: (m, x, c, E_m, cos p_m, sin p_m), c = x + m - 1/2."""
+    x, y, z = geom.coords()
+    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
+        c = x + m - 0.5
+        env = np.exp(-THETA_KAPPA * c * c)
+        phase = TWO_PI * (z + m * y)
+        yield m, x, c, env, np.cos(phase), np.sin(phase)
 
 
 def theta_field(geom: BaseGeometry) -> ThetaField:
@@ -68,32 +75,35 @@ def theta_field(geom: BaseGeometry) -> ThetaField:
 
     kappa = THETA_KAPPA sets the Gaussian width 1/sqrt(2 kappa); the
     |m| > THETA_M_RANGE tail is far below double-precision resolution, so
-    the truncation is exact for numerical purposes.  Exact identities used:
+    the truncation is exact for numerical purposes.  Exact identity used:
+
+        (X^2 + Y^2) f = sum_m [E_m'' - 4 pi^2 (m+x)^2 E_m] cos(p_m)
+
+    with E_m = exp(-kappa (x+m-1/2)^2) and p_m = 2 pi (z + m y).  Builds f
+    and its sub-Laplacian only; `theta_frame_derivatives` gives X f, Y f and Z f.
+    """
+    f = np.zeros(geom.shape)
+    lap = np.zeros(geom.shape)
+    for m, x, c, env, cosp, _ in _theta_terms(geom):
+        dd_env = (4.0 * THETA_KAPPA**2 * c * c - 2.0 * THETA_KAPPA) * env
+        f += env * cosp
+        lap += (dd_env - 4.0 * np.pi**2 * (m + x) ** 2 * env) * cosp
+    return ThetaField(f, lap)
+
+
+def theta_frame_derivatives(geom: BaseGeometry):
+    """Exact frame derivatives (X f, Y f, Z f) of the `theta_field` f:
 
         X f = sum_m E_m' cos(p_m)
         Y f = -2 pi sum_m (m + x) E_m sin(p_m)
         Z f = -2 pi sum_m E_m sin(p_m)
-        (X^2 + Y^2) f = sum_m [E_m'' - 4 pi^2 (m+x)^2 E_m] cos(p_m)
-
-    with E_m = exp(-kappa (x+m-1/2)^2) and p_m = 2 pi (z + m y).
     """
-    x, y, z = geom.coords()
-    f = np.zeros(geom.shape)
-    lap = np.zeros(geom.shape)
     xf = np.zeros(geom.shape)
     yf = np.zeros(geom.shape)
     zf = np.zeros(geom.shape)
-    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
-        c = x + m - 0.5
-        env = np.exp(-THETA_KAPPA * c * c)
+    for m, x, c, env, cosp, sinp in _theta_terms(geom):
         d_env = -2.0 * THETA_KAPPA * c * env
-        dd_env = (4.0 * THETA_KAPPA**2 * c * c - 2.0 * THETA_KAPPA) * env
-        phase = TWO_PI * (z + m * y)
-        cosp = np.cos(phase)
-        sinp = np.sin(phase)
-        f += env * cosp
-        lap += (dd_env - 4.0 * np.pi**2 * (m + x) ** 2 * env) * cosp
         xf += d_env * cosp
         yf += -TWO_PI * (m + x) * env * sinp
         zf += -TWO_PI * env * sinp
-    return ThetaField(f, lap, xf, yf, zf)
+    return xf, yf, zf

@@ -111,12 +111,15 @@ class FamilyScan(NamedTuple):
 def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:
     s0 = soliton_state(family, t)
     r, dv, record = curvature_moments(s0)
-    # du/dt + R u / 2, which vanishes on a flow solution
-    resid = np.subtract(soliton_state(family, t + delta).u, soliton_state(family, t - delta).u)
+    # du/dt + R u / 2, which vanishes on a flow solution; the t - delta field
+    # is subtracted inside the t + delta one, and the drift R u / 2 is built in r
+    resid = soliton_state(family, t + delta).u
+    resid -= soliton_state(family, t - delta).u
     resid /= 2.0 * delta
-    drift = 0.5 * r * s0.u
-    resid += drift
-    return FamilySample(record, relative_l2(s0.geom, resid, drift, dv))
+    r *= 0.5
+    r *= s0.u
+    resid += r
+    return FamilySample(record, relative_l2(s0.geom, resid, r, dv))
 
 
 def scan_family(family: SolitonFamily, times: Sequence[float]) -> FamilyScan:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cryf.analysis import (
     DiagnosticsRecord,
+    _curvature_rhs,
     constancy_verdict,
     curvature_evolution_residual,
     curvature_moments,
@@ -19,11 +20,13 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
+    relative_l2,
     volume_rate_residual,
     yamabe_quantity,
 )
 from cryf.conformal import (
     ConformalState,
+    conformal_sub_laplacian,
     conformal_volume_element,
     integrate_conformal,
     scale_state,
@@ -33,7 +36,7 @@ from cryf.conformal import (
 import cryf.flow
 from cryf.errors import FloatRangeError
 from cryf.flow import FlowConfig, probe_window, run_flow
-from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
+from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
 from conftest import random_state, single_mode_state
 
@@ -200,6 +203,65 @@ class TestCurvatureEvolutionResidual:
             window = probe_window(single_mode_state(geom, 0.1), 1e-4)
             vals.append(curvature_evolution_residual(window))
         assert vals[1] < vals[0]
+
+
+def old_relative_l2(geom, resid, ref, dv):
+    # the expression relative_l2 evaluated before it reused one work field
+    num = np.sqrt(integrate_base(geom, resid * resid * dv))
+    den = max(1.0, np.sqrt(integrate_base(geom, ref * ref * dv)))
+    return float(num / den)
+
+
+GRIDS_16 = [(16, 16, 16), (8, 4, 12)]
+
+
+def states(shape, seeds):
+    geom = build_nilmanifold(GridSpec(*shape))
+    return [random_state(geom, seed, amplitude=0.3, smooth=2) for seed in seeds]
+
+
+class TestInPlaceArithmetic:
+    """Bit for bit, through float.hex, against test-local copies of the
+    expressions that allocated a field per operation.  A grid sum absorbs
+    most single-entry rounding changes, so each test runs over several
+    states."""
+
+    @pytest.mark.parametrize("shape", GRIDS_16)
+    def test_curvature_moments(self, shape):
+        for state in states(shape, range(8)):
+            geom = state.geom
+            r = webster_curvature(state)
+            dv = conformal_volume_element(state)
+            record = curvature_moments(state, r=r)[2]
+            got = [record.vol, record.intR, record.intR2]
+            want = [integrate_base(geom, dv), integrate_base(geom, r * dv),
+                    integrate_base(geom, r * r * dv)]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("shape", GRIDS_16)
+    def test_relative_l2(self, shape):
+        rng = np.random.default_rng(3)
+        for state in states(shape, range(8)):
+            geom = state.geom
+            dv = conformal_volume_element(state)
+            for scale in (1e-3, 1.0, 1e3):
+                resid, ref = scale * rng.standard_normal((2, *geom.shape))
+                got = relative_l2(geom, resid, ref, dv)
+                assert got.hex() == old_relative_l2(geom, resid, ref, dv).hex()
+
+    @pytest.mark.parametrize("shape", GRIDS_16)
+    def test_curvature_rhs_and_residual(self, shape):
+        for window in (probe_window(s, 1e-4) for s in states(shape, range(3))):
+            state = window.states[1]
+            geom, u = state.geom, state.u
+            r_minus, r0, r_plus = window.curvatures
+            lap = u ** -4.0 * weighted_div_form(geom, u * u, r0)
+            rhs = 2.0 * lap + r0 * r0
+            drdt = (r_plus - r_minus) / (2.0 * window.delta)
+            assert np.array_equal(conformal_sub_laplacian(state, r0), lap)
+            assert np.array_equal(_curvature_rhs(state, r0), rhs)
+            want = old_relative_l2(geom, drdt - rhs, rhs, conformal_volume_element(state))
+            assert curvature_evolution_residual(window).hex() == want.hex()
 
 
 class TestIdentityResiduals:

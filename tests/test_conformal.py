@@ -37,6 +37,22 @@ class TestState:
         with pytest.raises(ValueError, match="finite"):
             ConformalState(geom4, u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("other", [1.0, -1.0, 0.0])
+    def test_nonfinite_reported_before_sign(self, geom4, bad, other):
+        # the extremes carry a nan or an infinity anywhere in the field
+        u = np.ones(geom4.shape)
+        u[3, 2, 1] = bad
+        u[0, 1, 2] = other
+        with pytest.raises(ValueError, match="^u contains non-finite values$"):
+            ConformalState(geom4, u)
+
+    def test_nonpositive_message_names_the_minimum(self, geom4):
+        u = np.ones(geom4.shape)
+        u[1, 2, 3] = -0.25
+        with pytest.raises(ValueError, match=r"^u must be positive everywhere \(min=-0\.25\)$"):
+            ConformalState(geom4, u)
+
     def test_rejects_wrong_shape(self, geom4):
         with pytest.raises(ValueError, match="shape"):
             ConformalState(geom4, np.ones((4, 4, 5)))
@@ -80,6 +96,30 @@ class TestWebsterCurvature:
             exact = 16.0 * np.pi**2 * eps * s / (1.0 + eps * s) ** 3
             errs.append(np.abs(webster_curvature(state) - exact).max())
         assert np.log2(errs[0] / errs[1]) >= 1.8
+
+
+class TestNoFloatPowers:
+    """Curvature and volume element by products and quotients, within a few
+    roundings of the power expressions they replaced."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_close_to_power_expressions(self, geom16, scale):
+        eps = np.finfo(float).eps
+        state = scale_state(random_state(geom16, 8, amplitude=0.6, smooth=2), scale)
+        u = state.u
+        rhs = -4.0 * sub_laplacian_base(geom16, u) + 0.0
+        old = u ** -3.0 * rhs
+        assert np.all(np.abs(webster_curvature(state) - old) <= 4 * eps * np.abs(old))
+        old = u ** 4.0
+        assert np.all(np.abs(conformal_volume_element(state) - old) <= 3 * eps * old)
+
+    def test_volume_element_is_a_new_array(self, geom448):
+        state = random_state(geom448, 2)
+        u0 = state.u.copy()
+        dv = conformal_volume_element(state)
+        assert not np.shares_memory(dv, state.u)
+        assert np.array_equal(state.u, u0)
+        assert np.array_equal(dv, (u0 * u0) * (u0 * u0))
 
 
 class TestVolume:

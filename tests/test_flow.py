@@ -200,6 +200,72 @@ class TestStepAdaptive:
         assert step <= 6.2 * state.u.nbytes + kernel
 
 
+def peak_of(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepAllocations:
+    """Every stage is built in the geometry's one stage field, so beyond the
+    kernel's own peak (its result and numpy's buffers) a step holds only the
+    arrays it returns or still reads."""
+
+    @pytest.fixture()
+    def warm(self, geom16):
+        state = single_mode_state(geom16, 0.2)
+        integrate_fixed(state, 1e-4, 1)  # allocates the geometry's work fields
+        return state, state.u.nbytes, peak_of(lambda: _du_dt(geom16, state.u))
+
+    def test_rk4_holds_one_field(self, geom16, warm):
+        # the slope sum, which becomes the result
+        state, field_bytes, kernel = warm
+        peak = peak_of(lambda: flow._rk4_any(geom16, state.u, 1e-4, DEFAULT_U_FLOOR))
+        assert peak <= 1.2 * field_bytes + kernel
+
+    def test_integrate_fixed_holds_two_fields(self, geom16, warm):
+        # the previous step's result and the current slope sum
+        state, field_bytes, kernel = warm
+        peak = peak_of(lambda: integrate_fixed(state, 1e-4, 8))
+        assert peak <= 2.2 * field_bytes + kernel
+
+    def test_rejecting_step_holds_three_fields(self, geom16, warm):
+        # the full step, the first half step and the second half step's slope
+        # sum; the first attempt is rejected by error control (see
+        # TestStepAdaptive.test_peak_memory_of_a_rejecting_step)
+        state, field_bytes, kernel = warm
+        cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
+        peak = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
+        assert peak <= 3.2 * field_bytes + kernel
+
+    def test_results_share_no_memory(self, geom16):
+        state = random_state(geom16, 6, amplitude=0.4, smooth=2)
+        cfg = FlowConfig(t_end=3e-4, dt_init=1e-4, dt_max=1e-4, snapshot_every=1)
+        results = [
+            flow._rk4_any(geom16, state.u, 1e-4, DEFAULT_U_FLOOR),
+            flow._rk4_any(geom16, state.u, -1e-4, DEFAULT_U_FLOOR),
+            integrate_fixed(state, 1e-4, 1).u,
+            integrate_fixed(state, 1e-4, 2).u,
+            step_adaptive(state, 1e-4, cfg)[0].u,
+            step_adaptive(state, 2e-4, cfg)[0].u,
+        ]
+        kept = [a.copy() for a in results]
+        snapshots = run_flow(state, cfg).snapshots
+        assert len(snapshots) >= 3 and snapshots[0] is state
+        results += [s.u for s in snapshots[1:]]
+        work = [*geom16._scratch, geom16._stage]
+        for i, a in enumerate(results):
+            assert not any(np.shares_memory(a, w) for w in work)
+            assert not np.shares_memory(a, state.u)
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # later steps overwrite the work fields, never an earlier result
+        assert all(np.array_equal(a, b) for a, b in zip(results, kept))
+
+
 class TestCheckCounts:
     """Each field is checked against the floor once, and each call builds one state."""
 
@@ -236,32 +302,43 @@ class TestCheckCounts:
         assert counts == {"above": 1, "floor": 12, "states": 1}
 
 
+def assert_classical_rk4(geom, state, t_offset):
+    # integrate_fixed matches the textbook four-stage expression bit for bit
+    u0 = state.u.copy()
+    dt = t_offset / 3
+
+    def rhs(u):
+        return _du_dt(geom, u)
+
+    u = state.u
+    for _ in range(3):
+        k1 = rhs(u)
+        k2 = rhs(u + (0.5 * dt) * k1)
+        k3 = rhs(u + (0.5 * dt) * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(integrate_fixed(state, t_offset, 3).u, u)
+    steps = [state]
+    for _ in range(3):
+        steps.append(integrate_fixed(steps[-1], dt, 1))
+    assert np.array_equal(steps[-1].u, u)
+    for i, a in enumerate(steps):
+        for b in steps[i + 1:]:
+            assert not np.shares_memory(a.u, b.u)
+    assert np.array_equal(state.u, u0)
+
+
 class TestIntegrateFixed:
     def test_bitwise_classical_rk4(self, geom16):
         # dt * |lambda_max| is about 1, so every stage's rounding reaches u
         state = random_state(geom16, 6, amplitude=0.4, smooth=2)
-        u0 = state.u.copy()
-        dt = 3e-4 / 3
+        assert_classical_rk4(geom16, state, 3e-4)
 
-        def rhs(u):
-            return _du_dt(geom16, u)
-
-        u = state.u
-        for _ in range(3):
-            k1 = rhs(u)
-            k2 = rhs(u + (0.5 * dt) * k1)
-            k3 = rhs(u + (0.5 * dt) * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.array_equal(integrate_fixed(state, 3e-4, 3).u, u)
-        steps = [state]
-        for _ in range(3):
-            steps.append(integrate_fixed(steps[-1], dt, 1))
-        assert np.array_equal(steps[-1].u, u)
-        for i, a in enumerate(steps):
-            for b in steps[i + 1:]:
-                assert not np.shares_memory(a.u, b.u)
-        assert np.array_equal(state.u, u0)
+    def test_bitwise_classical_rk4_twisted(self):
+        # N_x != N_y and twist 3: the x-wrap shear reaches every stage
+        geom = build_nilmanifold(GridSpec(6, 4, 12))
+        state = random_state(geom, 6, amplitude=0.4, smooth=2)
+        assert_classical_rk4(geom, state, 3e-3)
 
     def test_time_bookkeeping_exact(self, geom448):
         state = random_state(geom448, 3, amplitude=0.1, smooth=2)

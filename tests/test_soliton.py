@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cryf.conformal
-from cryf.analysis import constancy_verdict, make_record, yamabe_quantity
+from cryf.analysis import constancy_verdict, curvature_moments, make_record, yamabe_quantity
 from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
-from cryf.geometry import GridSpec, build_nilmanifold
+from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
 from cryf.soliton import (
     SolitonFamily,
     Verdict,
+    _residual_delta,
     scan_family,
     shift_steps,
     soliton_invariance_check,
@@ -262,3 +264,22 @@ class TestFamilyScan:
         # a scan with no sample would pass the harness vacuously
         with pytest.raises(ValueError, match="times must list at least one time"):
             scan_family(constant_family(geom448), ())
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
+    def test_flow_residual_bitwise_equal_to_plain_expression(self, shape):
+        # against a test-local copy of the residual built with a new field
+        # per operation; float.hex compares every bit
+        geom = build_nilmanifold(GridSpec(*shape))
+        for seed, t in itertools.product(range(4), (0.0, 0.25, 0.5)):
+            fam = SolitonFamily(random_state(geom, seed, amplitude=0.3, smooth=2), 0.5, 1.0)
+            delta = _residual_delta(fam)
+            s0 = soliton_state(fam, t)
+            r, dv, _ = curvature_moments(s0)
+            resid = np.subtract(soliton_state(fam, t + delta).u,
+                                soliton_state(fam, t - delta).u)
+            resid /= 2.0 * delta
+            drift = 0.5 * r * s0.u
+            resid += drift
+            num = np.sqrt(integrate_base(geom, resid * resid * dv))
+            den = max(1.0, np.sqrt(integrate_base(geom, drift * drift * dv)))
+            assert flow_residual(fam, t).hex() == float(num / den).hex()
