@@ -15,7 +15,7 @@ by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
 (h, delta) refinement.  The code evaluates these laws at CR dimension n = 1.
 Every window residual reads one `ProbeWindow` from `flow.probe_window`: the
-probes at t +/- delta and the curvature of each window state, computed once.
+probes at t +/- delta and each window state's curvature and record, made once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import FloatRangeError
 from .geometry import integrate_base
 
 MONOTONE_SLACK = 1e-8
-DEFAULT_CONSTANCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class DiagnosticsRecord:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    def is_constant(self, tol_rel: float = DEFAULT_CONSTANCY_TOL) -> bool:
+    def is_constant(self, tol_rel: float) -> bool:
         """var/vol^2 <= tol_rel * max(1, (int R dV / vol)^2): the scale-calibrated
         stand-in for "R is constant" via the Cauchy-Schwarz equality case."""
         mean = self.intR / self.vol
@@ -156,16 +155,17 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
 
 
 class ProbeWindow(NamedTuple):
-    """States at t - delta, t and t + delta, and the curvature R of each."""
+    """States at t - delta, t and t + delta, and the curvature R and record of each."""
 
     states: tuple[ConformalState, ConformalState, ConformalState]
     curvatures: tuple[np.ndarray, np.ndarray, np.ndarray]
+    records: tuple[DiagnosticsRecord, DiagnosticsRecord, DiagnosticsRecord]
     delta: float
 
 
 def identity_window(window: ProbeWindow):
     """Records at t - delta, t, t + delta of a probe window."""
-    return tuple(make_record(s, r=r) for s, r in zip(window.states, window.curvatures))
+    return window.records
 
 
 def _window_spacing(window) -> float:
@@ -179,28 +179,26 @@ def _window_spacing(window) -> float:
     return r2.t - r0.t
 
 
+def _rate_residual(window, name: str, rate: float) -> float:
+    """|centred difference of the field `name` - rate| / max(1, |rate|) on a record window."""
+    span = _window_spacing(window)
+    ddt = (getattr(window[2], name) - getattr(window[0], name)) / span
+    return abs(ddt - rate) / max(1.0, abs(rate))
+
+
 def mean_curvature_rate_residual(window) -> float:
     """Normalized residual of d/dt int R dV = -int R^2 dV on a record window."""
-    span = _window_spacing(window)
-    r0, r1, r2 = window
-    ddt = (r2.intR - r0.intR) / span
-    return abs(ddt + r1.intR2) / max(1.0, r1.intR2)
+    return _rate_residual(window, "intR", -window[1].intR2)
 
 
 def volume_rate_residual(window) -> float:
     """Normalized residual of d/dt int dV = -2 int R dV on a record window."""
-    span = _window_spacing(window)
-    r0, r1, r2 = window
-    ddt = (r2.vol - r0.vol) / span
-    return abs(ddt + 2.0 * r1.intR) / max(1.0, 2.0 * abs(r1.intR))
+    return _rate_residual(window, "vol", -2.0 * window[1].intR)
 
 
 def dEdt_mismatch(window) -> float:
     """Normalized gap between the centered difference of E and the closed-form dE/dt."""
-    span = _window_spacing(window)
-    r0, r1, r2 = window
-    fd = (r2.E - r0.E) / span
-    return abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
+    return _rate_residual(window, "E", window[1].dEdt_formula)
 
 
 def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
@@ -258,7 +256,7 @@ def identity_residuals(window: ProbeWindow) -> IdentityResiduals:
     )
 
 
-def constancy_verdict(state: ConformalState, tol_rel: float = DEFAULT_CONSTANCY_TOL,
+def constancy_verdict(state: ConformalState, tol_rel: float,
                       u_floor: float = DEFAULT_U_FLOOR) -> bool:
     """`DiagnosticsRecord.is_constant` on the record of `state`."""
     return make_record(state, u_floor=u_floor).is_constant(tol_rel)

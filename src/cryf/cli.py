@@ -52,7 +52,16 @@ def _fmt(x: float) -> str:
 
 
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
+    """The checked path of one output file, so that no run stops after its first write.
+
+    ConfigurationError if the path is a directory, is not in a directory, or
+    exists without overwrite.
+    """
     path = os.path.join(outdir, name)
+    if os.path.isdir(path):
+        raise ConfigurationError(f"output file {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"output file {path} is not in an existing directory")
     if os.path.exists(path) and not overwrite:
         raise ConfigurationError(f"output file {path} exists; pass --overwrite to replace it")
     return path
@@ -139,7 +148,7 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
     window = flow.probe_window(state, a.delta)
     res = analysis.identity_residuals(window)
     r_field = window.curvatures[1]
-    e0 = analysis.make_record(state, r=r_field).E
+    e0 = window.records[1].E
     del window  # the probe fields go before the scaled and pulled-back states come
     rows = [
         ("volume_rate", res.volume_rate, a.max_volume_rate),
@@ -189,8 +198,10 @@ def _orders(errors: list[float]) -> list[float]:
     return out
 
 
-def _l2_error(geom, approx, exact) -> float:
-    diff = approx - exact
+def _laplacian_error(geom, factory) -> float:
+    """L2 error of the sub-Laplacian on a manufactured pair (f, exact), freed on return."""
+    f, lap = factory(geom)
+    diff = sub_laplacian_base(geom, f) - lap
     return float(np.sqrt(integrate_base(geom, diff * diff)))
 
 
@@ -203,18 +214,12 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         raise ConfigurationError(f"grid list must be strictly increasing, got {grids}")
     geoms = [build_nilmanifold(GridSpec(n, n, n)) for n in grids]
 
-    cases = []
-    for name, factory in manufactured.UNTWISTED_CASES:
-        errs = []
-        for geom in geoms:
-            f, lap = factory(geom)
-            errs.append(_l2_error(geom, sub_laplacian_base(geom, f), lap))
-        cases.append((f"laplacian_{name}", errs, cfg.analysis.min_order_untwisted))
-    errs = []
-    for geom in geoms:
-        tf = manufactured.theta_field(geom)
-        errs.append(_l2_error(geom, sub_laplacian_base(geom, tf.f), tf.lap))
-    cases.append(("laplacian_theta_twisted", errs, cfg.analysis.min_order_twisted))
+    laplacian_cases = [(name, factory, cfg.analysis.min_order_untwisted)
+                       for name, factory in manufactured.UNTWISTED_CASES]
+    laplacian_cases.append(("theta_twisted", manufactured.theta_field,
+                            cfg.analysis.min_order_twisted))
+    cases = [(f"laplacian_{name}", [_laplacian_error(geom, factory) for geom in geoms], min_order)
+             for name, factory, min_order in laplacian_cases]
 
     base_delta = cfg.analysis.delta
     residuals = [

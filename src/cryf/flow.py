@@ -5,9 +5,9 @@ building R; the code evaluates it at the nilmanifold's CR dimension n = 1,
 where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps under
 step-doubling error control: one full step against two half steps, accepted
 when the relative L-infinity discrepancy meets err_tol, with the next step
-scaled by safety * (err_tol/err)^(1/5).  Every stage is built in the
-geometry's one stage field and the slopes are summed as they come, and the
-error estimate is formed inside the full step's array, so besides the
+scaled by safety * (err_tol/err)^(1/5).  Every stage is built in the stage
+field made with the geometry and the slopes are summed as they come, and
+the error estimate is formed inside the full step's array, so besides the
 kernel's results a step allocates only the arrays it returns: at 64^3 each
 2 MiB field freed and allocated again can cost a page fault per 4 KiB page,
 once the C allocator has trimmed its heap.
@@ -22,7 +22,8 @@ accepted one, or the probe at its final time.  The next step size always lies
 in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
 unnormalized flow can collapse volume), not an error; only error-control
 underflow is anomalous.  `probe_window` builds the identity checks' probes
-from fixed steps; the residuals that read them live in `analysis`.
+from fixed steps, and the curvature and record of each window state; the
+residuals that read them live in `analysis`.
 """
 
 from __future__ import annotations
@@ -128,8 +129,6 @@ def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
     results.
     """
     stage = geom._stage
-    if stage is None:
-        stage = geom._stage = np.empty(geom.shape)
     try:
         with np.errstate(over="raise"):
             k1 = _du_dt(geom, u)
@@ -182,11 +181,13 @@ def integrate_fixed(state: ConformalState, t_offset: float,
 
 def probe_window(state: ConformalState, delta: float) -> ProbeWindow:
     """The probes of `state` at t +/- delta from high-accuracy reference steps,
-    and the curvature of each of the three window states, computed once."""
+    and the curvature and record of each of the three window states, computed once."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     states = (integrate_fixed(state, -delta), state, integrate_fixed(state, delta))
-    return ProbeWindow(states, tuple(webster_curvature(s) for s in states), delta)
+    curvatures = tuple(webster_curvature(s) for s in states)
+    records = tuple(make_record(s, r=r) for s, r in zip(states, curvatures))
+    return ProbeWindow(states, curvatures, records, delta)
 
 
 def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):

@@ -24,9 +24,10 @@ never assumed.
 Fields are plain float64 numpy arrays of shape (N_x, N_y, N_z), C-order,
 so the z index varies fastest.
 
-A geometry holds four work fields, each allocated on first use and kept:
-three scratch fields of the divergence-form kernel and the one stage field
-of the flow's four-stage step.  So one geometry must not be shared by
+A geometry holds four work fields, made with it by `np.empty` (untouched
+pages of a large field cost no resident memory): three scratch fields of the
+divergence-form kernel and the one stage field of the flow's four-stage step.
+Every kernel call and step writes them, so one geometry must not be shared by
 threads that apply the kernel or step the flow concurrently.  Build one
 geometry per grid and pass it around: every further geometry of the same
 grid holds four more.
@@ -63,6 +64,11 @@ class GridSpec:
             raise ConfigurationError(
                 "N_y must divide N_z so the sheared x-wrap lands on grid points "
                 f"(got N_y={self.ny}, N_z={self.nz})"
+            )
+        if 8 * math.prod(map(int, self.shape)) > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"grid {self.nx}x{self.ny}x{self.nz} is too large: a float64 field "
+                f"would exceed {np.iinfo(np.intp).max} bytes"
             )
 
     @property
@@ -130,10 +136,9 @@ class BaseGeometry:
                       for step in (1, -1)}
         # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
         self._q = self.x_coord * spec.twist
-        # work fields of _div_form, allocated on its first call
-        self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # stage field of flow._rk4_any, allocated on its first call
-        self._stage: np.ndarray | None = None
+        # work fields of _div_form and the stage field of flow._rk4_any
+        self._scratch = tuple(np.empty(spec.shape) for _ in range(3))
+        self._stage = np.empty(spec.shape)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -299,8 +304,6 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
     form is evaluated; it differs from the average only by rounding.  Works
     in the geometry's three scratch fields; only the returned array is new.
     """
-    if geom._scratch is None:
-        geom._scratch = tuple(np.empty(geom.shape) for _ in range(3))
     a, b, c = geom._scratch
     out = np.empty(geom.shape)
     _conservative_form(geom, f, w, 1, out, a, b, c)
@@ -348,7 +351,7 @@ def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:
 
 def grid_inner(geom: BaseGeometry, f: np.ndarray, g: np.ndarray) -> float:
     """Grid inner product <f, g> = w0 * sum(f*g)."""
-    return float(geom.w0 * np.sum(np.asarray(f) * np.asarray(g)))
+    return integrate_base(geom, np.asarray(f) * np.asarray(g))
 
 
 def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int) -> np.ndarray:

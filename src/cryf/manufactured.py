@@ -13,6 +13,8 @@ x-wrap shear exactly).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .geometry import BaseGeometry
@@ -50,14 +52,11 @@ UNTWISTED_CASES = (
 )
 
 
-class ThetaField:
+class ThetaField(NamedTuple):
     """Theta-sum test field and its exact sub-Laplacian."""
 
-    __slots__ = ("f", "lap")
-
-    def __init__(self, f, lap):
-        self.f = f
-        self.lap = lap
+    f: np.ndarray
+    lap: np.ndarray
 
 
 def _theta_terms(geom: BaseGeometry):

@@ -187,6 +187,51 @@ class TestRateResiduals:
             volume_rate_residual((off, shifted, r))
 
 
+def old_rate_residuals(window):
+    """The three window rates as separate expressions, each with its own arithmetic."""
+    r0, r1, r2 = window
+    span = r2.t - r0.t
+    mean = abs((r2.intR - r0.intR) / span + r1.intR2) / max(1.0, r1.intR2)
+    vol = abs((r2.vol - r0.vol) / span + 2.0 * r1.intR) / max(1.0, 2.0 * abs(r1.intR))
+    fd = (r2.E - r0.E) / span
+    dedt = abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
+    return mean, vol, dedt
+
+
+def record_window(rng, scale):
+    """Three records at t = 0, 0.25, 0.5 with random moments of magnitude `scale`."""
+    window = []
+    for t in (0.0, 0.25, 0.5):
+        vol = scale * rng.uniform(0.5, 2.0)
+        int_r = scale * rng.standard_normal()
+        int_r2 = int_r * int_r / vol * rng.uniform(1.0, 3.0)
+        window.append(DiagnosticsRecord(
+            t=t, E=scale * rng.standard_normal(), vol=vol, intR=int_r, intR2=int_r2,
+            var=int_r2 * vol - int_r * int_r, dEdt_formula=-scale * rng.uniform(),
+            min_u=1.0, min_R=0.0, max_R=0.0, dt=0.0))
+    return tuple(window)
+
+
+class TestRateResidualsBitwise:
+    def test_equal_to_separate_expressions(self, geom448, geom16):
+        rng = np.random.default_rng(15)
+        windows = [record_window(rng, scale) for scale in (1e-3, 0.1, 1.0, 3.0, 1e3, 1e6)]
+        # a centre with zero int R^2 (so zero int R) and one with negative int R
+        zero = dataclasses.replace(windows[2][1], intR=0.0, intR2=0.0, var=0.0)
+        windows.append((windows[2][0], zero, windows[2][2]))
+        negative = dataclasses.replace(windows[3][1], intR=-abs(windows[3][1].intR))
+        windows.append((windows[3][0], negative, windows[3][2]))
+        windows.append(identity_window(probe_window(ConformalState(
+            geom448, np.full(geom448.shape, 1.0)), 1e-4)))
+        windows.append(identity_window(probe_window(single_mode_state(geom16, 0.1), 1e-4)))
+        assert any(w[1].intR2 == 0.0 for w in windows)
+        assert any(w[1].intR < 0.0 for w in windows)
+        for window in windows:
+            got = (mean_curvature_rate_residual(window), volume_rate_residual(window),
+                   dEdt_mismatch(window))
+            assert [g.hex() for g in got] == [w.hex() for w in old_rate_residuals(window)]
+
+
 class TestCurvatureEvolutionResidual:
     def test_constant_state_zero(self, geom448):
         state = ConformalState(geom448, np.full(geom448.shape, 2.0))
@@ -293,6 +338,15 @@ class TestIdentityResiduals:
         assert len(calls) == 2
         assert window.states[1] is state and window.delta == 1e-4
         assert [s.t for s in window.states] == [-1e-4, 0.0, 1e-4]
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
+    def test_window_records_equal_make_record(self, shape):
+        for state in states(shape, range(2)):
+            window = probe_window(state, 1e-4)
+            assert identity_window(window) is window.records
+            for s, r, rec in zip(window.states, window.curvatures, window.records):
+                want = make_record(s, r=r).as_tuple()
+                assert [v.hex() for v in rec.as_tuple()] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_delta_rejected(self, geom448, delta):

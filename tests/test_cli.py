@@ -2,6 +2,7 @@ import contextlib
 import io
 import pathlib
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,25 @@ class TestRunFlow:
         assert err.rstrip("\n").endswith(clash)
         assert geometries == [] and list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flow, output, overwrite, reason", [
+        ("snapshot_every = 1\n", "snapshot_prefix = nodir/snap\n", False,
+         "nodir/snap_0000.cryf is not in an existing directory"),
+        ("", "report = nodir/report.txt\n", False,
+         "nodir/report.txt is not in an existing directory"),
+        ("", "report = .\n", True, "/. is a directory"),
+    ], ids=["snapshot_dir_missing", "report_dir_missing", "report_is_the_out_dir"])
+    def test_unwritable_output_stops_before_any_write(self, tmp_path, capsys, flow, output,
+                                                      overwrite, reason):
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\n" + flow
+                        + "\n[output]\n" + output)
+        out = tmp_path / "out"
+        argv = ["run-flow", "--config", cfg, "--out", str(out)] + ["--overwrite"] * overwrite
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output file {out}")
+        assert err.endswith(reason + "\n") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_unwritable_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
         blocker = tmp_path / "blocker"
@@ -230,6 +250,21 @@ class TestCheckIdentities:
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 5
 
+    def test_one_record_per_state(self, tmp_path, monkeypatch):
+        # the three window states, whose centre record gives E at t, and the
+        # scaled and pulled-back states
+        calls = []
+        real = cryf.analysis.curvature_moments
+
+        def counting(state, *args, **kwargs):
+            calls.append(state.t)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(cryf.analysis, "curvature_moments", counting)
+        cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
+        assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [-1e-4, 0.0, 1e-4, 0.0, 0.0]
+
     def test_bad_delta_exit_2(self, tmp_path, capsys):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
             "\n[analysis]\ndelta = 0\n"
@@ -241,7 +276,7 @@ class TestCheckIdentities:
 
 # 8^3 inputs that once ended in a false verdict, a false PASS or a traceback:
 # each must exit 2
-@pytest.mark.parametrize("command, preset, extra, message", [
+OUT_OF_RANGE_8 = [
     ("soliton-check", "constant", "[soliton]\nvar_tol = nan\n",
      "[soliton]: var_tol must be positive and finite, got nan"),
     ("soliton-check", "constant", "[soliton]\nflow_tol = nan\n",
@@ -259,12 +294,23 @@ class TestCheckIdentities:
     ("run-flow", "constant", "c = inf\n", "constant preset needs finite c > 0, got inf"),
     ("check-identities", "single_mode_x", "c = 1.5e308\nepsilon = 1e308\n",
      "mode preset needs c - |epsilon| > 0 and c + |epsilon| finite"),
+]
+# a field of this grid would have more bytes than numpy can index
+GRID_BEYOND_INTP = (10**20, 4, 4)
+
+
+@pytest.mark.parametrize("command, preset, extra, message, grid", [
+    *((*row, (8, 8, 8)) for row in OUT_OF_RANGE_8),
+    *((command, "constant", "", "grid 100000000000000000000x4x4 is too large", GRID_BEYOND_INTP)
+      for command in ("run-flow", "check-identities", "soliton-check")),
 ], ids=["var_tol_nan", "flow_tol_nan", "max_volume_rate_nan", "c_1e100", "c_1e70",
         "soliton_c_1e70", "volume_underflows", "t_end_inf",
-        "seed_negative", "c_inf", "mode_overflows"])
+        "seed_negative", "c_inf", "mode_overflows", "run_flow_grid_beyond_intp",
+        "check_identities_grid_beyond_intp", "soliton_check_grid_beyond_intp"])
 def test_out_of_range_input_exit_2_without_traceback(tmp_path, capsys, command, preset,
-                                                     extra, message):
-    cfg = write_cfg(tmp_path, body="[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n"
+                                                     extra, message, grid):
+    nx, ny, nz = grid
+    cfg = write_cfg(tmp_path, body=f"[geometry]\nN_x = {nx}\nN_y = {ny}\nN_z = {nz}\n"
                                    f"[initial_data]\npreset = {preset}\n{extra}")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -320,6 +366,34 @@ class TestConvergenceStudy:
         table = (out / "orders.txt").read_text()
         assert "laplacian_theta_twisted" in table
         assert "status: PASS" in table
+
+    def test_manufactured_phase_memory(self, tmp_path, monkeypatch):
+        # traced memory in fields of the largest grid (16^3) from the command's
+        # start to its first identity probe: the two geometries' work fields
+        # (4.5), the initial state and coordinates (~1.4), and while a case
+        # runs its own pair and temporaries (up to ~5.3, for the theta sum);
+        # no case's fields outlast its row
+        class FirstProbe(Exception):
+            pass
+
+        def first_probe(*args):
+            raise FirstProbe(tracemalloc.get_traced_memory())
+
+        monkeypatch.setattr(cryf.flow, "probe_window", first_probe)
+        body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
+            "\n[analysis]\ngrids = 8,16\n"
+        argv = ["convergence-study", "--config", write_cfg(tmp_path, body=body),
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(FirstProbe):
+            main(argv)  # imports what the command imports on its first run
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstProbe) as probe:
+                main(argv)
+        finally:
+            tracemalloc.stop()
+        kept, peak = (m / (8 * 16**3) for m in probe.value.args[0])
+        assert kept <= 6.5 and peak <= 11.5
 
     def test_one_geometry_per_grid(self, tmp_path, monkeypatch):
         geometries = count_geometries(monkeypatch)
@@ -429,6 +503,47 @@ def test_out_of_memory_exit_2_without_traceback(tmp_path, capsys, monkeypatch, c
     cfg = write_cfg(tmp_path)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "out of memory: Unable to allocate 8.00 TiB for an array\n"
+
+
+@pytest.mark.parametrize("command", ["run-flow", "check-identities", "soliton-check"])
+def test_huge_addressable_grid_out_of_memory(tmp_path, capsys, command):
+    # 8 * 1.6e17 bytes per field is within numpy's index range, but no
+    # allocator grants the grid's first array (its 8e16-byte x coordinates)
+    cfg = write_cfg(tmp_path, body="[geometry]\nN_x = 10000000000000000\nN_y = 4\nN_z = 4\n"
+                                   "[initial_data]\npreset = constant\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+# an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
+NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
+
+
+def test_non_utf8_config_exit_2_without_traceback(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(NON_UTF8_CFG)
+    assert main(["run-flow", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: {cfg} is not UTF-8 text: byte 0xe9 at offset 5\n"
+
+
+def test_config_bytes_fuzz_ends_on_an_exit_code(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    argv = ["run-flow", "--config", str(cfg), "--out", str(tmp_path / "o"), "--overwrite"]
+
+    # arbitrary bytes, alone or after a valid 8^3 config that takes no flow step
+    @given(prefix=st.sampled_from([b"", NON_UTF8_CFG[7:]]), tail=st.binary(max_size=40))
+    @example(prefix=b"", tail=NON_UTF8_CFG)
+    @settings(max_examples=10, deadline=None)
+    def run(prefix, tail):
+        cfg.write_bytes(prefix + tail)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    run()
 
 
 SOLITON_FAMILY_CFG = """

@@ -50,6 +50,44 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(8.0, 8, 8)
 
+    @pytest.mark.parametrize("sizes", [(10**20, 4, 4), (2**56, 4, 4), (2**21, 2**21, 2**21),
+                                       tuple(map(np.int64, (2**21, 2**21, 2**21)))],
+                             ids=["1e20", "2^60_points", "2^63_points", "2^63_points_int64"])
+    def test_beyond_address_space_rejected(self, sizes):
+        # 8 bytes per point must not exceed np.iinfo(np.intp).max = 2^63 - 1
+        with pytest.raises(ConfigurationError, match="too large"):
+            GridSpec(*sizes)
+
+    def test_largest_addressable_grid_accepted(self):
+        assert GridSpec(2**56 - 1, 4, 4).npoints == 2**60 - 16
+
+
+class TestWorkFields:
+    def test_fresh_geometry_holds_four_work_fields(self):
+        geom = build_nilmanifold(GridSpec(4, 4, 8))
+        work = [*geom._scratch, geom._stage]
+        assert len(work) == 4
+        for i, a in enumerate(work):
+            assert a.shape == geom.shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert not any(np.shares_memory(a, b) for b in work[i + 1:])
+
+    def test_first_kernel_call_allocates_only_its_result(self):
+        # the first call's peak is that of any later call (its result and numpy's
+        # iterator buffers), and once the result is dropped it has kept nothing
+        geom = build_nilmanifold(GridSpec(16, 16, 16))
+        f = random_field(geom, 9)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                sub_laplacian_base(geom, f)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept <= 1024
+            peaks.append(peak)
+        assert peaks[0] <= peaks[1] + 1024
+
 
 class TestCanonicalIndex:
     def test_plain_wrap_k(self):

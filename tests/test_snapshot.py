@@ -71,7 +71,8 @@ def test_bad_magic(geom448, snap_path):
 
 
 @pytest.mark.parametrize("sizes,reason", [((2, 4, 4), "N_x must be >= 4"),
-                                          ((4, 4, 6), "N_y must divide N_z")])
+                                          ((4, 4, 6), "N_y must divide N_z"),
+                                          ((2**32 - 1,) * 3, "bad grid sizes .* too large")])
 def test_header_grid_sizes_rejected(geom448, snap_path, sizes, reason):
     write_snapshot(snap_path, random_state(geom448, 11))
     blob = bytearray(snap_path.read_bytes())

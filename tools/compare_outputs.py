@@ -12,8 +12,9 @@ retries, a step underflow and an input at the floor, and a soliton-check
 whose sigma turns negative one residual step after its last sampled time),
 a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
 a `random_smooth` run-flow, a `single_mode_x` check-identities and a
-scaled, Reeb-translated `random_smooth` soliton-check, through `cryf.cli`
-once with that tree and once with the working tree's `src/` (18 runs).
+scaled, Reeb-translated `random_smooth` soliton-check, and a
+`single_mode_x` convergence-study on grids 12 and 24, through `cryf.cli`
+once with that tree and once with the working tree's `src/` (19 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -90,6 +91,11 @@ INLINE_CONFIGS = {
     "soliton_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 4\n\n"
                        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 1\n"
                        "times = 0.0,0.25,0.5\n",
+    # cell sizes 1/12 and 1/24 are no powers of two, so the kernel's scaling rounds
+    # differently from the textbook grouping on every manufactured case and probe
+    "convergence_12": "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
+                      "[initial_data]\npreset = single_mode_x\nepsilon = 0.1\n\n"
+                      "[analysis]\ngrids = 12,24\n",
     # exits 2: sigma stays positive at every sampled time but not one residual step later
     "soliton_sigma_neighbour_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                                  "[soliton]\nsweep = false\nsigma_slope = -1\n"
@@ -116,6 +122,7 @@ RUNS = (
     ("identities_twisted", "check-identities", None),
     ("soliton_twisted", "soliton-check", None),
     ("soliton_sigma_neighbour_8", "soliton-check", None),
+    ("convergence_12", "convergence-study", None),
 )
 
 
