@@ -6,7 +6,6 @@ from .analysis import (
     curvature_evolution_residual,
     curvature_variance,
     dE_dt_formula,
-    dE_dt_from_moments,
     identity_window,
     make_record,
     mean_curvature_rate_residual,
@@ -18,7 +17,6 @@ from .conformal import (
     ConformalState,
     conformal_sub_laplacian,
     conformal_volume_element,
-    integrate_conformal,
     pullback_state,
     scale_state,
     webster_curvature,
@@ -46,11 +44,6 @@ from .geometry import (
     BaseGeometry,
     GridSpec,
     build_nilmanifold,
-    canonical_index,
-    frame_commutator_check,
-    frame_derivative,
-    frame_derivative_adjoint,
-    grid_inner,
     integrate_base,
     pullback_z_shift,
     sub_laplacian_base,

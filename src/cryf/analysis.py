@@ -142,11 +142,6 @@ def dE_dt_formula(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> fl
     return make_record(state, u_floor=u_floor).dEdt_formula
 
 
-def dE_dt_from_moments(vol: float, int_r: float, int_r2: float) -> float:
-    """Independent arithmetic path for dE/dt straight from the moment integrals."""
-    return (-(int_r2 * vol) + int_r * int_r) / vol ** 1.5
-
-
 def make_record(state: ConformalState, dt_used: float = 0.0,
                 u_floor: float = DEFAULT_U_FLOOR,
                 r: np.ndarray | None = None) -> DiagnosticsRecord:

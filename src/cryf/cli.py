@@ -4,7 +4,7 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone, a soliton family whose sigma is not positive at
 a sampled time, fields or diagnostics that overflow float64, and a grid too
-large for memory.
+large for memory.  Such an exit removes an --out the run made and left empty.
 Outputs are deterministic byte for byte for a fixed config and seed; no
 timestamps, 17-significant-digit decimal floats throughout (lossless
 float64 round trip).
@@ -13,6 +13,7 @@ float64 round trip).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -328,6 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fresh_out = not os.path.lexists(args.out)
+    code = _run(args)
+    if code == EXIT_CONFIG and fresh_out:
+        with contextlib.suppress(OSError):  # rmdir keeps a directory that is not empty
+            os.rmdir(args.out)
+    return code
+
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .geometry import (
-    BaseGeometry,
-    integrate_base,
-    pullback_z_shift,
-    sub_laplacian_base,
-    weighted_div_form,
-)
+from .geometry import BaseGeometry, pullback_z_shift, sub_laplacian_base, weighted_div_form
 
 DEFAULT_U_FLOOR = 1e-6
 
@@ -93,11 +87,6 @@ def conformal_volume_element(state: ConformalState) -> np.ndarray:
     dv = state.u * state.u
     dv *= dv
     return dv
-
-
-def integrate_conformal(state: ConformalState, f: np.ndarray) -> float:
-    """Integral of f against the conformal volume form."""
-    return integrate_base(state.geom, np.asarray(f) * conformal_volume_element(state))
 
 
 def conformal_sub_laplacian(state: ConformalState, f: np.ndarray) -> np.ndarray:

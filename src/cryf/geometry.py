@@ -19,7 +19,8 @@ grid inner product <f, g> = w0 * sum(f*g), averaging the forward form with
 its backward mirror where a weight varies.  Built this way, symmetry, negative semidefiniteness
 and exact zero mean of the divergence-form operator are grid identities
 (telescoping sums), not approximations; consistency orders are measured,
-never assumed.
+never assumed.  The frame fields are differenced only inside this operator;
+the stand-alone frame differences are test references (tests/reference.py).
 
 Fields are plain float64 numpy arrays of shape (N_x, N_y, N_z), C-order,
 so the z index varies fastest.
@@ -41,9 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-FRAMES = ("X", "Y", "Z")
-SCHEMES = ("forward", "centered")
 
 
 @dataclass(frozen=True)
@@ -97,21 +95,8 @@ class GridSpec:
         return self.nz // self.ny
 
 
-def canonical_index(spec: GridSpec, i, j, k):
-    """Map arbitrary signed lattice indices to the fundamental-domain representative.
-
-    Wraps k and j plainly; each unit wrap in i (i -> i - N_x) shifts k by
-    -j * N_z/N_y, realizing f(x+1, y, z+y) = f(x, y, z).  Accepts scalars or
-    integer arrays; idempotent on in-range indices.
-    """
-    q, i_c = divmod(i, spec.nx)
-    j_c = j % spec.ny
-    k_c = (k - q * j_c * spec.twist) % spec.nz
-    return i_c, j_c, k_c
-
-
 class BaseGeometry:
-    """Frame operators, quadrature and symmetry maps for one grid resolution.
+    """Lattice data, quadrature weight and work fields for one grid resolution.
 
     The background contact form is flat: its Webster scalar curvature is
     identically zero, which the conformal formulas use by leaving the
@@ -176,56 +161,6 @@ def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarra
         edge = -1 if step == 1 else 0
         out[edge] = np.take(out[edge], geom._wrap[step])
     return out
-
-
-def _frame(geom: BaseGeometry, which: str, d) -> np.ndarray:
-    """Frame field X = d_x, Y = d_y + x d_z or Z = d_z, from one-axis differences.
-
-    d(axis, h) is a difference along one lattice axis, scaled by that
-    axis's cell size h.
-    """
-    if which not in FRAMES:
-        raise ValueError(f"which must be one of {FRAMES}, got {which!r}")
-    s = geom.spec
-    if which == "X":
-        return d(0, s.hx)
-    if which == "Y":
-        return d(1, s.hy) + geom.x_coord * d(2, s.hz)
-    return d(2, s.hz)
-
-
-def frame_derivative(geom: BaseGeometry, f: np.ndarray, which: str,
-                     scheme: str = "centered") -> np.ndarray:
-    """Difference approximation of a left-invariant frame field X, Y or Z.
-
-    `forward` is first-order one-sided, `centered` second-order symmetric.
-    The variable coefficient x in Y = d/dy + x d/dz is evaluated at the
-    stencil's center point; all out-of-range lookups go through the twisted
-    identification.
-    """
-    f = _check_field(geom, f)
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-    def d(axis, h):
-        # unnamed shifts, so numpy reuses them as the results' buffers
-        if scheme == "forward":
-            return (_shift(geom, f, axis, 1) - f) / h
-        return (_shift(geom, f, axis, 1) - _shift(geom, f, axis, -1)) / (2.0 * h)
-
-    return _frame(geom, which, d)
-
-
-def frame_derivative_adjoint(geom: BaseGeometry, f: np.ndarray, which: str) -> np.ndarray:
-    """Exact adjoint of the forward frame difference under the grid inner product.
-
-    The forward difference is (S - I)/h with S a permutation of the grid
-    slots, so the adjoint is (S^{-1} - I)/h; for Y the coefficient x commutes
-    with the z-shift (it does not change the x index), hence the adjoint is
-    again local.
-    """
-    f = _check_field(geom, f)
-    return _frame(geom, which, lambda axis, h: (_shift(geom, f, axis, -1) - f) / h)
 
 
 def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
@@ -349,11 +284,6 @@ def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:
     return float(geom.w0 * np.sum(f))
 
 
-def grid_inner(geom: BaseGeometry, f: np.ndarray, g: np.ndarray) -> float:
-    """Grid inner product <f, g> = w0 * sum(f*g)."""
-    return integrate_base(geom, np.asarray(f) * np.asarray(g))
-
-
 def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int) -> np.ndarray:
     """Pull back f by the central translation of m lattice steps in z.
 
@@ -364,18 +294,3 @@ def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int) -> np.ndarray:
     """
     f = _check_field(geom, f)
     return np.roll(f, -int(m), axis=2)
-
-
-def frame_commutator_check(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
-    """Residual field X(Yf) - Y(Xf) - Zf with centered differences.
-
-    For smooth fields this converges to zero under refinement (order >= 1;
-    the twist planes contribute the first-order part), certifying that the
-    discrete frame inherits the commutation relation [X, Y] = Z.
-    """
-    f = _check_field(geom, f)
-
-    def cd(g, which):
-        return frame_derivative(geom, g, which, "centered")
-
-    return cd(cd(f, "Y"), "X") - cd(cd(f, "X"), "Y") - cd(f, "Z")

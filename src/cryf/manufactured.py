@@ -1,14 +1,16 @@
-"""Closed-form fields on the nilmanifold with exact frame derivatives.
+"""Closed-form fields on the nilmanifold with their exact sub-Laplacians.
 
-Used as oracles when measuring consistency orders of the difference
-operators.  The first three cases are pulled back from the (x, y) torus and
-never touch the twisted direction; the theta field is a Gaussian theta sum
+Used as oracles when `convergence-study` measures the consistency order of
+the sub-Laplacian.  The first three cases are pulled back from the (x, y)
+torus and never touch the twisted direction; the theta field is a Gaussian
+theta sum
 
     f = sum_m exp(-kappa (x+m-1/2)^2) cos(2 pi (z + m y)),
 
 the standard way to write a smooth function on the twisted quotient with
 genuine dependence on the central direction (the sum over m absorbs the
-x-wrap shear exactly).
+x-wrap shear exactly).  Its exact frame derivatives, which only the tests
+use, are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -59,16 +61,6 @@ class ThetaField(NamedTuple):
     lap: np.ndarray
 
 
-def _theta_terms(geom: BaseGeometry):
-    """Per theta-sum index m: (m, x, c, E_m, cos p_m, sin p_m), c = x + m - 1/2."""
-    x, y, z = geom.coords()
-    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
-        c = x + m - 0.5
-        env = np.exp(-THETA_KAPPA * c * c)
-        phase = TWO_PI * (z + m * y)
-        yield m, x, c, env, np.cos(phase), np.sin(phase)
-
-
 def theta_field(geom: BaseGeometry) -> ThetaField:
     """Smooth z-dependent quotient function built from a truncated theta sum.
 
@@ -78,31 +70,16 @@ def theta_field(geom: BaseGeometry) -> ThetaField:
 
         (X^2 + Y^2) f = sum_m [E_m'' - 4 pi^2 (m+x)^2 E_m] cos(p_m)
 
-    with E_m = exp(-kappa (x+m-1/2)^2) and p_m = 2 pi (z + m y).  Builds f
-    and its sub-Laplacian only; `theta_frame_derivatives` gives X f, Y f and Z f.
+    with E_m = exp(-kappa (x+m-1/2)^2) and p_m = 2 pi (z + m y).
     """
+    x, y, z = geom.coords()
     f = np.zeros(geom.shape)
     lap = np.zeros(geom.shape)
-    for m, x, c, env, cosp, _ in _theta_terms(geom):
+    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
+        c = x + m - 0.5
+        env = np.exp(-THETA_KAPPA * c * c)
+        cosp = np.cos(TWO_PI * (z + m * y))
         dd_env = (4.0 * THETA_KAPPA**2 * c * c - 2.0 * THETA_KAPPA) * env
         f += env * cosp
         lap += (dd_env - 4.0 * np.pi**2 * (m + x) ** 2 * env) * cosp
     return ThetaField(f, lap)
-
-
-def theta_frame_derivatives(geom: BaseGeometry):
-    """Exact frame derivatives (X f, Y f, Z f) of the `theta_field` f:
-
-        X f = sum_m E_m' cos(p_m)
-        Y f = -2 pi sum_m (m + x) E_m sin(p_m)
-        Z f = -2 pi sum_m E_m sin(p_m)
-    """
-    xf = np.zeros(geom.shape)
-    yf = np.zeros(geom.shape)
-    zf = np.zeros(geom.shape)
-    for m, x, c, env, cosp, sinp in _theta_terms(geom):
-        d_env = -2.0 * THETA_KAPPA * c * env
-        xf += d_env * cosp
-        yf += -TWO_PI * (m + x) * env * sinp
-        zf += -TWO_PI * env * sinp
-    return xf, yf, zf

@@ -12,7 +12,6 @@ import pytest
 from cryf.analysis import (
     curvature_evolution_residual,
     dE_dt_formula,
-    dE_dt_from_moments,
     identity_window,
     make_record,
     mean_curvature_rate_residual,
@@ -33,9 +32,6 @@ from cryf.flow import FlowConfig, FlowTermination, integrate_fixed, probe_window
 from cryf.geometry import (
     GridSpec,
     build_nilmanifold,
-    frame_derivative,
-    frame_derivative_adjoint,
-    grid_inner,
     integrate_base,
     pullback_z_shift,
     sub_laplacian_base,
@@ -48,6 +44,7 @@ from cryf.soliton import SolitonFamily, Verdict, scan_family, soliton_invariance
     soliton_theorem_harness
 
 from conftest import random_state, single_mode_state
+from reference import dE_dt_from_moments, frame_derivative, frame_derivative_adjoint, grid_inner
 
 EIGHT_PI_SQ = 8.0 * np.pi**2
 

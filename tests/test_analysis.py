@@ -13,7 +13,6 @@ from cryf.analysis import (
     curvature_moments,
     curvature_variance,
     dE_dt_formula,
-    dE_dt_from_moments,
     dEdt_mismatch,
     identity_residuals,
     identity_window,
@@ -28,7 +27,6 @@ from cryf.conformal import (
     ConformalState,
     conformal_sub_laplacian,
     conformal_volume_element,
-    integrate_conformal,
     scale_state,
     pullback_state,
     webster_curvature,
@@ -39,6 +37,7 @@ from cryf.flow import FlowConfig, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
 from conftest import random_state, single_mode_state
+from reference import dE_dt_from_moments, integrate_conformal
 
 
 def closed_form_E(n, eps):

@@ -117,7 +117,7 @@ class TestRunFlow:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: two run-flow outputs are the same file ")
         assert err.rstrip("\n").endswith(clash)
-        assert geometries == [] and list(out.iterdir()) == []
+        assert geometries == [] and not out.exists()
 
     @pytest.mark.parametrize("flow, output, overwrite, reason", [
         ("snapshot_every = 1\n", "snapshot_prefix = nodir/snap\n", False,
@@ -136,7 +136,7 @@ class TestRunFlow:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: output file {out}")
         assert err.endswith(reason + "\n") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -344,6 +344,7 @@ def test_probe_failure_exit_2_without_traceback(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("identity probe failed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["check-identities", "convergence-study"])
@@ -514,6 +515,14 @@ def test_huge_addressable_grid_out_of_memory(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_keeps_an_existing_out_directory(tmp_path):
+    (tmp_path / "o").mkdir()
+    cfg = write_cfg(tmp_path, body=PROBE_FAILURE_CFG)
+    assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (tmp_path / "o").is_dir()
 
 
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute

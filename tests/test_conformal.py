@@ -7,7 +7,6 @@ from cryf.conformal import (
     ConformalState,
     conformal_sub_laplacian,
     conformal_volume_element,
-    integrate_conformal,
     pullback_state,
     scale_state,
     webster_curvature,
@@ -22,6 +21,7 @@ from cryf.geometry import (
 )
 
 from conftest import random_field, random_state, single_mode_state
+from reference import integrate_conformal
 
 
 class TestState:

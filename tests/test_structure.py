@@ -1,18 +1,28 @@
-"""Import structure of the package."""
+"""Import structure of the package, and which of its names the program reaches."""
 
 import ast
+import functools
 import graphlib
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cryf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cryf"
+# the nodes that reference a name, and the field that holds it
+REFERENCES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.Constant: "value"}
+
+
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def relative_imports(path: Path) -> set[str]:
     """Package modules that `path` imports relatively, at any depth of its body."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is not None:
                 found.add(node.module.split(".")[0])
@@ -30,3 +40,33 @@ def test_package_imports_have_no_cycle():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def referenced_names(tree: ast.Module) -> set:
+    return {getattr(node, REFERENCES[type(node)]) for node in ast.walk(tree)
+            if type(node) in REFERENCES}
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned names that do not start with _."""
+    names = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    names += [t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_is_reached_outside_tests():
+    # reached: referenced by a package module (its own included), perfbench or
+    # tools; perfbench's REQUIRED names the functions it wraps as strings
+    modules = {p.stem: parsed(p) for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    used = set().union(*map(referenced_names, modules.values()))
+    unused = {f"{stem}.{name}": name for stem, tree in modules.items()
+              for name in public_definitions(tree) if name not in used}
+    # a file is parsed only if a name not yet reached occurs in it as a word
+    for path in [*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")]:
+        text = path.read_text(encoding="utf-8")
+        if any(re.search(rf"\b{name}\b", text) for name in unused.values()):
+            used = referenced_names(ast.parse(text))
+            unused = {key: name for key, name in unused.items() if name not in used}
+    assert sorted(unused) == ["snapshot.read_snapshot"]
