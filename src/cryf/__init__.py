@@ -21,7 +21,7 @@ from .conformal import (
     scale_state,
     webster_curvature,
 )
-from .config import RunConfig, load_config, parse_config
+from .config import FlowConfig, RunConfig, load_config, parse_config
 from .errors import (
     ConfigurationError,
     PositivityError,
@@ -32,7 +32,6 @@ from .errors import (
     StepUnderflowError,
 )
 from .flow import (
-    FlowConfig,
     FlowTermination,
     Trajectory,
     integrate_fixed,

@@ -85,16 +85,14 @@ def float64_range(what: str):
 
 
 def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
-                      r: np.ndarray | None = None, dt_used: float = 0.0):
+                      dt_used: float = 0.0):
     """Curvature R, volume element dV and the record of `state`: its moments and E, var, dE/dt.
 
-    `r` is the curvature of `state` when the caller has it already.  A moment
-    or a dE/dt that is not a finite float64 raises FloatRangeError.
+    A moment or a dE/dt that is not a finite float64 raises FloatRangeError.
     """
     geom = state.geom
     with float64_range("a curvature moment"):
-        if r is None:
-            r = webster_curvature(state, u_floor)
+        r = webster_curvature(state, u_floor)
         dv = conformal_volume_element(state)
         vol = integrate_base(geom, dv)
         # one work field: r dv, then (r r) dv in the same buffer
@@ -143,10 +141,9 @@ def dE_dt_formula(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> fl
 
 
 def make_record(state: ConformalState, dt_used: float = 0.0,
-                u_floor: float = DEFAULT_U_FLOOR,
-                r: np.ndarray | None = None) -> DiagnosticsRecord:
-    """The diagnostics row of one state (`r` as in `curvature_moments`)."""
-    return curvature_moments(state, u_floor, r, dt_used)[2]
+                u_floor: float = DEFAULT_U_FLOOR) -> DiagnosticsRecord:
+    """The diagnostics row of one state."""
+    return curvature_moments(state, u_floor, dt_used)[2]
 
 
 class ProbeWindow(NamedTuple):

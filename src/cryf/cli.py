@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone, a soliton family whose sigma is not positive at
 a sampled time, fields or diagnostics that overflow float64, and a grid too
-large for memory.  Such an exit removes an --out the run made and left empty.
+large for memory.  Such an exit removes the --out directories the run made
+and left empty, deepest first.
 Outputs are deterministic byte for byte for a fixed config and seed; no
 timestamps, 17-significant-digit decimal floats throughout (lossless
 float64 round trip).
@@ -13,7 +14,6 @@ float64 round trip).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -91,11 +91,7 @@ def _write_csv(path: str, records) -> None:
 
 
 def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
-    ini = cfg.initial
-    return make_initial_state(
-        geom, ini.preset, c=ini.c, epsilon=ini.epsilon, seed=ini.seed,
-        amplitude=ini.amplitude, smoothing_passes=ini.smoothing_passes,
-    )
+    return make_initial_state(geom, **vars(cfg.initial))
 
 
 def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool, snapshots: int) -> list[str]:
@@ -329,11 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fresh_out = not os.path.lexists(args.out)
+    made = []  # --out and each ancestor of it that does not exist yet, deepest first
+    path = os.path.abspath(args.out)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     code = _run(args)
-    if code == EXIT_CONFIG and fresh_out:
-        with contextlib.suppress(OSError):  # rmdir keeps a directory that is not empty
-            os.rmdir(args.out)
+    if code == EXIT_CONFIG:
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:  # not made by this run, or not empty: its ancestors stay too
+                break
     return code
 
 

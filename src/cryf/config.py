@@ -2,21 +2,23 @@
 
 Deliberately not an external config language: the format is line-based with
 `[section]` headers, `#` comments, and typed keys.  Unknown sections or keys
-are fatal (no silent typos), duplicates are errors citing both lines, and
-every parse or validation failure carries a line and column.
+are fatal (no silent typos), duplicates are errors citing both lines, and a
+line, name or value that does not parse, or an unknown preset, is an error at
+its line and column; a missing required key or a broken range rule has none.
 
-Each section's keys are the fields of its dataclass, parsed by the field's
-type annotation; the dataclasses are the only list of keys.
+Each section is one dataclass, the only declaration of its keys: a field is a
+key parsed by its type annotation, required when it has no default, and the
+range rules are in `__post_init__`.  Keys are parsed in field order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
+from .conformal import DEFAULT_U_FLOOR
 from .errors import ConfigurationError
-from .flow import FlowConfig
 from .geometry import GridSpec
 from .presets import PRESETS
 
@@ -31,12 +33,38 @@ def _require_finite(config, names, allow_zero: bool = False) -> None:
 
 @dataclass(frozen=True)
 class InitialDataConfig:
-    preset: str = "constant"
+    preset: str
     c: float = 1.0
     epsilon: float = 0.1
     seed: int = 0
     amplitude: float = 0.2
     smoothing_passes: int = 2
+
+
+@dataclass(frozen=True)
+class FlowConfig:
+    t_end: float = 0.02
+    dt_init: float = 1e-6
+    dt_min: float = 1e-12
+    dt_max: float = 1e-2
+    safety: float = 0.9
+    err_tol: float = 1e-8
+    u_floor: float = DEFAULT_U_FLOOR
+    record_every: int = 1
+    snapshot_every: int = 0
+
+    def __post_init__(self) -> None:
+        _require_finite(self, ("t_end",), allow_zero=True)
+        _require_finite(self, ("dt_init", "dt_min", "dt_max", "safety", "err_tol", "u_floor"))
+        if not self.dt_min <= self.dt_init <= self.dt_max:
+            raise ValueError(f"need 0 < dt_min <= dt_init <= dt_max, got "
+                             f"({self.dt_min}, {self.dt_init}, {self.dt_max})")
+        if self.safety > 1.0:
+            raise ValueError(f"safety must be at most 1, got {self.safety}")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be positive, got {self.record_every}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be non-negative, got {self.snapshot_every}")
 
 
 @dataclass(frozen=True)
@@ -144,17 +172,17 @@ _SECTIONS = {
 # [geometry] spells the GridSpec fields nx, ny, nz as N_x, N_y, N_z
 _KEY_NAMES = {"geometry": {"nx": "N_x", "ny": "N_y", "nz": "N_z"}}
 
-# section -> key -> (field name, converter, expected); every key is a field of
-# its section's dataclass, and an annotation with no parser fails here at import
+# section -> key -> (field name, converter, expected, required), in field order;
+# every key is a field of its section's dataclass, required when the field has
+# no default, and an annotation with no parser fails here at import
 _SCHEMA = {
     section: {
-        _KEY_NAMES.get(section, {}).get(f.name, f.name): (f.name, *_PARSERS[f.type])
+        _KEY_NAMES.get(section, {}).get(f.name, f.name):
+            (f.name, *_PARSERS[f.type], f.default is MISSING)
         for f in fields(cls)
     }
     for section, cls in _SECTIONS.items()
 }
-
-_REQUIRED = {"geometry": ("N_x", "N_y", "N_z"), "initial_data": ("preset",)}
 
 
 def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
@@ -207,25 +235,30 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     return sections
 
 
-def _values(name: str, entries: dict[str, _Entry]) -> dict:
-    """Field name -> parsed value; a value that does not parse is an error at its position."""
-    values = {}
-    for key, entry in entries.items():
-        field, convert, expected = _SCHEMA[name][key]
-        try:
-            values[field] = convert(entry.value)
-        except ValueError:
-            raise ConfigurationError(
-                f"line {entry.line}, column {entry.col}: "
-                f"expected {expected} for {key}, got {entry.value!r}"
-            ) from None
-    return values
-
-
 def _build_section(sections, name):
-    values = _values(name, sections.get(name, {}))
+    """The dataclass of section `name`, its keys taken in field order.
+
+    A key that is required but missing, or whose value does not parse, is an
+    error; a range rule's ValueError gains the section as a prefix, but
+    GridSpec's own ConfigurationError passes through as it is.
+    """
+    entries = sections.get(name, {})
+    values = {}
+    for key, (field, convert, expected, required) in _SCHEMA[name].items():
+        if key in entries:
+            entry = entries[key]
+            try:
+                values[field] = convert(entry.value)
+            except ValueError:
+                raise ConfigurationError(f"line {entry.line}, column {entry.col}: expected "
+                                         f"{expected} for {key}, got {entry.value!r}") from None
+        elif required:
+            where = f"key {key!r} in [{name}]" if name in sections else f"section [{name}]"
+            raise ConfigurationError(f"missing required {where}")
     try:
         return _SECTIONS[name](**values)
+    except ConfigurationError:
+        raise
     except ValueError as exc:
         raise ConfigurationError(f"[{name}]: {exc}") from None
 
@@ -233,31 +266,14 @@ def _build_section(sections, name):
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration."""
     sections = _tokenize(text)
-    for sec, keys in _REQUIRED.items():
-        if sec not in sections:
-            raise ConfigurationError(f"missing required section [{sec}]")
-        for key in keys:
-            if key not in sections[sec]:
-                raise ConfigurationError(f"missing required key {key!r} in [{sec}]")
-    geo = sections["geometry"]
-    # N_x, N_y, N_z parse in that order whatever the file order; GridSpec
-    # raises ConfigurationError itself, without the [section] prefix
-    spec = GridSpec(**_values("geometry", {key: geo[key] for key in _SCHEMA["geometry"]}))
-    initial = _build_section(sections, "initial_data")
-    if initial.preset not in PRESETS:
+    config = RunConfig(*(_build_section(sections, name) for name in _SECTIONS))
+    if config.initial.preset not in PRESETS:
         entry = sections["initial_data"]["preset"]
         raise ConfigurationError(
             f"line {entry.line}, column {entry.col}: unknown preset "
-            f"{initial.preset!r}; choose from {PRESETS}"
+            f"{config.initial.preset!r}; choose from {PRESETS}"
         )
-    return RunConfig(
-        geometry=spec,
-        initial=initial,
-        flow=_build_section(sections, "flow"),
-        analysis=_build_section(sections, "analysis"),
-        soliton=_build_section(sections, "soliton"),
-        output=_build_section(sections, "output"),
-    )
+    return config
 
 
 def load_config(path) -> RunConfig:

@@ -22,8 +22,9 @@ accepted one, or the probe at its final time.  The next step size always lies
 in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
 unnormalized flow can collapse volume), not an error; only error-control
 underflow is anomalous.  `probe_window` builds the identity checks' probes
-from fixed steps, and the curvature and record of each window state; the
-residuals that read them live in `analysis`.
+from fixed steps, and each window state's curvature and record from one
+`curvature_moments` call; the residuals that read them live in `analysis`.
+The step controls, `FlowConfig`, are the `[flow]` section of `config`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, ProbeWindow, make_record
-from .conformal import DEFAULT_U_FLOOR, ConformalState, _check_above_floor, webster_curvature
+from .analysis import DiagnosticsRecord, ProbeWindow, curvature_moments, make_record
+from .conformal import DEFAULT_U_FLOOR, ConformalState, _check_above_floor
+from .config import FlowConfig
 from .errors import (
     PositivityFloorError,
     StepPositivityError,
@@ -53,41 +55,6 @@ class FlowTermination(str, Enum):
     REACHED_T_END = "reached_t_end"
     POSITIVITY_FLOOR = "positivity_floor"
     STEP_UNDERFLOW = "step_underflow"
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    t_end: float = 0.02
-    dt_init: float = 1e-6
-    dt_min: float = 1e-12
-    dt_max: float = 1e-2
-    safety: float = 0.9
-    err_tol: float = 1e-8
-    u_floor: float = DEFAULT_U_FLOOR
-    record_every: int = 1
-    snapshot_every: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("t_end", "dt_init", "dt_min", "dt_max", "safety", "err_tol", "u_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
-                f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
-            )
-        if not self.err_tol > 0.0:
-            raise ValueError("err_tol must be positive")
-        if not self.u_floor > 0.0:
-            raise ValueError("u_floor must be positive")
-        if not (0.0 < self.safety <= 1.0):
-            raise ValueError("safety must lie in (0, 1]")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
 
 
 @dataclass
@@ -185,8 +152,8 @@ def probe_window(state: ConformalState, delta: float) -> ProbeWindow:
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     states = (integrate_fixed(state, -delta), state, integrate_fixed(state, delta))
-    curvatures = tuple(webster_curvature(s) for s in states)
-    records = tuple(make_record(s, r=r) for s, r in zip(states, curvatures))
+    # R and record of each state; its volume element is freed at once
+    curvatures, records = zip(*((m[0], m[2]) for m in map(curvature_moments, states)))
     return ProbeWindow(states, curvatures, records, delta)
 
 

@@ -31,6 +31,7 @@ from cryf.conformal import (
     pullback_state,
     webster_curvature,
 )
+import cryf.analysis
 import cryf.flow
 from cryf.errors import FloatRangeError
 from cryf.flow import FlowConfig, probe_window, run_flow
@@ -103,11 +104,14 @@ class TestCurvatureMoments:
                            match="dE/dt leaves the float64 range: float division by zero"):
             make_record(state, u_floor=1e-300)
 
-    def test_nonfinite_curvature_rejected(self, geom448):
+    def test_nonfinite_curvature_rejected(self, geom448, monkeypatch):
+        # an infinite R overflows nothing in the moments, so only their finite check sees it
         state = ConformalState(geom448, np.ones(geom448.shape))
-        r = np.full(geom448.shape, np.inf)
-        with pytest.raises(FloatRangeError, match="not finite"):
-            curvature_moments(state, r=r)
+        monkeypatch.setattr(cryf.analysis, "webster_curvature",
+                            lambda s, u_floor: np.full(s.geom.shape, np.inf))
+        with pytest.raises(FloatRangeError,
+                           match=r"^curvature moments are not finite: 1\.0, inf, inf$"):
+            curvature_moments(state)
 
 
 class TestCurvatureVariance:
@@ -276,7 +280,8 @@ class TestInPlaceArithmetic:
             geom = state.geom
             r = webster_curvature(state)
             dv = conformal_volume_element(state)
-            record = curvature_moments(state, r=r)[2]
+            got_r, got_dv, record = curvature_moments(state)
+            assert np.array_equal(got_r, r) and np.array_equal(got_dv, dv)
             got = [record.vol, record.intR, record.intR2]
             want = [integrate_base(geom, dv), integrate_base(geom, r * dv),
                     integrate_base(geom, r * r * dv)]
@@ -344,7 +349,8 @@ class TestIdentityResiduals:
             window = probe_window(state, 1e-4)
             assert identity_window(window) is window.records
             for s, r, rec in zip(window.states, window.curvatures, window.records):
-                want = make_record(s, r=r).as_tuple()
+                assert np.array_equal(r, webster_curvature(s))
+                want = make_record(s).as_tuple()
                 assert [v.hex() for v in rec.as_tuple()] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])

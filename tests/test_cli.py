@@ -260,7 +260,9 @@ class TestCheckIdentities:
             calls.append(state.t)
             return real(state, *args, **kwargs)
 
+        # the probe window calls it through flow's binding, the invariance rows through analysis
         monkeypatch.setattr(cryf.analysis, "curvature_moments", counting)
+        monkeypatch.setattr(cryf.flow, "curvature_moments", counting)
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [-1e-4, 0.0, 1e-4, 0.0, 0.0]
@@ -289,7 +291,8 @@ OUT_OF_RANGE_8 = [
      "dE/dt leaves the float64 range"),
     ("run-flow", "constant", "c = 1e-70\n[flow]\nu_floor = 1e-300\n",
      "dE/dt leaves the float64 range: float division by zero"),
-    ("run-flow", "constant", "[flow]\nt_end = inf\n", "[flow]: t_end must be finite, got inf"),
+    ("run-flow", "constant", "[flow]\nt_end = inf\n",
+     "[flow]: t_end must be non-negative and finite, got inf"),
     ("run-flow", "random_smooth", "seed = -1\n", "random_smooth needs seed >= 0, got -1"),
     ("run-flow", "constant", "c = inf\n", "constant preset needs finite c > 0, got inf"),
     ("check-identities", "single_mode_x", "c = 1.5e308\nepsilon = 1e308\n",
@@ -506,16 +509,32 @@ def test_out_of_memory_exit_2_without_traceback(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().err == "out of memory: Unable to allocate 8.00 TiB for an array\n"
 
 
+# 8 * 1.6e17 bytes per field is within numpy's index range, but no allocator
+# grants the grid's first array (its 8e16-byte x coordinates)
+HUGE_GRID_CFG = ("[geometry]\nN_x = 10000000000000000\nN_y = 4\nN_z = 4\n"
+                 "[initial_data]\npreset = constant\n")
+
+
 @pytest.mark.parametrize("command", ["run-flow", "check-identities", "soliton-check"])
 def test_huge_addressable_grid_out_of_memory(tmp_path, capsys, command):
-    # 8 * 1.6e17 bytes per field is within numpy's index range, but no
-    # allocator grants the grid's first array (its 8e16-byte x coordinates)
-    cfg = write_cfg(tmp_path, body="[geometry]\nN_x = 10000000000000000\nN_y = 4\nN_z = 4\n"
-                                   "[initial_data]\npreset = constant\n")
+    cfg = write_cfg(tmp_path, body=HUGE_GRID_CFG)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_removes_the_out_ancestors_it_made(tmp_path):
+    cfg = write_cfg(tmp_path, body=HUGE_GRID_CFG)
+    assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+    assert not (tmp_path / "a").exists()
+
+
+def test_exit_2_keeps_an_existing_out_ancestor(tmp_path):
+    (tmp_path / "a").mkdir()
+    cfg = write_cfg(tmp_path, body=HUGE_GRID_CFG)
+    assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+    assert (tmp_path / "a").is_dir() and not (tmp_path / "a" / "b").exists()
 
 
 def test_exit_2_keeps_an_existing_out_directory(tmp_path):

@@ -1,9 +1,13 @@
 import dataclasses
 import functools
+import typing
 
 import pytest
 
-from cryf.config import RunConfig, parse_config
+import cryf
+import cryf.config
+import cryf.flow
+from cryf.config import _SCHEMA, _SECTIONS, RunConfig, parse_config
 from cryf.errors import ConfigurationError
 
 MINIMAL = """
@@ -138,8 +142,10 @@ class TestDocumentedKeys:
 class TestValidation:
     def test_divisibility_rule_named(self):
         text = MINIMAL.replace("N_y = 16", "N_y = 8").replace("N_z = 16", "N_z = 12")
-        with pytest.raises(ConfigurationError, match="N_y must divide N_z"):
+        with pytest.raises(ConfigurationError) as err:
             parse_config(text)
+        assert str(err.value) == ("N_y must divide N_z so the sheared x-wrap lands on grid "
+                                  "points (got N_y=8, N_z=12)")
 
     def test_duplicate_key_cites_both_lines(self):
         text = MINIMAL + "\n[flow]\nt_end = 0.1\nt_end = 0.2\n"
@@ -161,10 +167,16 @@ class TestValidation:
             parse_config("N_x = 8\n" + MINIMAL)
 
     def test_missing_required(self):
-        with pytest.raises(ConfigurationError, match="missing required"):
-            parse_config("[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n")
-        with pytest.raises(ConfigurationError, match="missing required"):
-            parse_config("[initial_data]\npreset = constant\n")
+        for text, message in [
+            ("[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n", "missing required section [initial_data]"),
+            ("[initial_data]\npreset = constant\n", "missing required section [geometry]"),
+            (MINIMAL.replace("N_y = 16\n", ""), "missing required key 'N_y' in [geometry]"),
+            (MINIMAL.replace("preset = constant\n", "c = 2\n"),
+             "missing required key 'preset' in [initial_data]"),
+        ]:
+            with pytest.raises(ConfigurationError) as err:
+                parse_config(text)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("text, message", [
         (MINIMAL.replace("N_x = 16", "N_x = sixteen"),
@@ -195,17 +207,21 @@ class TestValidation:
             parse_config(MINIMAL + "\n[soliton]\nsweep = maybe\n")
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown preset"):
-            parse_config(MINIMAL.replace("preset = constant", "preset = vortex"))
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(MINIMAL.replace("preset = constant", "  preset = vortex"))
+        assert str(err.value) == ("line 8, column 3: unknown preset 'vortex'; choose from "
+                                  "('constant', 'single_mode_y', 'single_mode_x', 'random_smooth')")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="key = value"):
             parse_config(MINIMAL + "\n[flow]\njust some words\n")
 
     def test_flow_invariants_surface_as_config_errors(self):
-        text = MINIMAL + "\n[flow]\ndt_min = 1.0\ndt_init = 0.5\ndt_max = 2.0\n"
-        with pytest.raises(ConfigurationError, match=r"\[flow\]"):
-            parse_config(text)
+        for flow, got in [("dt_min = 1.0\ndt_init = 0.5\ndt_max = 2.0\n", "(1.0, 0.5, 2.0)"),
+                          ("dt_min = 1e-3\n", "(0.001, 1e-06, 0.01)")]:
+            with pytest.raises(ConfigurationError) as err:
+                parse_config(MINIMAL + "\n[flow]\n" + flow)
+            assert str(err.value) == f"[flow]: need 0 < dt_min <= dt_init <= dt_max, got {got}"
 
     @pytest.mark.parametrize("delta", ["0", "-1e-4", "nan", "inf"])
     def test_bad_delta_is_config_error(self, delta):
@@ -237,12 +253,65 @@ class TestValidation:
         ("analysis", "min_order_twisted", "-1", "positive"),
         ("analysis", "max_dEdt_mismatch", "-1e-3", "non-negative"),
         ("analysis", "max_scaling_invariance", "inf", "non-negative"),
-        ("flow", "err_tol", "inf", "finite"), ("flow", "dt_max", "inf", "finite"),
+        ("flow", "err_tol", "inf", "positive"), ("flow", "dt_max", "inf", "positive"),
     ])
     def test_out_of_range_tolerance_is_config_error(self, section, key, value, rule):
-        with pytest.raises(ConfigurationError, match=rf"\[{section}\]: {key} must be {rule}"):
+        with pytest.raises(ConfigurationError) as err:
             parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+        assert str(err.value) == f"[{section}]: {key} must be {rule} and finite, got {float(value)}"
 
     def test_zero_identity_bound_accepted(self):
         cfg = parse_config(MINIMAL + "\n[analysis]\nmax_curvature_evolution = 0\n")
         assert cfg.analysis.max_curvature_evolution == 0.0
+
+
+class TestSchema:
+    """The section dataclasses are the one declaration of each key."""
+
+    def test_required_keys_are_the_fields_without_a_default(self):
+        required = [key for section in _SCHEMA.values()
+                    for key, (*_, needed) in section.items() if needed]
+        assert required == ["N_x", "N_y", "N_z", "preset"]
+        no_default = [f.name for cls in typing.get_type_hints(RunConfig).values()
+                      for f in dataclasses.fields(cls)
+                      if f.default is dataclasses.MISSING is f.default_factory]
+        assert no_default == ["nx", "ny", "nz", "preset"]
+
+    def test_flow_settings_live_beside_their_sibling_sections(self):
+        assert cryf.FlowConfig is cryf.flow.FlowConfig is cryf.config.FlowConfig
+        assert _SECTIONS["flow"] is cryf.config.FlowConfig
+
+    @pytest.mark.parametrize("text, message", [
+        # t_end is FlowConfig's first field, written here after dt_min
+        (MINIMAL + "\n[flow]\ndt_min = tiny\nt_end = soon\n",
+         "line 12, column 1: expected number for t_end, got 'soon'"),
+        ("[geometry]\nN_z = deep\nN_y = 16\nN_x = wide\n[initial_data]\npreset = constant\n",
+         "line 4, column 1: expected integer for N_x, got 'wide'"),
+    ], ids=["flow", "geometry"])
+    def test_first_field_fault_reported_whatever_the_file_order(self, text, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_end", "-1", "t_end must be non-negative and finite, got -1.0"),
+        ("dt_init", "nan", "dt_init must be positive and finite, got nan"),
+        ("dt_min", "0", "dt_min must be positive and finite, got 0.0"),
+        ("dt_max", "-1e-2", "dt_max must be positive and finite, got -0.01"),
+        ("safety", "0", "safety must be positive and finite, got 0.0"),
+        ("safety", "1.5", "safety must be at most 1, got 1.5"),
+        ("err_tol", "0", "err_tol must be positive and finite, got 0.0"),
+        ("u_floor", "-1", "u_floor must be positive and finite, got -1.0"),
+        ("record_every", "0", "record_every must be positive, got 0"),
+        ("snapshot_every", "-1", "snapshot_every must be non-negative, got -1"),
+    ], ids=["t_end_negative", "dt_init_nan", "dt_min_zero", "dt_max_negative", "safety_zero",
+            "safety_above_1", "err_tol_zero", "u_floor_negative", "record_every_zero",
+            "snapshot_every_negative"])
+    def test_flow_rule_message(self, key, value, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(MINIMAL + f"\n[flow]\n{key} = {value}\n")
+        assert str(err.value) == f"[flow]: {message}"
+
+    def test_integer_beyond_float_range_accepted(self):
+        cfg = parse_config(MINIMAL + f"\n[flow]\nrecord_every = {10**400}\n")
+        assert cfg.flow.record_every == 10**400

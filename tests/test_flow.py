@@ -47,8 +47,10 @@ class TestFlowConfig:
     @pytest.mark.parametrize("name", ["t_end", "dt_init", "dt_min", "dt_max", "safety",
                                       "err_tol", "u_floor"])
     def test_nonfinite_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        rule = "non-negative" if name == "t_end" else "positive"
+        with pytest.raises(ValueError) as err:
             FlowConfig(**{name: value})
+        assert str(err.value) == f"{name} must be {rule} and finite, got {value}"
 
 
 class TestTimeDerivative:

@@ -70,3 +70,12 @@ def test_every_public_name_is_reached_outside_tests():
             used = referenced_names(ast.parse(text))
             unused = {key: name for key, name in unused.items() if name not in used}
     assert sorted(unused) == ["snapshot.read_snapshot"]
+
+
+def test_run_settings_are_declared_only_in_config():
+    # every section class of the run configuration lives in config, which
+    # does not import the integrator that reads [flow]
+    assert "flow" not in relative_imports(PACKAGE / "config.py")
+    owners = {p.stem for p in PACKAGE.glob("*.py") for node in parsed(p).body
+              if isinstance(node, ast.ClassDef) and node.name.endswith("Config")}
+    assert owners == {"config"}

@@ -13,8 +13,11 @@ whose sigma turns negative one residual step after its last sampled time),
 a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
 a `random_smooth` run-flow, a `single_mode_x` check-identities and a
 scaled, Reeb-translated `random_smooth` soliton-check, and a
-`single_mode_x` convergence-study on grids 12 and 24, through `cryf.cli`
-once with that tree and once with the working tree's `src/` (19 runs).
+`single_mode_x` convergence-study on grids 12 and 24, and six configs that
+exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
+dividing N_z, an unknown preset, `dt_min` above `dt_init`, and a
+convergence-study with grids 16,8), through `cryf.cli` once with that tree
+and once with the working tree's `src/` (25 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte; for each file that differs a unified diff is printed, followed by the
@@ -100,6 +103,16 @@ INLINE_CONFIGS = {
     "soliton_sigma_neighbour_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                                  "[soliton]\nsweep = false\nsigma_slope = -1\n"
                                  "times = 0.0,0.99995\n",
+    # exit 2 on the config alone, so only the stderr wording is compared
+    "no_preset_8": GRID_8 + "[initial_data]\nc = 1.5\n",
+    "no_geometry": "[initial_data]\npreset = constant\n",
+    "ny_not_dividing_nz": "[geometry]\nN_x = 8\nN_y = 8\nN_z = 12\n\n"
+                          "[initial_data]\npreset = constant\n",
+    "unknown_preset_8": GRID_8 + "[initial_data]\npreset = vortex\n",
+    "dt_min_above_dt_init_8": GRID_8 + "[initial_data]\npreset = constant\n\n"
+                              "[flow]\ndt_min = 1e-3\n",
+    "grids_decreasing": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
+                        "[analysis]\ngrids = 16,8\n",
 }
 
 # (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
@@ -123,6 +136,12 @@ RUNS = (
     ("soliton_twisted", "soliton-check", None),
     ("soliton_sigma_neighbour_8", "soliton-check", None),
     ("convergence_12", "convergence-study", None),
+    ("no_preset_8", "run-flow", None),
+    ("no_geometry", "run-flow", None),
+    ("ny_not_dividing_nz", "run-flow", None),
+    ("unknown_preset_8", "run-flow", None),
+    ("dt_min_above_dt_init_8", "run-flow", None),
+    ("grids_decreasing", "convergence-study", None),
 )
 
 
