@@ -4,8 +4,9 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone, a soliton family whose sigma is not positive at
 a sampled time, fields or diagnostics that overflow float64, and a grid too
-large for memory.  Such an exit removes the --out directories the run made
-and left empty, deepest first.
+large for memory.  Every output path is checked before the run, and --out is
+made, with its missing parents, at the first write, so such an exit creates
+no directory.
 Outputs are deterministic byte for byte for a fixed config and seed; no
 timestamps, 17-significant-digit decimal floats throughout (lossless
 float64 round trip).
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -52,24 +54,41 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _check_out(outdir: str) -> None:
+    """ConfigurationError unless --out is a directory, or can be made at the first write."""
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigurationError(f"--out {outdir}: {path} is not a writable directory")
+
+
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
     """The checked path of one output file, so that no run stops after its first write.
 
-    ConfigurationError if the path is a directory, is not in a directory, or
-    exists without overwrite.
+    ConfigurationError if the path is a directory, is neither in --out nor in
+    an existing directory, or exists without overwrite.
     """
     path = os.path.join(outdir, name)
-    if os.path.isdir(path):
+    folder = os.path.dirname(path)
+    if os.path.isdir(path) or os.path.normpath(path) == os.path.normpath(outdir):
         raise ConfigurationError(f"output file {path} is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not (os.path.isdir(folder) or os.path.normpath(folder) == os.path.normpath(outdir)):
         raise ConfigurationError(f"output file {path} is not in an existing directory")
     if os.path.exists(path) and not overwrite:
         raise ConfigurationError(f"output file {path} exists; pass --overwrite to replace it")
     return path
 
 
+def _made_folder(path: str) -> str:
+    """path, normalized, once its directory exists: --out is made at the first write."""
+    path = os.path.normpath(path)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return path
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_made_folder(path), "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 
@@ -83,49 +102,54 @@ def _conclude(path: str, lines: list[str], failure: str | None) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str, records) -> None:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join(_fmt(v) for v in rec.as_tuple()))
-    _write_lines(path, lines)
-
-
 def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
     return make_initial_state(geom, **vars(cfg.initial))
 
 
-def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool, snapshots: int) -> list[str]:
-    """Paths of the CSV, the report and the first `snapshots` snapshots, each checked.
+def _snapshot_name(cfg: RunConfig, idx: int) -> str:
+    return f"{cfg.output.snapshot_prefix}_{idx:04d}.cryf"
 
-    ConfigurationError if a path exists without overwrite or two of them coincide.
+
+def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
+    """The CSV and report paths, each checked, and the run's existing snapshots by index.
+
+    Every file named like a snapshot of the run, {prefix}_NNNN.cryf, is its
+    output: an existing one needs overwrite, and the CSV or report may not be
+    named like one.  ConfigurationError otherwise, or if the two coincide.
     """
-    out = cfg.output
-    names = [out.csv, out.report] + [
-        f"{out.snapshot_prefix}_{idx:04d}.cryf" for idx in range(snapshots)]
-    paths = [_out_path(outdir, name, overwrite) for name in names]
-    seen = set()
-    for path in map(os.path.normpath, paths):
-        if path in seen:
+    csv_path, report_path, first_snap = (
+        _out_path(outdir, name, overwrite)
+        for name in (cfg.output.csv, cfg.output.report, _snapshot_name(cfg, 0)))
+    folder, first_name = os.path.split(os.path.normpath(first_snap))
+    folder = folder or os.curdir
+    pattern = re.compile(re.escape(first_name[:-len("_0000.cryf")])
+                         + r"_([0-9]{4}|[1-9][0-9]{4,})\.cryf")
+    csv, report = map(os.path.normpath, (csv_path, report_path))
+    for path in (csv, report):
+        head, name = os.path.split(path)
+        if csv == report or (head or os.curdir) == folder and pattern.fullmatch(name):
             raise ConfigurationError(f"two run-flow outputs are the same file {path}")
-        seen.add(path)
-    return paths
+    existing = {}
+    for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
+        match = pattern.fullmatch(name)
+        if match:
+            existing[int(match[1])] = _out_path(folder, name, overwrite)
+    return csv_path, report_path, existing
 
 
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    # the initial state is snapshot 0 whenever snapshots are taken
-    _run_flow_paths(cfg, outdir, overwrite, int(cfg.flow.snapshot_every > 0))
+    csv_path, report_path, existing = _run_flow_paths(cfg, outdir, overwrite)
     state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     traj = flow.run_flow(state, cfg.flow)
-    csv_path, report_path, *snap_paths = _run_flow_paths(
-        cfg, outdir, overwrite, len(traj.snapshots))
-    _write_csv(csv_path, traj.records)
-    for snap_path, snap in zip(snap_paths, traj.snapshots):
-        write_snapshot(snap_path, snap)
+    _write_lines(csv_path, [CSV_HEADER] + [",".join(map(_fmt, rec.as_tuple()))
+                                           for rec in traj.records])
+    for idx, snap in enumerate(traj.snapshots):
+        write_snapshot(_made_folder(os.path.join(outdir, _snapshot_name(cfg, idx))), snap)
     violations, worst = analysis.monotonicity_audit(traj.records)
     anomalous = traj.termination == flow.FlowTermination.STEP_UNDERFLOW
     failure = (f"run-flow: {violations} monotonicity violation(s), "
                f"termination={traj.termination.value}" if violations or anomalous else None)
-    return _conclude(report_path, [
+    code = _conclude(report_path, [
         "command: run-flow",
         f"grid: {cfg.geometry.nx} {cfg.geometry.ny} {cfg.geometry.nz}",
         f"preset: {cfg.initial.preset}",
@@ -138,6 +162,11 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         f"monotonicity_violations: {violations}",
         f"worst_violation: {_fmt(worst)}",
     ], failure)
+    # snapshots of an earlier run that this report does not count
+    for idx, path in existing.items():
+        if idx >= len(traj.snapshots):
+            os.remove(path)
+    return code
 
 
 def _identity_rows(cfg: RunConfig, state: ConformalState):
@@ -174,25 +203,17 @@ def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
     state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     rows = _identity_rows(cfg, state)
-    lines = ["identity value bound status"]
-    failed = []
-    for name, value, bound in rows:
-        ok = value <= bound
-        if not ok:
-            failed.append(name)
-        lines.append(f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if ok else 'FAIL'}")
+    lines = ["identity value bound status"] + [
+        f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if value <= bound else 'FAIL'}"
+        for name, value, bound in rows]
+    failed = [name for name, value, bound in rows if not value <= bound]
     failure = "check-identities: failing identities: " + ", ".join(failed) if failed else None
     return _conclude(table_path, lines, failure)
 
 
 def _orders(errors: list[float]) -> list[float]:
-    out = []
-    for coarse, fine in zip(errors, errors[1:]):
-        if fine == 0.0 or coarse == 0.0:
-            out.append(float("inf"))
-        else:
-            out.append(float(np.log2(coarse / fine)))
-    return out
+    return [float(np.log2(coarse / fine)) if coarse != 0.0 and fine != 0.0 else float("inf")
+            for coarse, fine in zip(errors, errors[1:])]
 
 
 def _laplacian_error(geom, factory) -> float:
@@ -205,10 +226,6 @@ def _laplacian_error(geom, factory) -> float:
 def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.orders, overwrite)
     grids = cfg.analysis.grids
-    if len(grids) < 2:
-        raise ConfigurationError("convergence study needs at least 2 grid sizes")
-    if list(grids) != sorted(grids) or len(set(grids)) != len(grids):
-        raise ConfigurationError(f"grid list must be strictly increasing, got {grids}")
     geoms = [build_nilmanifold(GridSpec(n, n, n)) for n in grids]
 
     laplacian_cases = [(name, factory, cfg.analysis.min_order_untwisted)
@@ -257,23 +274,16 @@ def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFami
                 fam = soliton.SolitonFamily(base, 0.0, rate)
                 families.append((f"constant(c={c:g}) sigma=1 psi_rate={rate:g}", fam))
     else:
-        base = _initial_state(cfg, geom)
-        fam = soliton.SolitonFamily(base, sol.sigma_slope, sol.psi_rate)
+        fam = soliton.SolitonFamily(_initial_state(cfg, geom), sol.sigma_slope, sol.psi_rate)
         families.append((
-            f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
-            fam,
-        ))
+            f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}", fam))
     if sol.include_negative_controls:
         mode = make_initial_state(geom, "single_mode_y", c=1.0, epsilon=0.1)
-        families.append((
-            "control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
-            soliton.SolitonFamily(mode, 0.0, 0.0),
-        ))
+        families.append(("control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
+                         soliton.SolitonFamily(mode, 0.0, 0.0)))
         const = make_initial_state(geom, "constant", c=1.0)
-        families.append((
-            "control:constant(c=1) sigma=1+1*t psi_rate=0",
-            soliton.SolitonFamily(const, 1.0, 0.0),
-        ))
+        families.append(("control:constant(c=1) sigma=1+1*t psi_rate=0",
+                         soliton.SolitonFamily(const, 1.0, 0.0)))
     return families
 
 
@@ -325,25 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    made = []  # --out and each ancestor of it that does not exist yet, deepest first
-    path = os.path.abspath(args.out)
-    while not os.path.lexists(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    code = _run(args)
-    if code == EXIT_CONFIG:
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:  # not made by this run, or not empty: its ancestors stay too
-                break
-    return code
-
-
-def _run(args) -> int:
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        _check_out(args.out)
         return _COMMANDS[args.command](cfg, args.out, args.overwrite)
     except (ConfigurationError, ShiftAlignmentError, PositivityError,
             FloatRangeError) as exc:

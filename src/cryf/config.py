@@ -86,6 +86,10 @@ class AnalysisConfig:
         _require_finite(self, ("delta", "min_order_untwisted", "min_order_twisted"))
         # an identity bound of zero demands an exact identity
         _require_finite(self, [n for n in vars(self) if n.startswith("max_")], allow_zero=True)
+        if len(self.grids) < 2:
+            raise ValueError("convergence study needs at least 2 grid sizes")
+        if list(self.grids) != sorted(set(self.grids)):
+            raise ValueError(f"grid list must be strictly increasing, got {self.grids}")
 
 
 @dataclass(frozen=True)
@@ -278,8 +282,9 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
+        # a leading byte-order mark is dropped after decoding, so offsets count it
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(
             f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"

@@ -10,8 +10,6 @@ from .geometry import BaseGeometry, _shift
 
 PRESETS = ("constant", "single_mode_y", "single_mode_x", "random_smooth")
 
-_CLAMP_MIN = 1e-6
-
 
 def seven_point_smooth(geom: BaseGeometry, f: np.ndarray, passes: int) -> np.ndarray:
     """Average each point with its six lattice neighbors (twisted wraps included)."""
@@ -30,9 +28,9 @@ def make_initial_state(geom: BaseGeometry, preset: str, *, c: float = 1.0,
     """Build the conformal factor for a named preset.
 
     random_smooth draws seeded uniform noise in [1-amplitude, 1+amplitude]
-    (numpy PCG64 via default_rng, so runs are reproducible bit for bit),
-    applies the 7-point average `smoothing_passes` times, then clamps to a
-    small positive floor.
+    (numpy PCG64 via default_rng, so runs are reproducible bit for bit) and
+    applies the 7-point average `smoothing_passes` times; an average of values
+    at least 1-amplitude is at least 1-amplitude, so the field stays positive.
     """
     if preset not in PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -61,5 +59,4 @@ def make_initial_state(geom: BaseGeometry, preset: str, *, c: float = 1.0,
         rng = np.random.default_rng(seed)
         u = rng.uniform(1.0 - amplitude, 1.0 + amplitude, size=geom.shape)
         u = seven_point_smooth(geom, u, smoothing_passes)
-        u = np.maximum(u, _CLAMP_MIN)
     return ConformalState(geom, u, 0.0)

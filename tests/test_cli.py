@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import pathlib
 import tempfile
 import tracemalloc
@@ -137,6 +138,58 @@ class TestRunFlow:
         assert err.startswith(f"configuration error: output file {out}")
         assert err.endswith(reason + "\n") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("here", [False, True], ids=["out", "out_is_cwd"])
+    def test_stray_snapshot_stops_before_any_geometry(self, tmp_path, capsys, monkeypatch,
+                                                      here):
+        # a snapshot index the run may never reach is checked before the run all the same
+        geometries = count_geometries(monkeypatch)
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\nsnapshot_every = 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snap_0007.cryf").write_text("kept")
+        if here:
+            monkeypatch.chdir(out)
+        assert main(["run-flow", "--config", cfg, "--out", os.curdir if here else str(out)]) == 2
+        shown = os.path.join(os.curdir if here else str(out), "snap_0007.cryf")
+        assert capsys.readouterr().err == \
+            f"configuration error: output file {shown} exists; pass --overwrite to replace it\n"
+        assert geometries == [] and (out / "snap_0007.cryf").read_text() == "kept"
+        assert sorted(p.name for p in out.iterdir()) == ["snap_0007.cryf"]
+
+    def test_paths_checked_once_before_the_run(self, tmp_path, monkeypatch):
+        events = []
+        check, build = cryf.cli._run_flow_paths, cryf.cli.build_nilmanifold
+        monkeypatch.setattr(cryf.cli, "_run_flow_paths",
+                            lambda *args: events.append("paths") or check(*args))
+        monkeypatch.setattr(cryf.cli, "build_nilmanifold",
+                            lambda spec: events.append("geometry") or build(spec))
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\nsnapshot_every = 1\n")
+        assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert events == ["paths", "geometry"]
+
+    @pytest.mark.parametrize("every", [5, 0])
+    def test_overwrite_removes_the_snapshots_the_report_does_not_count(self, tmp_path, every):
+        body = (OUTPUT_8_CFG.replace("constant", "random_smooth")
+                + "[flow]\nt_end = 2e-3\nsnapshot_every = {every}\n")
+        out = tmp_path / "out"
+        argv = ["run-flow", "--out", str(out), "--overwrite", "--config"]
+        assert main(argv + [write_cfg(tmp_path, body=body.format(every=1))]) == 0
+        first = sorted(p.name for p in out.glob("snap_*.cryf"))
+        # names outside the run's own snapshot pattern are never touched
+        others = ["other_0003.cryf", "snap_0003.txt", "snap_003.cryf", "snap_00003.cryf"]
+        for name in others:
+            (out / name).write_text("kept")
+        # a run that fails during the computation deletes nothing
+        failing = body.format(every=5) + "u_floor = 1\n"
+        assert main(argv + [write_cfg(tmp_path, body=failing, name="floor.cfg")]) == 2
+        assert sorted(p.name for p in out.glob("snap_*.cryf")) == sorted(first + others[2:])
+        assert main(argv + [write_cfg(tmp_path, body=body.format(every=every))]) == 0
+        counted = int((out / "report.txt").read_text().split("snapshots: ")[1].split()[0])
+        assert 0 <= counted < len(first) - 1
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["flow.csv", "report.txt"] + first[:counted] + others)
+        assert all((out / name).read_text() == "kept" for name in others)
 
     def test_unwritable_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -544,6 +597,75 @@ def test_exit_2_keeps_an_existing_out_directory(tmp_path):
     assert (tmp_path / "o").is_dir()
 
 
+# exits 2 during the computation: a probe step of delta / 8 = 1.25e299 that
+# leaves the positive cone, a sigma(t) = 1 - 2t that vanishes at the sampled
+# time 0.5, and a grid that no allocator grants
+COMPUTE_EXIT_2 = [
+    ("check-identities", PROBE_FAILURE_CFG.replace("delta = 1e-3", "delta = 1e300")),
+    ("soliton-check", OUTPUT_8_CFG + "[soliton]\nsweep = false\nsigma_slope = -2\n"
+                                     "times = 0.0,0.5\n"),
+    ("run-flow", HUGE_GRID_CFG),
+]
+
+
+@pytest.mark.parametrize("command, body", COMPUTE_EXIT_2,
+                         ids=["probe_fails", "sigma_zero", "huge_grid"])
+def test_exit_2_during_the_computation_makes_no_directory(tmp_path, monkeypatch, command, body):
+    made = []
+    for name in ("makedirs", "mkdir"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *args, real=real, **kw: made.append(args)
+                            or real(*args, **kw))
+    cfg = write_cfg(tmp_path, body=body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+    assert made == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("under", ["", "sub", "sub/deeper"], ids=["file", "under_file",
+                                                                  "two_under_file"])
+def test_out_not_a_directory_exit_2_before_any_geometry(tmp_path, capsys, monkeypatch, under):
+    geometries = count_geometries(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / under
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG)
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: --out {out}: {blocker} is not a writable directory\n"
+    assert geometries == [] and blocker.read_text() == "kept"
+
+
+def test_out_under_an_unwritable_directory_exit_2_before_any_geometry(tmp_path, capsys,
+                                                                      monkeypatch):
+    geometries = count_geometries(monkeypatch)
+    access = os.access
+    # stands in for a directory without write permission, which root could write anyway
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path)
+                        and access(path, mode))
+    out = tmp_path / "a" / "b"
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG)
+    assert main(["check-identities", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: --out {out}: {tmp_path} is not a writable directory\n"
+    assert geometries == [] and not (tmp_path / "a").exists()
+
+
+def test_nested_missing_out_made_on_success(tmp_path):
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n")
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["flow.csv", "report.txt"]
+
+
+def test_output_names_read_lexically(tmp_path):
+    # `sub/..` names --out itself, so no directory `sub` is made
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\nsnapshot_every = 1\n"
+                    "\n[output]\nreport = sub/../report.txt\nsnapshot_prefix = ./sub/../snap\n")
+    out = tmp_path / "out"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["flow.csv", "report.txt", "snap_0000.cryf"]
+
+
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
 NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
 
@@ -554,6 +676,17 @@ def test_non_utf8_config_exit_2_without_traceback(tmp_path, capsys):
     assert main(["run-flow", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == \
         f"configuration error: {cfg} is not UTF-8 text: byte 0xe9 at offset 5\n"
+
+
+def test_byte_order_mark_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + NON_UTF8_CFG[7:])
+    assert main(["run-flow", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # an offset still counts the bytes from the start of the file, the mark included
+    cfg.write_bytes(b"\xef\xbb\xbf" + NON_UTF8_CFG)
+    assert main(["run-flow", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: {cfg} is not UTF-8 text: byte 0xe9 at offset 8\n"
 
 
 def test_config_bytes_fuzz_ends_on_an_exit_code(tmp_path):

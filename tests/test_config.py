@@ -260,6 +260,17 @@ class TestValidation:
             parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
         assert str(err.value) == f"[{section}]: {key} must be {rule} and finite, got {float(value)}"
 
+    @pytest.mark.parametrize("grids, message", [
+        ("16", "convergence study needs at least 2 grid sizes"),
+        ("", "convergence study needs at least 2 grid sizes"),
+        ("16,8", "grid list must be strictly increasing, got (16, 8)"),
+        ("8,8,16", "grid list must be strictly increasing, got (8, 8, 16)"),
+    ], ids=["one", "none", "decreasing", "repeated"])
+    def test_grids_rule_message(self, grids, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(MINIMAL + f"\n[analysis]\ngrids = {grids}\n")
+        assert str(err.value) == f"[analysis]: {message}"
+
     def test_zero_identity_bound_accepted(self):
         cfg = parse_config(MINIMAL + "\n[analysis]\nmax_curvature_evolution = 0\n")
         assert cfg.analysis.max_curvature_evolution == 0.0

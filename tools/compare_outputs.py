@@ -13,17 +13,20 @@ whose sigma turns negative one residual step after its last sampled time),
 a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
 a `random_smooth` run-flow, a `single_mode_x` check-identities and a
 scaled, Reeb-translated `random_smooth` soliton-check, and a
-`single_mode_x` convergence-study on grids 12 and 24, and six configs that
+`single_mode_x` convergence-study on grids 12 and 24, six configs that
 exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
 dividing N_z, an unknown preset, `dt_min` above `dt_init`, and a
-convergence-study with grids 16,8), through `cryf.cli` once with that tree
-and once with the working tree's `src/` (25 runs).
+convergence-study with grids 16,8), and an 8^3 `single_mode_y`
+check-identities whose probe fails (delta 1e300) into a nested `--out` that
+does not exist yet, through `cryf.cli` once with that tree and once with the
+working tree's `src/` (26 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
-byte; for each file that differs a unified diff is printed, followed by the
-largest relative difference over its numeric tokens and whether any
-non-numeric token differs.  Exits 0 when all outputs are identical and 1
-otherwise.  Standard library only.
+byte, and every directory the runs leave is compared by its presence; for
+each file that differs a unified diff is printed, followed by the largest
+relative difference over its numeric tokens and whether any non-numeric
+token differs.  Exits 0 when all outputs are identical and 1 otherwise.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -113,7 +116,12 @@ INLINE_CONFIGS = {
                               "[flow]\ndt_min = 1e-3\n",
     "grids_decreasing": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                         "[analysis]\ngrids = 16,8\n",
+    # exits 2 during the computation: the probe step delta / 8 leaves the positive cone
+    "identities_probe_fails_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
+                                "[analysis]\ndelta = 1e300\n",
 }
+# run name -> its --out, where that is not the run name itself
+OUT_DIRS = {"identities_probe_fails_8": "identities_probe_fails_8/nested/out"}
 
 # (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
 RUNS = (
@@ -142,6 +150,7 @@ RUNS = (
     ("unknown_preset_8", "run-flow", None),
     ("dt_min_above_dt_init_8", "run-flow", None),
     ("grids_decreasing", "convergence-study", None),
+    ("identities_probe_fails_8", "check-identities", None),
 )
 
 
@@ -163,7 +172,7 @@ def run_all(src: Path, workdir: Path, inline_dir: Path) -> None:
         # a relative --out keeps paths in stderr equal between the two trees
         proc = subprocess.run(
             [sys.executable, "-m", "cryf.cli", command, "--config", str(config),
-             "--out", name],
+             "--out", OUT_DIRS.get(name, name)],
             cwd=workdir, env=env, capture_output=True,
         )
         (workdir / name).mkdir(exist_ok=True)
@@ -204,19 +213,24 @@ def token_differences(old_lines: list[str], new_lines: list[str]) -> tuple[float
     return worst, other
 
 
-def relative_files(top: Path) -> set[Path]:
-    return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+def relative_paths(top: Path) -> set[Path]:
+    return {p.relative_to(top) for p in top.rglob("*")}
 
 
 def diff_trees(base: Path, head: Path, base_label: str) -> int:
-    """Print how head differs from base; return the number of differing files."""
+    """Print how head differs from base; return the number of differing paths."""
     differing = 0
-    for rel in sorted(relative_files(base) | relative_files(head)):
+    for rel in sorted(relative_paths(base) | relative_paths(head)):
         old, new = base / rel, head / rel
         if not old.exists() or not new.exists():
             side = base_label if old.exists() else "working tree"
             print(f"only in {side}: {rel}")
             differing += 1
+            continue
+        if old.is_dir() or new.is_dir():
+            if old.is_dir() != new.is_dir():
+                print(f"a directory on one side only: {rel}")
+                differing += 1
             continue
         old_bytes, new_bytes = old.read_bytes(), new.read_bytes()
         if old_bytes == new_bytes:
