@@ -66,23 +66,24 @@ def _check_out(outdir: str) -> None:
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
     """The checked path of one output file, so that no run stops after its first write.
 
-    ConfigurationError if the path is a directory, is neither in --out nor in
-    an existing directory, or exists without overwrite.
+    The path is read lexically (os.path.normpath), and the path checked is the
+    one returned to be written.  ConfigurationError if it is a directory, is
+    neither in --out nor in an existing directory, or exists without overwrite.
     """
-    path = os.path.join(outdir, name)
-    folder = os.path.dirname(path)
-    if os.path.isdir(path) or os.path.normpath(path) == os.path.normpath(outdir):
-        raise ConfigurationError(f"output file {path} is a directory")
-    if not (os.path.isdir(folder) or os.path.normpath(folder) == os.path.normpath(outdir)):
-        raise ConfigurationError(f"output file {path} is not in an existing directory")
+    shown = os.path.join(outdir, name)
+    path, out = os.path.normpath(shown), os.path.normpath(outdir)
+    folder = os.path.dirname(path) or os.curdir
+    if path == out or os.path.isdir(path):
+        raise ConfigurationError(f"output file {shown} is a directory")
+    if not (folder == out or os.path.isdir(folder)):
+        raise ConfigurationError(f"output file {shown} is not in an existing directory")
     if os.path.exists(path) and not overwrite:
-        raise ConfigurationError(f"output file {path} exists; pass --overwrite to replace it")
+        raise ConfigurationError(f"output file {shown} exists; pass --overwrite to replace it")
     return path
 
 
 def _made_folder(path: str) -> str:
-    """path, normalized, once its directory exists: --out is made at the first write."""
-    path = os.path.normpath(path)
+    """path, once its directory exists: --out is made at the first write."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     return path
 
@@ -102,29 +103,32 @@ def _conclude(path: str, lines: list[str], failure: str | None) -> int:
     return EXIT_OK
 
 
+def _write_csv(path: str, records) -> None:
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(",".join(_fmt(v) for v in rec.as_tuple()))
+    _write_lines(path, lines)
+
+
 def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
     return make_initial_state(geom, **vars(cfg.initial))
 
 
-def _snapshot_name(cfg: RunConfig, idx: int) -> str:
-    return f"{cfg.output.snapshot_prefix}_{idx:04d}.cryf"
-
-
 def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
-    """The CSV and report paths, each checked, and the run's existing snapshots by index.
+    """The checked CSV, report and snapshot paths, the last up to its index, and
+    the run's existing snapshots by index.
 
     Every file named like a snapshot of the run, {prefix}_NNNN.cryf, is its
     output: an existing one needs overwrite, and the CSV or report may not be
     named like one.  ConfigurationError otherwise, or if the two coincide.
     """
-    csv_path, report_path, first_snap = (
+    csv, report, first_snap = (
         _out_path(outdir, name, overwrite)
-        for name in (cfg.output.csv, cfg.output.report, _snapshot_name(cfg, 0)))
-    folder, first_name = os.path.split(os.path.normpath(first_snap))
+        for name in (cfg.output.csv, cfg.output.report, f"{cfg.output.snapshot_prefix}_0000.cryf"))
+    stem = first_snap[:-len("0000.cryf")]
+    folder, prefix = os.path.split(stem)
     folder = folder or os.curdir
-    pattern = re.compile(re.escape(first_name[:-len("_0000.cryf")])
-                         + r"_([0-9]{4}|[1-9][0-9]{4,})\.cryf")
-    csv, report = map(os.path.normpath, (csv_path, report_path))
+    pattern = re.compile(re.escape(prefix) + r"([0-9]{4}|[1-9][0-9]{4,})\.cryf")
     for path in (csv, report):
         head, name = os.path.split(path)
         if csv == report or (head or os.curdir) == folder and pattern.fullmatch(name):
@@ -134,17 +138,16 @@ def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
         match = pattern.fullmatch(name)
         if match:
             existing[int(match[1])] = _out_path(folder, name, overwrite)
-    return csv_path, report_path, existing
+    return csv, report, stem, existing
 
 
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
-    csv_path, report_path, existing = _run_flow_paths(cfg, outdir, overwrite)
+    csv_path, report_path, snap_stem, existing = _run_flow_paths(cfg, outdir, overwrite)
     state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     traj = flow.run_flow(state, cfg.flow)
-    _write_lines(csv_path, [CSV_HEADER] + [",".join(map(_fmt, rec.as_tuple()))
-                                           for rec in traj.records])
+    _write_csv(csv_path, traj.records)
     for idx, snap in enumerate(traj.snapshots):
-        write_snapshot(_made_folder(os.path.join(outdir, _snapshot_name(cfg, idx))), snap)
+        write_snapshot(_made_folder(f"{snap_stem}{idx:04d}.cryf"), snap)
     violations, worst = analysis.monotonicity_audit(traj.records)
     anomalous = traj.termination == flow.FlowTermination.STEP_UNDERFLOW
     failure = (f"run-flow: {violations} monotonicity violation(s), "
@@ -203,17 +206,25 @@ def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
     state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
     rows = _identity_rows(cfg, state)
-    lines = ["identity value bound status"] + [
-        f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if value <= bound else 'FAIL'}"
-        for name, value, bound in rows]
-    failed = [name for name, value, bound in rows if not value <= bound]
+    lines = ["identity value bound status"]
+    failed = []
+    for name, value, bound in rows:
+        ok = value <= bound
+        if not ok:
+            failed.append(name)
+        lines.append(f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if ok else 'FAIL'}")
     failure = "check-identities: failing identities: " + ", ".join(failed) if failed else None
     return _conclude(table_path, lines, failure)
 
 
 def _orders(errors: list[float]) -> list[float]:
-    return [float(np.log2(coarse / fine)) if coarse != 0.0 and fine != 0.0 else float("inf")
-            for coarse, fine in zip(errors, errors[1:])]
+    out = []
+    for coarse, fine in zip(errors, errors[1:]):
+        if fine == 0.0 or coarse == 0.0:
+            out.append(float("inf"))
+        else:
+            out.append(float(np.log2(coarse / fine)))
+    return out
 
 
 def _laplacian_error(geom, factory) -> float:
@@ -274,16 +285,23 @@ def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFami
                 fam = soliton.SolitonFamily(base, 0.0, rate)
                 families.append((f"constant(c={c:g}) sigma=1 psi_rate={rate:g}", fam))
     else:
-        fam = soliton.SolitonFamily(_initial_state(cfg, geom), sol.sigma_slope, sol.psi_rate)
+        base = _initial_state(cfg, geom)
+        fam = soliton.SolitonFamily(base, sol.sigma_slope, sol.psi_rate)
         families.append((
-            f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}", fam))
+            f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
+            fam,
+        ))
     if sol.include_negative_controls:
         mode = make_initial_state(geom, "single_mode_y", c=1.0, epsilon=0.1)
-        families.append(("control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
-                         soliton.SolitonFamily(mode, 0.0, 0.0)))
+        families.append((
+            "control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
+            soliton.SolitonFamily(mode, 0.0, 0.0),
+        ))
         const = make_initial_state(geom, "constant", c=1.0)
-        families.append(("control:constant(c=1) sigma=1+1*t psi_rate=0",
-                         soliton.SolitonFamily(const, 1.0, 0.0)))
+        families.append((
+            "control:constant(c=1) sigma=1+1*t psi_rate=0",
+            soliton.SolitonFamily(const, 1.0, 0.0),
+        ))
     return families
 
 

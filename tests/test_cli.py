@@ -666,6 +666,31 @@ def test_output_names_read_lexically(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["flow.csv", "report.txt", "snap_0000.cryf"]
 
 
+@pytest.mark.parametrize("directory, overwrite, reason", [
+    (False, False, "exists; pass --overwrite to replace it"),
+    (True, True, "is a directory"),
+], ids=["file", "directory"])
+def test_lexical_name_of_an_existing_output_exit_2_before_any_geometry(
+        tmp_path, capsys, monkeypatch, directory, overwrite, reason):
+    # the path checked is the path written: `sub` is missing, so the kernel
+    # cannot resolve `sub/..`, but the name still is --out/report.txt
+    geometries = count_geometries(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    if directory:
+        (out / "report.txt").mkdir()
+    else:
+        (out / "report.txt").write_text("kept")
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n\n"
+                    "[output]\nreport = sub/../report.txt\n")
+    argv = ["run-flow", "--config", cfg, "--out", str(out)] + ["--overwrite"] * overwrite
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: output file {out}/sub/../report.txt {reason}\n"
+    assert geometries == [] and sorted(p.name for p in out.iterdir()) == ["report.txt"]
+    assert directory or (out / "report.txt").read_text() == "kept"
+
+
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
 NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
 
