@@ -4,9 +4,9 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure, including an identity probe that
 leaves the positive cone, a soliton family whose sigma is not positive at
 a sampled time, fields or diagnostics that overflow float64, and a grid too
-large for memory.  Every output path is checked before the run, and --out is
-made, with its missing parents, at the first write, so such an exit creates
-no directory.
+large for memory.  Every output is a file named in [output] directly in --out.
+Each is checked before the run, and --out is made, with its missing parents,
+at the first write, so such an exit creates no directory.
 Outputs are deterministic byte for byte for a fixed config and seed; no
 timestamps, 17-significant-digit decimal floats throughout (lossless
 float64 round trip).
@@ -64,21 +64,16 @@ def _check_out(outdir: str) -> None:
 
 
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
-    """The checked path of one output file, so that no run stops after its first write.
+    """The checked path of one output file in --out, so that no run stops after its first write.
 
-    The path is read lexically (os.path.normpath), and the path checked is the
-    one returned to be written.  ConfigurationError if it is a directory, is
-    neither in --out nor in an existing directory, or exists without overwrite.
+    The config makes every output name a file name.  ConfigurationError if the
+    path is a directory, or exists without overwrite.
     """
-    shown = os.path.join(outdir, name)
-    path, out = os.path.normpath(shown), os.path.normpath(outdir)
-    folder = os.path.dirname(path) or os.curdir
-    if path == out or os.path.isdir(path):
-        raise ConfigurationError(f"output file {shown} is a directory")
-    if not (folder == out or os.path.isdir(folder)):
-        raise ConfigurationError(f"output file {shown} is not in an existing directory")
+    path = os.path.join(outdir, name)
+    if os.path.isdir(path):
+        raise ConfigurationError(f"output file {path} is a directory")
     if os.path.exists(path) and not overwrite:
-        raise ConfigurationError(f"output file {shown} exists; pass --overwrite to replace it")
+        raise ConfigurationError(f"output file {path} exists; pass --overwrite to replace it")
     return path
 
 
@@ -115,30 +110,26 @@ def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
 
 
 def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
-    """The checked CSV, report and snapshot paths, the last up to its index, and
-    the run's existing snapshots by index.
+    """The checked CSV and report paths, the snapshot stem, and the run's existing
+    snapshots by index.
 
-    Every file named like a snapshot of the run, {prefix}_NNNN.cryf, is its
-    output: an existing one needs overwrite, and the CSV or report may not be
+    Every file in --out named like a snapshot of the run, {prefix}_NNNN.cryf, is
+    its output: an existing one needs overwrite, and the CSV or report may not be
     named like one.  ConfigurationError otherwise, or if the two coincide.
     """
-    csv, report, first_snap = (
-        _out_path(outdir, name, overwrite)
-        for name in (cfg.output.csv, cfg.output.report, f"{cfg.output.snapshot_prefix}_0000.cryf"))
-    stem = first_snap[:-len("0000.cryf")]
-    folder, prefix = os.path.split(stem)
-    folder = folder or os.curdir
-    pattern = re.compile(re.escape(prefix) + r"([0-9]{4}|[1-9][0-9]{4,})\.cryf")
-    for path in (csv, report):
-        head, name = os.path.split(path)
-        if csv == report or (head or os.curdir) == folder and pattern.fullmatch(name):
+    out = cfg.output
+    csv, report = (_out_path(outdir, name, overwrite) for name in (out.csv, out.report))
+    pattern = re.compile(re.escape(out.snapshot_prefix) + r"_([0-9]{4}|[1-9][0-9]{4,})\.cryf")
+    for name, path in ((out.csv, csv), (out.report, report)):
+        if out.csv == out.report or pattern.fullmatch(name):
             raise ConfigurationError(f"two run-flow outputs are the same file {path}")
     existing = {}
+    folder = outdir or os.curdir
     for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
         match = pattern.fullmatch(name)
         if match:
-            existing[int(match[1])] = _out_path(folder, name, overwrite)
-    return csv, report, stem, existing
+            existing[int(match[1])] = _out_path(outdir, name, overwrite)
+    return csv, report, os.path.join(outdir, f"{out.snapshot_prefix}_"), existing
 
 
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:

@@ -14,6 +14,7 @@ range rules are in `__post_init__`.  Keys are parsed in field order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
@@ -125,6 +126,12 @@ class OutputConfig:
     orders: str = "orders.txt"
     verdicts: str = "verdicts.txt"
     snapshot_prefix: str = "snap"
+
+    def __post_init__(self) -> None:
+        # every output is a file of --out: no folder part, and not --out or its parent
+        for name, value in vars(self).items():
+            if os.path.basename(value) != value or value in ("", os.curdir, os.pardir):
+                raise ValueError(f"{name} must be a file name in --out, got {value!r}")
 
 
 @dataclass(frozen=True)

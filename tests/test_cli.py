@@ -104,39 +104,40 @@ class TestRunFlow:
         assert sorted(p.name for p in out.iterdir()) == ["snap_0002.cryf"]
         assert (out / "snap_0002.cryf").read_text() == "kept"
 
-    @pytest.mark.parametrize("output, clash", [
-        ("csv = out.txt\nreport = out.txt\n", "out.txt"),
-        ("csv = a.csv\nreport = ./a.csv\n", "a.csv"),
-        ("csv = snap_0000.cryf\n", "snap_0000.cryf"),
+    @pytest.mark.parametrize("output, message", [
+        ("csv = out.txt\nreport = out.txt\n",
+         "two run-flow outputs are the same file {out}/out.txt"),
+        # an output name is a file name, so `./a.csv` is no other spelling of `a.csv`
+        ("csv = a.csv\nreport = ./a.csv\n",
+         "[output]: report must be a file name in --out, got './a.csv'"),
+        ("csv = snap_0000.cryf\n", "two run-flow outputs are the same file {out}/snap_0000.cryf"),
     ], ids=["csv_report", "normalized", "csv_snapshot"])
-    def test_outputs_sharing_a_path_rejected(self, tmp_path, capsys, monkeypatch, output, clash):
+    def test_outputs_sharing_a_path_rejected(self, tmp_path, capsys, monkeypatch, output,
+                                             message):
         geometries = count_geometries(monkeypatch)
         cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nsnapshot_every = 1\n\n"
                         "[output]\n" + output)
         out = tmp_path / "out"
         assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: two run-flow outputs are the same file ")
-        assert err.rstrip("\n").endswith(clash)
+        assert capsys.readouterr().err == \
+            f"configuration error: {message.format(out=out)}\n"
         assert geometries == [] and not out.exists()
 
-    @pytest.mark.parametrize("flow, output, overwrite, reason", [
+    @pytest.mark.parametrize("flow, output, overwrite, message", [
         ("snapshot_every = 1\n", "snapshot_prefix = nodir/snap\n", False,
-         "nodir/snap_0000.cryf is not in an existing directory"),
+         "snapshot_prefix must be a file name in --out, got 'nodir/snap'"),
         ("", "report = nodir/report.txt\n", False,
-         "nodir/report.txt is not in an existing directory"),
-        ("", "report = .\n", True, "/. is a directory"),
+         "report must be a file name in --out, got 'nodir/report.txt'"),
+        ("", "report = .\n", True, "report must be a file name in --out, got '.'"),
     ], ids=["snapshot_dir_missing", "report_dir_missing", "report_is_the_out_dir"])
     def test_unwritable_output_stops_before_any_write(self, tmp_path, capsys, flow, output,
-                                                      overwrite, reason):
+                                                      overwrite, message):
         cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\n" + flow
                         + "\n[output]\n" + output)
         out = tmp_path / "out"
         argv = ["run-flow", "--config", cfg, "--out", str(out)] + ["--overwrite"] * overwrite
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: output file {out}")
-        assert err.endswith(reason + "\n") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"configuration error: [output]: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("here", [False, True], ids=["out", "out_is_cwd"])
@@ -657,23 +658,22 @@ def test_nested_missing_out_made_on_success(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["flow.csv", "report.txt"]
 
 
-def test_output_names_read_lexically(tmp_path):
-    # `sub/..` names --out itself, so no directory `sub` is made
+def test_output_names_read_lexically(tmp_path, capsys):
+    # `sub/..` would name --out itself, but an output name is a file name
     cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\nsnapshot_every = 1\n"
                     "\n[output]\nreport = sub/../report.txt\nsnapshot_prefix = ./sub/../snap\n")
     out = tmp_path / "out"
-    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["flow.csv", "report.txt", "snap_0000.cryf"]
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: [output]: report must be a file "
+                                       "name in --out, got 'sub/../report.txt'\n")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("directory, overwrite, reason", [
-    (False, False, "exists; pass --overwrite to replace it"),
-    (True, True, "is a directory"),
-], ids=["file", "directory"])
+@pytest.mark.parametrize("directory, overwrite", [(False, False), (True, True)],
+                         ids=["file", "directory"])
 def test_lexical_name_of_an_existing_output_exit_2_before_any_geometry(
-        tmp_path, capsys, monkeypatch, directory, overwrite, reason):
-    # the path checked is the path written: `sub` is missing, so the kernel
-    # cannot resolve `sub/..`, but the name still is --out/report.txt
+        tmp_path, capsys, monkeypatch, directory, overwrite):
+    # `sub/../report.txt` is no file name, whatever --out/report.txt is
     geometries = count_geometries(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
@@ -685,10 +685,54 @@ def test_lexical_name_of_an_existing_output_exit_2_before_any_geometry(
                     "[output]\nreport = sub/../report.txt\n")
     argv = ["run-flow", "--config", cfg, "--out", str(out)] + ["--overwrite"] * overwrite
     assert main(argv) == 2
-    assert capsys.readouterr().err == \
-        f"configuration error: output file {out}/sub/../report.txt {reason}\n"
+    assert capsys.readouterr().err == ("configuration error: [output]: report must be a file "
+                                       "name in --out, got 'sub/../report.txt'\n")
     assert geometries == [] and sorted(p.name for p in out.iterdir()) == ["report.txt"]
     assert directory or (out / "report.txt").read_text() == "kept"
+
+
+# the command that writes each [output] key
+OUTPUT_KEYS = {"csv": "run-flow", "report": "run-flow", "snapshot_prefix": "run-flow",
+               "residuals": "check-identities", "orders": "convergence-study",
+               "verdicts": "soliton-check"}
+
+
+def tree(top):
+    """Every path under top, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in top.rglob("*")}
+
+
+@pytest.mark.parametrize("value", ["{tmp}/x", "../x", "sub/x", ".", "..", ""],
+                         ids=["absolute", "parent", "sub", "dot", "dotdot", "empty"])
+@pytest.mark.parametrize("key", OUTPUT_KEYS)
+def test_output_value_not_a_file_name_exit_2_before_any_geometry(tmp_path, capsys,
+                                                                 monkeypatch, key, value):
+    geometries = count_geometries(monkeypatch)
+    value = value.format(tmp=tmp_path)
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + f"[output]\n{key} = {value}\n")
+    before = tree(tmp_path)
+    argv = [OUTPUT_KEYS[key], "--config", cfg, "--out", str(tmp_path / "out"), "--overwrite"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: [output]: {key} must be a file name in --out, got '{value}'\n"
+    assert geometries == [] and tree(tmp_path) == before
+
+
+def test_snapshot_prefix_outside_out_removes_nothing(tmp_path, capsys):
+    # with --overwrite, a prefix in another directory would have its
+    # snapshots there removed as stale once the report was written
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "snap_0003.cryf").write_text("kept")
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n\n"
+                    f"[output]\nsnapshot_prefix = {elsewhere}/snap\n")
+    argv = ["run-flow", "--config", cfg, "--out", str(tmp_path / "out"), "--overwrite"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("configuration error: [output]: snapshot_prefix must be "
+                                       f"a file name in --out, got '{elsewhere}/snap'\n")
+    assert [p.name for p in elsewhere.iterdir()] == ["snap_0003.cryf"]
+    assert (elsewhere / "snap_0003.cryf").read_text() == "kept"
+    assert not (tmp_path / "out").exists()
 
 
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute

@@ -1,8 +1,10 @@
-"""Import structure of the package, and which of its names the program reaches."""
+"""Import structure of the package, which of its names the program reaches, and the run
+table of tools/compare_outputs.py."""
 
 import ast
 import functools
 import graphlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -79,3 +81,15 @@ def test_run_settings_are_declared_only_in_config():
     owners = {p.stem for p in PACKAGE.glob("*.py") for node in parsed(p).body
               if isinstance(node, ast.ClassDef) and node.name.endswith("Config")}
     assert owners == {"config"}
+
+
+def test_compare_outputs_runs_are_consistent():
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _, _ in tool.RUNS]
+    assert len(names) == len(set(names))
+    assert {name for name, _, cfg in tool.RUNS if cfg is None} <= set(tool.INLINE_CONFIGS)
+    assert set(tool.INLINE_CONFIGS) | set(tool.OUT_DIRS) <= set(names)
+    assert all((ROOT / cfg).is_file() for _, _, cfg in tool.RUNS if cfg is not None)

@@ -18,8 +18,9 @@ exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
 dividing N_z, an unknown preset, `dt_min` above `dt_init`, and a
 convergence-study with grids 16,8), and an 8^3 `single_mode_y`
 check-identities whose probe fails (delta 1e300) into a nested `--out` that
-does not exist yet, through `cryf.cli` once with that tree and once with the
-working tree's `src/` (26 runs).
+does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
+report is named `../escaped_report.txt`, through `cryf.cli` once with that
+tree and once with the working tree's `src/` (27 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
@@ -119,6 +120,10 @@ INLINE_CONFIGS = {
     # exits 2 during the computation: the probe step delta / 8 leaves the positive cone
     "identities_probe_fails_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                                 "[analysis]\ndelta = 1e300\n",
+    # exits 2 on the config alone: an output name is a file name in --out; the
+    # relative name keeps any file it might make inside the temporary directory
+    "output_escapes_8": GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n\n"
+                        "[output]\nreport = ../escaped_report.txt\n",
 }
 # run name -> its --out, where that is not the run name itself
 OUT_DIRS = {"identities_probe_fails_8": "identities_probe_fails_8/nested/out"}
@@ -151,6 +156,7 @@ RUNS = (
     ("dt_min_above_dt_init_8", "run-flow", None),
     ("grids_decreasing", "convergence-study", None),
     ("identities_probe_fails_8", "check-identities", None),
+    ("output_escapes_8", "run-flow", None),
 )
 
 
