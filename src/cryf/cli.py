@@ -72,7 +72,8 @@ def _out_path(outdir: str, name: str, overwrite: bool) -> str:
     path = os.path.join(outdir, name)
     if os.path.isdir(path):
         raise ConfigurationError(f"output file {path} is a directory")
-    if os.path.exists(path) and not overwrite:
+    # lexists: writing through a dangling link would make a file outside --out
+    if os.path.lexists(path) and not overwrite:
         raise ConfigurationError(f"output file {path} exists; pass --overwrite to replace it")
     return path
 

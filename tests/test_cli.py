@@ -735,6 +735,20 @@ def test_snapshot_prefix_outside_out_removes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_dangling_link_output_needs_overwrite(tmp_path, capsys, monkeypatch):
+    # the write would follow the link and make its target outside --out
+    geometries = count_geometries(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.txt").symlink_to(tmp_path / "target.txt")
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n")
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: output file {out}/report.txt "
+                                       "exists; pass --overwrite to replace it\n")
+    assert geometries == [] and not (tmp_path / "target.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+
+
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
 NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
 
