@@ -78,14 +78,21 @@ def _out_path(outdir: str, name: str, overwrite: bool) -> str:
     return path
 
 
-def _made_folder(path: str) -> str:
-    """path, once its directory exists: --out is made at the first write."""
+def _fresh_path(path: str) -> str:
+    """path, ready for a write that makes a new regular file there.
+
+    --out is made at the first write.  An existing entry, which `_out_path`
+    passes only with overwrite, is removed first: a write through a symbolic
+    or hard link would replace a file outside --out.
+    """
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    if os.path.lexists(path):
+        os.remove(path)
     return path
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(_made_folder(path), "w", encoding="utf-8", newline="\n") as fh:
+    with open(_fresh_path(path), "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 
@@ -139,7 +146,7 @@ def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     traj = flow.run_flow(state, cfg.flow)
     _write_csv(csv_path, traj.records)
     for idx, snap in enumerate(traj.snapshots):
-        write_snapshot(_made_folder(f"{snap_stem}{idx:04d}.cryf"), snap)
+        write_snapshot(_fresh_path(f"{snap_stem}{idx:04d}.cryf"), snap)
     violations, worst = analysis.monotonicity_audit(traj.records)
     anomalous = traj.termination == flow.FlowTermination.STEP_UNDERFLOW
     failure = (f"run-flow: {violations} monotonicity violation(s), "

@@ -25,13 +25,19 @@ the stand-alone frame differences are test references (tests/reference.py).
 Fields are plain float64 numpy arrays of shape (N_x, N_y, N_z), C-order,
 so the z index varies fastest.
 
+The divergence-form kernel works one slab of x-planes at a time, about
+2^15 points each.  A whole float64 field at 64^3 is 2 MiB, as large as a
+core's L2 cache, so a pass over whole fields runs from L3; the fields of a
+slab, 256 KiB each, stay in L2.  A slab's x differences read one halo plane
+beyond it, through the shear at the x-wrap; small grids are one slab.
+
 A geometry holds four work fields, made with it by `np.empty` (untouched
-pages of a large field cost no resident memory): three scratch fields of the
-divergence-form kernel and the one stage field of the flow's four-stage step.
-Every kernel call and step writes them, so one geometry must not be shared by
-threads that apply the kernel or step the flow concurrently.  Build one
-geometry per grid and pass it around: every further geometry of the same
-grid holds four more.
+pages of a large field cost no resident memory): three slab-sized scratch
+fields of the divergence-form kernel and the one full-size stage field of the
+flow's four-stage step.  Every kernel call and step writes them, so one
+geometry must not be shared by threads that apply the kernel or step the flow
+concurrently.  Build one geometry per grid and pass it around: every further
+geometry of the same grid holds four more.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+
+# points per slab of x-planes in the divergence-form kernel: 256 KiB per
+# float64 slab field, so a pass's operands stay in a core's L2 cache
+_SLAB_POINTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,11 @@ class BaseGeometry:
     R_base u term out (checked operationally by constants being flow fixed
     points).
 
+    It also holds the kernel's three scratch fields, each one slab of
+    x-planes plus a halo plane, so that a kernel pass stays in L2 cache, and
+    the full-size stage field of the flow's step; see the module docstring
+    for why one geometry must not be shared across threads.
+
     Attributes:
         spec: the lattice sizes.
         w0: quadrature weight per grid point (the fundamental cell has unit
@@ -121,8 +136,11 @@ class BaseGeometry:
                       for step in (1, -1)}
         # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
         self._q = self.x_coord * spec.twist
-        # work fields of _div_form and the stage field of flow._rk4_any
-        self._scratch = tuple(np.empty(spec.shape) for _ in range(3))
+        # x-planes per slab of _div_form, its slab-sized work fields (a slab
+        # and its halo plane) and the stage field of flow._rk4_any
+        self._slab_planes = max(1, min(spec.nx, _SLAB_POINTS // (spec.ny * spec.nz)))
+        self._scratch = tuple(np.empty((self._slab_planes + 1, spec.ny, spec.nz))
+                              for _ in range(3))
         self._stage = np.empty(spec.shape)
 
     @property
@@ -163,36 +181,31 @@ def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarra
     return out
 
 
-def _diff(geom: BaseGeometry, g: np.ndarray, axis: int, step: int,
-          out: np.ndarray) -> None:
-    """Unscaled one-sided difference of g along one lattice axis, into out.
+def _diff(g: np.ndarray, axis: int, step: int, out: np.ndarray) -> None:
+    """Unscaled one-sided difference of g along lattice axis 1 or 2, into out.
 
     step=+1 gives S g - g and step=-1 gives g - S^-1 g, where S samples one
-    lattice step further along the axis (for x through the sheared wrap).
-    S is a permutation, so every entry is a single subtraction.  A lattice
-    step is `stride` places of the flat C-order array, so one flat pass
-    differences every line; the entries it takes across two lines lie in
-    the wrap slab, which the second subtraction overwrites.  `out` must be
-    C-contiguous and distinct from g.
+    lattice step further along the axis, wrapping periodically (only the
+    x-wrap shears, and the kernel differences x itself).  S is a permutation,
+    so every entry is a single subtraction.  A lattice step is `stride`
+    places of the flat C-order array, so one flat pass differences every
+    line; the entries it takes across two lines lie in the wrap slab, which
+    the second subtraction overwrites.  `out` must be C-contiguous and
+    distinct from g.
     """
     stride = math.prod(g.shape[axis + 1:])
     flat = g.reshape(-1)
     dst, edge = (slice(None, -stride), -1) if step == 1 else (slice(stride, None), 0)
     np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[dst])
     ix = (slice(None),) * axis
-    first, last = g[ix + (0,)], g[ix + (-1,)]
-    if axis == 0:
-        if step == 1:
-            first = np.take(first, geom._wrap[1])
-        else:
-            last = np.take(last, geom._wrap[-1])
-    np.subtract(first, last, out=out[ix + (edge,)])
+    np.subtract(g[ix + (0,)], g[ix + (-1,)], out=out[ix + (edge,)])
 
 
 def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
-                       step: int, out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       c: np.ndarray) -> None:
-    """One conservative form -D*(w D f) into out, D one-sided in direction `step`.
+                       step: int, i0: int, i1: int, out: np.ndarray, a: np.ndarray,
+                       b: np.ndarray, c: np.ndarray) -> None:
+    """One conservative form -D*(w D f) on x-planes [i0, i1) into out, D one-sided
+    in direction `step`.
 
     With d = _diff(.., step), d' = _diff(.., -step) = -h D* and the column
     q = x * hy/hz, it takes differences unscaled and scales each part once:
@@ -203,26 +216,51 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     Exactly, this is the textbook grouping d'_x(w d_x f / hx) / hx + ...;
     a power-of-two scale commutes with rounding, so on grids whose cell
     sizes are powers of two the two agree bit for bit, and elsewhere they
-    differ by rounding.  a, b, c are scratch; out may be c, whose last read
-    comes before out's first write.
+    differ by rounding.
+
+    The Y part reads only the slab's m = i1 - i0 planes.  The X part needs
+    m + 1 planes of flux Fx: the slab's and one halo plane, i0 - 1 for the
+    forward form and i1 for the backward one, built in b from the
+    differences d[k] = f[i0+k] - f[i0+k-1], k = 0..m.  A plane beyond the
+    x-wrap (-1 or N_x) is read through the shear; that gather is a
+    permutation and commutes with every pointwise operation, so each entry
+    is bit for bit that of the whole-field expression.  f and w are whole
+    fields; out holds m planes.  a, b, c are scratch of at least m + 1
+    planes; out may be c[:m], whose last read comes before out's first write.
     """
-    q = geom._q
-    _diff(geom, f, 1, step, b)
-    _diff(geom, f, 2, step, c)
+    m, n = i1 - i0, geom.spec.nx
+    fs, q = f[i0:i1], geom._q[i0:i1]
+    a, c, flux = a[:m], c[:m], b[:m + 1]
+    b = flux[:m]
+    _diff(fs, 1, step, b)
+    _diff(fs, 2, step, c)
     c *= q
     b += c
     if w is not None:
-        b *= w
-    _diff(geom, b, 1, -step, a)
-    _diff(geom, b, 2, -step, c)
+        b *= w[i0:i1]
+    _diff(b, 1, -step, a)
+    _diff(b, 2, -step, c)
     c *= q
     a += c
     a *= geom.spec.ny ** 2
-    _diff(geom, f, 0, step, b)
+    back, ahead = geom._wrap[-1], geom._wrap[1]
+    lo, hi = max(i0, 1), min(i1, n - 1) + 1
+    np.subtract(f[lo:hi], f[lo - 1:hi - 1], out=flux[lo - i0:hi - i0])
+    if i0 == 0:
+        np.subtract(f[0], np.take(f[-1], back), out=flux[0])
+    if i1 == n:
+        np.subtract(np.take(f[0], ahead), f[-1], out=flux[m])
     if w is not None:
-        b *= w
-    _diff(geom, b, 0, -step, out)
-    out *= geom.spec.nx ** 2
+        # the forward form weights d[k] by plane i0+k-1, the backward by i0+k
+        j0 = i0 - (step == 1)
+        lo, hi = max(j0, 0), min(j0 + m, n - 1) + 1
+        flux[lo - j0:hi - j0] *= w[lo:hi]
+        if j0 < 0:
+            flux[0] *= np.take(w[-1], back)
+        if j0 + m == n:
+            flux[m] *= np.take(w[0], ahead)
+    np.subtract(flux[1:], flux[:-1], out=out)
+    out *= n ** 2
     out += a
 
 
@@ -236,16 +274,26 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
     gives second-order consistency for smooth weights.  For no weight or a
     constant one the two forms are the same linear operator (the lattice
     shifts commute, and x is constant along y and z), so only the forward
-    form is evaluated; it differs from the average only by rounding.  Works
-    in the geometry's three scratch fields; only the returned array is new.
+    form is evaluated; it differs from the average only by rounding.
+
+    Both forms run one slab of x-planes at a time in the geometry's three
+    slab-sized scratch fields, so each pass reads and writes fields that
+    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2); only
+    the returned array is new.
     """
     a, b, c = geom._scratch
     out = np.empty(geom.shape)
-    _conservative_form(geom, f, w, 1, out, a, b, c)
-    if w is not None and w.min() != w.max():
-        _conservative_form(geom, f, w, -1, c, a, b, c)
-        out += c
-        out *= 0.5
+    both = w is not None and w.min() != w.max()
+    n, planes = geom.spec.nx, geom._slab_planes
+    for i0 in range(0, n, planes):
+        i1 = min(i0 + planes, n)
+        slab = out[i0:i1]
+        _conservative_form(geom, f, w, 1, i0, i1, slab, a, b, c)
+        if both:
+            bwd = c[:i1 - i0]
+            _conservative_form(geom, f, w, -1, i0, i1, bwd, a, b, c)
+            slab += bwd
+            slab *= 0.5
     return out
 
 

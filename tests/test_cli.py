@@ -749,6 +749,25 @@ def test_dangling_link_output_needs_overwrite(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
 
 
+@pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+def test_overwrite_replaces_a_linked_output_with_a_file_in_out(tmp_path, link):
+    # a write through the link would replace the file it shares outside --out
+    out = tmp_path / "out"
+    out.mkdir()
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"kept\n")
+    names = ["flow.csv", "report.txt", "snap_0000.cryf"]
+    for name in names:
+        getattr(out / name, link)(outside)
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\nsnapshot_every = 1\n")
+    assert main(["run-flow", "--config", cfg, "--out", str(out), "--overwrite"]) == 0
+    assert outside.read_bytes() == b"kept\n"
+    for name in names:
+        path = out / name
+        assert path.is_file() and not path.is_symlink() and path.stat().st_nlink == 1
+    assert (out / "report.txt").read_text().startswith("command: run-flow\n")
+
+
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
 NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
 

@@ -13,14 +13,16 @@ whose sigma turns negative one residual step after its last sampled time),
 a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
 a `random_smooth` run-flow, a `single_mode_x` check-identities and a
 scaled, Reeb-translated `random_smooth` soliton-check, and a
-`single_mode_x` convergence-study on grids 12 and 24, six configs that
+`single_mode_x` convergence-study on grids 12 and 24, a `random_smooth`
+check-identities on the 40x16x64 grid (twist 4, delta 1e-6), which the
+divergence-form kernel runs in two slabs of x-planes, six configs that
 exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
 dividing N_z, an unknown preset, `dt_min` above `dt_init`, and a
 convergence-study with grids 16,8), and an 8^3 `single_mode_y`
 check-identities whose probe fails (delta 1e300) into a nested `--out` that
 does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
 report is named `../escaped_report.txt`, through `cryf.cli` once with that
-tree and once with the working tree's `src/` (27 runs).
+tree and once with the working tree's `src/` (28 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
@@ -60,6 +62,15 @@ N_y = 4
 N_z = 12
 
 """
+# twist 4, and more points than one slab of the divergence-form kernel holds:
+# it runs in slabs of 32 and 8 x-planes
+GRID_SLABS = """\
+[geometry]
+N_x = 40
+N_y = 16
+N_z = 64
+
+"""
 ROUGH_8 = GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\nsmoothing_passes = 0\n"
 
 # run name -> config text of the runs that have no shipped config
@@ -92,6 +103,10 @@ INLINE_CONFIGS = {
     # the smoothing and every x difference cross the sheared wrap
     "flow_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 5\n\n"
                     "[flow]\nt_end = 2e-3\nrecord_every = 2\n",
+    # the varying-weight kernel path crosses every slab boundary and the sheared wrap
+    # (delta 1e-4 leaves the positive cone on this stiffer grid)
+    "identities_slabs": GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 6\n\n"
+                        "[analysis]\ndelta = 1e-6\n",
     "identities_twisted": GRID_TWISTED + "[initial_data]\npreset = single_mode_x\n"
                           "epsilon = 0.1\n",
     # one scaled family whose Reeb shift (3 cells at t = 0.25) meets the sheared wrap
@@ -146,6 +161,7 @@ RUNS = (
     ("flow_input_at_floor_8", "run-flow", None),
     ("flow_twisted", "run-flow", None),
     ("identities_twisted", "check-identities", None),
+    ("identities_slabs", "check-identities", None),
     ("soliton_twisted", "soliton-check", None),
     ("soliton_sigma_neighbour_8", "soliton-check", None),
     ("convergence_12", "convergence-study", None),
