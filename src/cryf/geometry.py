@@ -186,7 +186,7 @@ def _diff(g: np.ndarray, axis: int, step: int, out: np.ndarray) -> None:
 
     step=+1 gives S g - g and step=-1 gives g - S^-1 g, where S samples one
     lattice step further along the axis, wrapping periodically (only the
-    x-wrap shears, and the kernel differences x itself).  S is a permutation,
+    x-wrap shears, and x is differenced by _x_diff).  S is a permutation,
     so every entry is a single subtraction.  A lattice step is `stride`
     places of the flat C-order array, so one flat pass differences every
     line; the entries it takes across two lines lie in the wrap slab, which
@@ -199,6 +199,25 @@ def _diff(g: np.ndarray, axis: int, step: int, out: np.ndarray) -> None:
     np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[dst])
     ix = (slice(None),) * axis
     np.subtract(g[ix + (0,)], g[ix + (-1,)], out=out[ix + (edge,)])
+
+
+def _x_diff(geom: BaseGeometry, f: np.ndarray, i0: int, i1: int,
+            out: np.ndarray) -> None:
+    """Unscaled x differences d[k] = f[i0+k] - f[i0+k-1], k = 0..i1-i0, into out.
+
+    These are the m + 1 planes that x-planes [i0, i1) and one halo plane on
+    either side need: d[1:] is the slab's forward difference S f - f, and
+    d[:-1] its backward one f - S^-1 f.  A plane beyond the x-wrap (-1 or
+    N_x) is read through the shear, so every entry is a single subtraction.
+    f is a whole field; out holds at least m + 1 planes.
+    """
+    n, m = geom.spec.nx, i1 - i0
+    lo, hi = max(i0, 1), min(i1, n - 1) + 1
+    np.subtract(f[lo:hi], f[lo - 1:hi - 1], out=out[lo - i0:hi - i0])
+    if i0 == 0:
+        np.subtract(f[0], np.take(f[-1], geom._wrap[-1]), out=out[0])
+    if i1 == n:
+        np.subtract(np.take(f[0], geom._wrap[1]), f[-1], out=out[m])
 
 
 def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
@@ -221,8 +240,8 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     The Y part reads only the slab's m = i1 - i0 planes.  The X part needs
     m + 1 planes of flux Fx: the slab's and one halo plane, i0 - 1 for the
     forward form and i1 for the backward one, built in b from the
-    differences d[k] = f[i0+k] - f[i0+k-1], k = 0..m.  A plane beyond the
-    x-wrap (-1 or N_x) is read through the shear; that gather is a
+    differences d[k] of _x_diff.  A plane beyond the x-wrap (-1 or N_x) is
+    read through the shear; that gather is a
     permutation and commutes with every pointwise operation, so each entry
     is bit for bit that of the whole-field expression.  f and w are whole
     fields; out holds m planes.  a, b, c are scratch of at least m + 1
@@ -243,22 +262,16 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     c *= q
     a += c
     a *= geom.spec.ny ** 2
-    back, ahead = geom._wrap[-1], geom._wrap[1]
-    lo, hi = max(i0, 1), min(i1, n - 1) + 1
-    np.subtract(f[lo:hi], f[lo - 1:hi - 1], out=flux[lo - i0:hi - i0])
-    if i0 == 0:
-        np.subtract(f[0], np.take(f[-1], back), out=flux[0])
-    if i1 == n:
-        np.subtract(np.take(f[0], ahead), f[-1], out=flux[m])
+    _x_diff(geom, f, i0, i1, flux)
     if w is not None:
         # the forward form weights d[k] by plane i0+k-1, the backward by i0+k
         j0 = i0 - (step == 1)
         lo, hi = max(j0, 0), min(j0 + m, n - 1) + 1
         flux[lo - j0:hi - j0] *= w[lo:hi]
         if j0 < 0:
-            flux[0] *= np.take(w[-1], back)
+            flux[0] *= np.take(w[-1], geom._wrap[-1])
         if j0 + m == n:
-            flux[m] *= np.take(w[0], ahead)
+            flux[m] *= np.take(w[0], geom._wrap[1])
     np.subtract(flux[1:], flux[:-1], out=out)
     out *= n ** 2
     out += a

@@ -470,31 +470,51 @@ class TestShift:
 
 
 class TestDiff:
-    # the kernel differences only along y and z with _diff; the x part, whose
-    # wrap shears, is covered by the kernel's reference tests
+    # the kernel differences y and z with _diff, and x, whose wrap shears,
+    # with _x_diff: n + 1 planes over all of x hold the forward difference
+    # in d[1:] and the backward one in d[:-1]
     @pytest.mark.parametrize("shape", [(4, 4, 8), (5, 4, 8), (6, 4, 12)])
-    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("step", [1, -1])
     def test_bitwise_equal_to_shifted_difference(self, shape, axis, step):
         geom = build_nilmanifold(GridSpec(*shape))
         g = np.random.default_rng(4 * axis + step + 1).standard_normal(shape)
-        out = np.empty(shape)
-        geometry._diff(g, axis, step, out)
+        if axis == 0:
+            n = shape[0]
+            d = np.empty((n + 1,) + shape[1:])
+            geometry._x_diff(geom, g, 0, n, d)
+            out = d[1:] if step == 1 else d[:-1]
+            # a slab's planes and its two halo planes are those of the whole
+            for i0 in range(n):
+                for i1 in range(i0 + 1, n + 1):
+                    part = np.empty((i1 - i0 + 1,) + shape[1:])
+                    geometry._x_diff(geom, g, i0, i1, part)
+                    assert np.array_equal(part, d[i0:i1 + 1])
+        else:
+            out = np.empty(shape)
+            geometry._diff(g, axis, step, out)
         shifted = _shift(geom, g, axis, step)
         assert np.array_equal(out, shifted - g if step == 1 else g - shifted)
 
-    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("step", [1, -1])
     def test_peak_memory_one_plane_plus_slack(self, geom16, axis, step):
-        # the flat pass allocates nothing; the wrap may: numpy's iterator
-        # gives a strided 2-D slab three slab-sized buffers (6 KiB here),
-        # inside the 8 KiB slack
+        # the flat pass allocates nothing; the wrap may: each x-wrap take
+        # builds one x-plane, and numpy's iterator gives a strided 2-D slab
+        # three slab-sized buffers (6 KiB here), inside the 8 KiB slack
         g = random_field(geom16, 4)
-        out = np.empty(geom16.shape)
-        geometry._diff(g, axis, step, out)
+        out = np.empty((17, 16, 16) if axis == 0 else geom16.shape)
+
+        def diff():
+            if axis == 0:
+                geometry._x_diff(geom16, g, 0, 16, out)
+            else:
+                geometry._diff(g, axis, step, out)
+
+        diff()
         tracemalloc.start()
         try:
-            geometry._diff(g, axis, step, out)
+            diff()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
