@@ -85,18 +85,26 @@ def float64_range(what: str):
 
 
 def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
-                      dt_used: float = 0.0):
+                      dt_used: float = 0.0,
+                      out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
     """Curvature R, volume element dV and the record of `state`: its moments and E, var, dE/dt.
 
-    A moment or a dE/dt that is not a finite float64 raises FloatRangeError.
+    `out`, when given, is three fields (r, dv, work) apart from state.u: R
+    and dV are written into and returned as the first two, and the moments
+    are summed through the third.  A moment or a dE/dt that is not a finite
+    float64 raises FloatRangeError.
     """
     geom = state.geom
+    r_out, dv_out, work = (None, None, None) if out is None else out
     with float64_range("a curvature moment"):
-        r = webster_curvature(state, u_floor)
-        dv = conformal_volume_element(state)
+        # a field is passed only where one is given, so a two-argument
+        # stand-in for webster_curvature still serves the allocating call
+        r = webster_curvature(state, u_floor) if r_out is None else \
+            webster_curvature(state, u_floor, r_out)
+        dv = conformal_volume_element(state, dv_out)
         vol = integrate_base(geom, dv)
         # one work field: r dv, then (r r) dv in the same buffer
-        work = r * dv
+        work = np.multiply(r, dv, out=work)
         int_r = integrate_base(geom, work)
         np.multiply(r, r, out=work)
         work *= dv
@@ -217,9 +225,14 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
     return relative_l2(state.geom, resid, rhs, conformal_volume_element(state))
 
 
-def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
-    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
-    work = resid * resid
+def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray,
+                work: np.ndarray | None = None) -> float:
+    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv.
+
+    The weighted squares are summed in `work` when given, a field apart from
+    the other three.
+    """
+    work = np.multiply(resid, resid, out=work)
     work *= dv
     num = np.sqrt(integrate_base(geom, work))
     np.multiply(ref, ref, out=work)

@@ -59,9 +59,10 @@ def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
         raise PositivityError(f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}")
 
 
-def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:
+def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     _check_above_floor(u, u_floor)
-    rhs = sub_laplacian_base(geom, u)
+    rhs = sub_laplacian_base(geom, u, out)
     rhs *= -4.0
     # the flat background's R_base u term is +0.0: adding it only turns a
     # -0.0 into +0.0, which the printed curvatures show
@@ -72,19 +73,23 @@ def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarra
     return rhs
 
 
-def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
+def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Webster scalar curvature of the conformal contact form.
 
     Refuses states whose minimum of u is at or below `u_floor` instead of
     returning huge values; the unnormalized flow may legitimately drive u
-    toward zero and that must fail loudly.
+    toward zero and that must fail loudly.  Written into and returned as
+    `out` when given, a field that shares no memory with u (ValueError
+    otherwise).
     """
-    return _webster_raw(state.geom, state.u, u_floor)
+    return _webster_raw(state.geom, state.u, u_floor, out)
 
 
-def conformal_volume_element(state: ConformalState) -> np.ndarray:
-    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form, as (u u)^2."""
-    dv = state.u * state.u
+def conformal_volume_element(state: ConformalState, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form, as (u u)^2,
+    written into and returned as `out` when given."""
+    dv = np.multiply(state.u, state.u, out=out)
     dv *= dv
     return dv
 

@@ -168,6 +168,17 @@ def _check_field(geom: BaseGeometry, f: np.ndarray, name: str = "f") -> np.ndarr
     return f
 
 
+def _out_field(geom: BaseGeometry, out: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    """A new field, or `out`; ValueError unless `out` is a float64 field apart from f."""
+    if out is None:
+        return np.empty(geom.shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == geom.shape):
+        raise ValueError(f"out must be a float64 array of shape {geom.shape}")
+    if np.may_share_memory(out, f):
+        raise ValueError("out may share memory with the input field")
+    return out
+
+
 def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarray:
     """Sample f one lattice step (+1 or -1) away along an axis.
 
@@ -277,8 +288,9 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     out += a
 
 
-def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Conservative form -D*(w D f), symmetrized when the weight varies.
+def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
+              out: np.ndarray) -> np.ndarray:
+    """Conservative form -D*(w D f) into out, symmetrized when the weight varies.
 
     Each one-sided form carries an exact adjoint pair, so symmetry, negative
     semidefiniteness and exact zero mean hold for any positive weight.  For
@@ -291,11 +303,11 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
 
     Both forms run one slab of x-planes at a time in the geometry's three
     slab-sized scratch fields, so each pass reads and writes fields that
-    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2); only
-    the returned array is new.
+    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).  out
+    must not share memory with f or w: a slab reads their halo and wrap
+    planes after earlier slabs of out are written.
     """
     a, b, c = geom._scratch
-    out = np.empty(geom.shape)
     both = w is not None and w.min() != w.max()
     n, planes = geom.spec.nx, geom._slab_planes
     for i0 in range(0, n, planes):
@@ -310,16 +322,19 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
     return out
 
 
-def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
+def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Horizontal sub-Laplacian of the background contact form.
 
     -(Dx* Dx + Dy* Dy) f built from forward differences with their exact
     adjoints (the backward-difference mirror is the same operator).
     Negative semidefinite by construction ("Laplacian of sin is negative")
     and identical bit for bit to `weighted_div_form` with unit weight.
+    Written into and returned as `out` when given, a float64 field that
+    shares no memory with f (ValueError otherwise).
     """
     f = _check_field(geom, f)
-    return _div_form(geom, f, None)
+    return _div_form(geom, f, None, _out_field(geom, out, f))
 
 
 def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -336,7 +351,7 @@ def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.nd
     w = _check_field(geom, w, "w")
     if w.min() <= 0.0:
         raise ValueError(f"weight must be positive everywhere (min={w.min()})")
-    return _div_form(geom, f, w)
+    return _div_form(geom, f, w, np.empty(geom.shape))
 
 
 def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:
@@ -345,13 +360,21 @@ def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:
     return float(geom.w0 * np.sum(f))
 
 
-def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int) -> np.ndarray:
+def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Pull back f by the central translation of m lattice steps in z.
 
     Central (Reeb direction) translations are exact automorphisms of the
     quotient and of the frame, so this is a bijective relabeling: quadrature
     is exactly invariant and the operation commutes with every frame
-    operator.
+    operator.  It is `np.roll(f, -m, axis=2)` as two slice copies, written
+    into and returned as `out` when given, a float64 field that shares no
+    memory with f (ValueError otherwise).
     """
     f = _check_field(geom, f)
-    return np.roll(f, -int(m), axis=2)
+    out = _out_field(geom, out, f)
+    n = geom.spec.nz
+    k = int(m) % n
+    out[..., :n - k] = f[..., k:]
+    out[..., n - k:] = f[..., :k]
+    return out

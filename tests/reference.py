@@ -1,10 +1,17 @@
-"""Reference implementations the tests compare the program against; the program runs none."""
+"""Reference implementations and grids the tests compare the program on; the program runs none."""
 
 import numpy as np
 
 from cryf.conformal import conformal_volume_element
 from cryf.geometry import _shift, integrate_base
 from cryf.manufactured import THETA_KAPPA, THETA_M_RANGE, TWO_PI
+
+
+SINGLE_SLAB_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
+# the kernel runs 33x32x32 as slabs of 32 planes and 1 plane, and 40x16x64
+# (twist 4) as slabs of 32 and 8 planes, so a wrong halo plane of flux shows
+# at a slab boundary and across the x-wrap
+REFERENCE_GRIDS = SINGLE_SLAB_GRIDS + [(33, 32, 32), (40, 16, 64)]
 
 
 def canonical_index(spec, i, j, k):

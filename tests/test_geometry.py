@@ -21,8 +21,9 @@ from cryf import geometry
 from cryf import manufactured as mfg
 
 from conftest import random_field
-from reference import (canonical_index, frame_commutator_check, frame_derivative,
-                       frame_derivative_adjoint, grid_inner, theta_frame_derivatives)
+from reference import (REFERENCE_GRIDS, SINGLE_SLAB_GRIDS, canonical_index,
+                       frame_commutator_check, frame_derivative, frame_derivative_adjoint,
+                       grid_inner, theta_frame_derivatives)
 
 
 class TestGridSpec:
@@ -328,13 +329,6 @@ def rounding_tol(geom, f, weight):
             * (s.hx ** -2 + s.hy ** -2 + s.hz ** -2))
 
 
-SINGLE_SLAB_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
-# the kernel runs 33x32x32 as slabs of 32 planes and 1 plane, and 40x16x64
-# (twist 4) as slabs of 32 and 8 planes, so a wrong halo plane of flux shows
-# at a slab boundary and across the x-wrap
-REFERENCE_GRIDS = SINGLE_SLAB_GRIDS + [(33, 32, 32), (40, 16, 64)]
-
-
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
     @given(st.integers(0, 2**32 - 1))
@@ -598,6 +592,55 @@ class TestPullback:
         lhs = sub_laplacian_base(geom448, shifted)
         rhs = pullback_z_shift(geom448, sub_laplacian_base(geom448, f), 3)
         assert np.abs(lhs - rhs).max() <= 1e-15 * max(1.0, np.abs(rhs).max())
+
+
+class TestOutFields:
+    """The out= path of each field-returning function is its allocating path,
+    bit for bit, written into the given array."""
+
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    def test_sub_laplacian_into_out(self, shape):
+        geom = build_nilmanifold(GridSpec(*shape))
+        f = np.random.default_rng(31).standard_normal(shape)
+        out = np.full(shape, np.nan)
+        assert sub_laplacian_base(geom, f, out) is out
+        assert out.tobytes() == sub_laplacian_base(geom, f).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (8, 4, 12)])
+    def test_pullback_bitwise_equal_to_roll(self, shape):
+        geom = build_nilmanifold(GridSpec(*shape))
+        f = np.random.default_rng(32).standard_normal(shape)
+        out = np.empty(shape)
+        nz = shape[2]
+        for m in range(-2 * nz - 1, 2 * nz + 2):
+            want = np.roll(f, -m, axis=2).tobytes()
+            assert pullback_z_shift(geom, f, m).tobytes() == want
+            assert pullback_z_shift(geom, f, m, out) is out
+            assert out.tobytes() == want
+
+    def test_out_sharing_memory_with_f_rejected(self, geom448):
+        # the kernel reads f's halo and wrap planes after writing earlier slabs
+        # of out, and a shift reads entries it has already overwritten
+        buf = random_field(geom448, 33).reshape(-1)
+        n = geom448.spec.npoints
+        buf = np.concatenate([buf, buf])
+        f = buf[:n].reshape(geom448.shape)
+        keep = f.copy()
+        for out in (f, f[...], buf[n // 2:n // 2 + n].reshape(geom448.shape)):
+            with pytest.raises(ValueError, match="may share memory"):
+                sub_laplacian_base(geom448, f, out)
+            with pytest.raises(ValueError, match="may share memory"):
+                pullback_z_shift(geom448, f, 1, out)
+        assert np.array_equal(f, keep)
+
+    @pytest.mark.parametrize("out", [np.empty((4, 4, 8), dtype=np.float32), np.empty((4, 4, 4))],
+                             ids=["float32", "shape"])
+    def test_out_of_another_kind_rejected(self, geom448, out):
+        f = random_field(geom448, 34)
+        with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(4, 4, 8\)$"):
+            sub_laplacian_base(geom448, f, out)
+        with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(4, 4, 8\)$"):
+            pullback_z_shift(geom448, f, 1, out)
 
 
 class TestCommutator:

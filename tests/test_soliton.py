@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cryf.conformal
+import cryf.soliton
 from cryf.analysis import constancy_verdict, curvature_moments, make_record, yamabe_quantity
 from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
@@ -90,6 +91,12 @@ class TestSolitonState:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * fam.base.u.nbytes
+
+    def test_out_sharing_memory_with_base_rejected(self, geom448):
+        fam = constant_family(geom448, c=1.5, rate=1.0, slope=0.5)
+        with pytest.raises(ValueError, match="may share memory"):
+            soliton_state(fam, 0.25, fam.base.u)
+        assert np.all(fam.base.u == 1.5)
 
     def test_alignment_guard(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), 0.0, 0.3)
@@ -259,6 +266,26 @@ class TestFamilyScan:
         soliton_theorem_harness(scan)
         soliton_invariance_check(scan)
         assert len(calls) == 1 + len(TIMES)
+
+    def test_every_sample_in_the_same_two_fields(self, geom16, monkeypatch):
+        # the returned fields are kept alive, so a scan that allocated them
+        # per sample could not hand out the same memory twice
+        seen = []
+        real = cryf.soliton.curvature_moments
+
+        def recording(*args, **kwargs):
+            r, dv, record = real(*args, **kwargs)
+            seen.append((r, dv))
+            return r, dv, record
+
+        monkeypatch.setattr(cryf.soliton, "curvature_moments", recording)
+        fam = SolitonFamily(random_state(geom16, 5, smooth=1), 0.5, 1.0)
+        base = fam.base.u.tobytes()
+        scan_family(fam, TIMES)
+        assert len(seen) == 1 + len(TIMES)
+        assert len({(r.ctypes.data, dv.ctypes.data) for r, dv in seen}) == 1
+        assert not np.may_share_memory(*seen[0])
+        assert fam.base.u.tobytes() == base
 
     def test_no_times_rejected(self, geom448):
         # a scan with no sample would pass the harness vacuously

@@ -11,8 +11,9 @@ step, three rough `random_smooth` run-flows that end in positivity
 retries, a step underflow and an input at the floor, and a soliton-check
 whose sigma turns negative one residual step after its last sampled time),
 a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
-a `random_smooth` run-flow, a `single_mode_x` check-identities and a
-scaled, Reeb-translated `random_smooth` soliton-check, and a
+a `random_smooth` run-flow, a `single_mode_x` check-identities, a
+scaled, Reeb-translated `random_smooth` soliton-check and one translated
+backward (psi_rate -2, so its residual shifts wrap both ways), and a
 `single_mode_x` convergence-study on grids 12 and 24, a `random_smooth`
 check-identities on the 40x16x64 grid (twist 4, delta 1e-6), which the
 divergence-form kernel runs in two slabs of x-planes, six configs that
@@ -22,7 +23,7 @@ convergence-study with grids 16,8), and an 8^3 `single_mode_y`
 check-identities whose probe fails (delta 1e300) into a nested `--out` that
 does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
 report is named `../escaped_report.txt`, through `cryf.cli` once with that
-tree and once with the working tree's `src/` (28 runs).
+tree and once with the working tree's `src/` (29 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
@@ -113,6 +114,11 @@ INLINE_CONFIGS = {
     "soliton_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 4\n\n"
                        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 1\n"
                        "times = 0.0,0.25,0.5\n",
+    # a backward Reeb translation: its z shifts are negative, except the +1 cell
+    # one residual step before t = 0, so the shift's slice copies wrap both ways
+    "soliton_twisted_backward": GRID_TWISTED + "[initial_data]\npreset = random_smooth\n"
+                                "seed = 7\n\n[soliton]\nsweep = false\nsigma_slope = 0.5\n"
+                                "psi_rate = -2\n",
     # cell sizes 1/12 and 1/24 are no powers of two, so the kernel's scaling rounds
     # differently from the textbook grouping on every manufactured case and probe
     "convergence_12": "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
@@ -163,6 +169,7 @@ RUNS = (
     ("identities_twisted", "check-identities", None),
     ("identities_slabs", "check-identities", None),
     ("soliton_twisted", "soliton-check", None),
+    ("soliton_twisted_backward", "soliton-check", None),
     ("soliton_sigma_neighbour_8", "soliton-check", None),
     ("convergence_12", "convergence-study", None),
     ("no_preset_8", "run-flow", None),
