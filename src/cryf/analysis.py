@@ -15,7 +15,7 @@ by centered differences along high-accuracy reference flow steps; nothing
 is assumed symbolically, everything is measured and must converge under
 (h, delta) refinement.  The code evaluates these laws at CR dimension n = 1.
 Every window residual reads one `ProbeWindow` from `flow.probe_window`: the
-probes at t +/- delta and each window state's curvature and record, made once.
+centre's R and dV, the centred rate of R and the three records, made once.
 """
 
 from __future__ import annotations
@@ -97,10 +97,7 @@ def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
     geom = state.geom
     r_out, dv_out, work = (None, None, None) if out is None else out
     with float64_range("a curvature moment"):
-        # a field is passed only where one is given, so a two-argument
-        # stand-in for webster_curvature still serves the allocating call
-        r = webster_curvature(state, u_floor) if r_out is None else \
-            webster_curvature(state, u_floor, r_out)
+        r = webster_curvature(state, u_floor, r_out)
         dv = conformal_volume_element(state, dv_out)
         vol = integrate_base(geom, dv)
         # one work field: r dv, then (r r) dv in the same buffer
@@ -155,12 +152,14 @@ def make_record(state: ConformalState, dt_used: float = 0.0,
 
 
 class ProbeWindow(NamedTuple):
-    """States at t - delta, t and t + delta, and the curvature R and record of each."""
+    """A state, its curvature R and volume element dV, the centred rate
+    (R(t + delta) - R(t - delta)) / (2 delta) and the records at t - delta, t, t + delta."""
 
-    states: tuple[ConformalState, ConformalState, ConformalState]
-    curvatures: tuple[np.ndarray, np.ndarray, np.ndarray]
+    state: ConformalState
+    curvature: np.ndarray
+    volume_element: np.ndarray
+    curvature_rate: np.ndarray
     records: tuple[DiagnosticsRecord, DiagnosticsRecord, DiagnosticsRecord]
-    delta: float
 
 
 def identity_window(window: ProbeWindow):
@@ -215,14 +214,10 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
     The norm is L2 with the evolving volume weight, normalized by
     max(1, |rhs|_L2).
     """
-    state = window.states[1]
-    r_minus, r0, r_plus = window.curvatures
-    rhs = _curvature_rhs(state, r0)
-    # dR/dt - rhs, built in the centred difference's array
-    resid = np.subtract(r_plus, r_minus)
-    resid /= 2.0 * window.delta
-    resid -= rhs
-    return relative_l2(state.geom, resid, rhs, conformal_volume_element(state))
+    state = window.state
+    rhs = _curvature_rhs(state, window.curvature)
+    return relative_l2(state.geom, np.subtract(window.curvature_rate, rhs), rhs,
+                       window.volume_element)
 
 
 def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray,

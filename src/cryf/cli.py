@@ -175,9 +175,9 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
     a = cfg.analysis
     window = flow.probe_window(state, a.delta)
     res = analysis.identity_residuals(window)
-    r_field = window.curvatures[1]
+    r_field = window.curvature
     e0 = window.records[1].E
-    del window  # the probe fields go before the scaled and pulled-back states come
+    del window  # dV and the rate go before the scaled and pulled-back states come
     rows = [
         ("volume_rate", res.volume_rate, a.max_volume_rate),
         ("mean_curvature_rate", res.mean_curvature_rate, a.max_mean_curvature_rate),
@@ -274,34 +274,26 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     return _conclude(table_path, lines, failure)
 
 
-def _sweep_families(cfg: RunConfig, geom) -> list[tuple[str, soliton.SolitonFamily]]:
+def _sweep_families(cfg: RunConfig, geom):
+    """Each soliton family with its description, in report order; a base field
+    is built when its first family is reached."""
     sol = cfg.soliton
-    families: list[tuple[str, soliton.SolitonFamily]] = []
     if sol.sweep:
         for c in sol.sweep_base_constants:
             base = make_initial_state(geom, "constant", c=c)
             for rate in sol.sweep_psi_rates:
-                fam = soliton.SolitonFamily(base, 0.0, rate)
-                families.append((f"constant(c={c:g}) sigma=1 psi_rate={rate:g}", fam))
+                yield (f"constant(c={c:g}) sigma=1 psi_rate={rate:g}",
+                       soliton.SolitonFamily(base, 0.0, rate))
+        del base  # the last sweep base goes before a control's is built
     else:
-        base = _initial_state(cfg, geom)
-        fam = soliton.SolitonFamily(base, sol.sigma_slope, sol.psi_rate)
-        families.append((
-            f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
-            fam,
-        ))
+        yield (f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
+               soliton.SolitonFamily(_initial_state(cfg, geom), sol.sigma_slope, sol.psi_rate))
     if sol.include_negative_controls:
-        mode = make_initial_state(geom, "single_mode_y", c=1.0, epsilon=0.1)
-        families.append((
-            "control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
-            soliton.SolitonFamily(mode, 0.0, 0.0),
-        ))
-        const = make_initial_state(geom, "constant", c=1.0)
-        families.append((
-            "control:constant(c=1) sigma=1+1*t psi_rate=0",
-            soliton.SolitonFamily(const, 1.0, 0.0),
-        ))
-    return families
+        yield ("control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
+               soliton.SolitonFamily(
+                   make_initial_state(geom, "single_mode_y", c=1.0, epsilon=0.1), 0.0, 0.0))
+        yield ("control:constant(c=1) sigma=1+1*t psi_rate=0",
+               soliton.SolitonFamily(make_initial_state(geom, "constant", c=1.0), 1.0, 0.0))
 
 
 def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:

@@ -116,6 +116,10 @@ class SolitonConfig:
         for name in ("times", "sweep_base_constants", "sweep_psi_rates"):
             if not getattr(self, name) and (name == "times" or self.sweep):
                 raise ValueError(f"{name} must list at least one value")
+        # each is the c of a constant base
+        if self.sweep and not all(c > 0.0 for c in self.sweep_base_constants):
+            raise ValueError(
+                f"sweep_base_constants must be positive, got {self.sweep_base_constants}")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ result.  The steps map arrays to arrays, so each call builds one state: the
 accepted one, or the probe at its final time.  The next step size always lies
 in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
 unnormalized flow can collapse volume), not an error; only error-control
-underflow is anomalous.  `probe_window` builds the identity checks' probes
-from fixed steps, and each window state's curvature and record from one
-`curvature_moments` call; the residuals that read them live in `analysis`.
+underflow is anomalous.  `probe_window` keeps of the fixed-step probes only
+their records and the centred rate of R, and computes the centre's R, dV and
+record last; the residuals that read them live in `analysis`.
 The step controls, `FlowConfig`, are the `[flow]` section of `config`.
 """
 
@@ -147,14 +147,20 @@ def integrate_fixed(state: ConformalState, t_offset: float,
 
 
 def probe_window(state: ConformalState, delta: float) -> ProbeWindow:
-    """The probes of `state` at t +/- delta from high-accuracy reference steps,
-    and the curvature and record of each of the three window states, computed once."""
+    """The identity window of `state`, from probes at t +/- delta by high-accuracy reference steps.
+
+    The rate is built in R(t + delta)'s array, and the centre comes last, so
+    its R and dV are not held while a probe is integrated."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    states = (integrate_fixed(state, -delta), state, integrate_fixed(state, delta))
-    # R and record of each state; its volume element is freed at once
-    curvatures, records = zip(*((m[0], m[2]) for m in map(curvature_moments, states)))
-    return ProbeWindow(states, curvatures, records, delta)
+    # [::2] keeps a probe's R and record and drops its dV before the next probe
+    (r_minus, rec_minus), (rate, rec_plus) = (
+        curvature_moments(integrate_fixed(state, offset))[::2] for offset in (-delta, delta))
+    rate -= r_minus
+    rate /= 2.0 * delta
+    del r_minus
+    r, dv, record = curvature_moments(state)
+    return ProbeWindow(state, r, dv, rate, (rec_minus, record, rec_plus))
 
 
 def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):

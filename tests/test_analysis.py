@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cryf.conformal import (
 import cryf.analysis
 import cryf.flow
 from cryf.errors import FloatRangeError
-from cryf.flow import FlowConfig, probe_window, run_flow
+from cryf.flow import FlowConfig, integrate_fixed, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
 from conftest import random_state, single_mode_state
@@ -108,7 +109,7 @@ class TestCurvatureMoments:
         # an infinite R overflows nothing in the moments, so only their finite check sees it
         state = ConformalState(geom448, np.ones(geom448.shape))
         monkeypatch.setattr(cryf.analysis, "webster_curvature",
-                            lambda s, u_floor: np.full(s.geom.shape, np.inf))
+                            lambda s, u_floor, out=None: np.full(s.geom.shape, np.inf))
         with pytest.raises(FloatRangeError,
                            match=r"^curvature moments are not finite: 1\.0, inf, inf$"):
             curvature_moments(state)
@@ -300,13 +301,15 @@ class TestInPlaceArithmetic:
 
     @pytest.mark.parametrize("shape", GRIDS_16)
     def test_curvature_rhs_and_residual(self, shape):
-        for window in (probe_window(s, 1e-4) for s in states(shape, range(3))):
-            state = window.states[1]
+        for state in states(shape, range(3)):
+            window = probe_window(state, 1e-4)
             geom, u = state.geom, state.u
-            r_minus, r0, r_plus = window.curvatures
+            r_minus, r0, r_plus = (webster_curvature(integrate_fixed(state, t))
+                                   for t in (-1e-4, 0.0, 1e-4))
             lap = u ** -4.0 * weighted_div_form(geom, u * u, r0)
             rhs = 2.0 * lap + r0 * r0
-            drdt = (r_plus - r_minus) / (2.0 * window.delta)
+            drdt = (r_plus - r_minus) / (2.0 * 1e-4)
+            assert window.curvature_rate.tobytes() == drdt.tobytes()
             assert np.array_equal(conformal_sub_laplacian(state, r0), lap)
             assert np.array_equal(_curvature_rhs(state, r0), rhs)
             want = old_relative_l2(geom, drdt - rhs, rhs, conformal_volume_element(state))
@@ -365,18 +368,34 @@ class TestIdentityResiduals:
         assert calls == [-1e-4, 1e-4]
         identity_residuals(window)
         assert len(calls) == 2
-        assert window.states[1] is state and window.delta == 1e-4
-        assert [s.t for s in window.states] == [-1e-4, 0.0, 1e-4]
+        assert window.state is state
+        assert [rec.t for rec in window.records] == [-1e-4, 0.0, 1e-4]
 
     @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
     def test_window_records_equal_make_record(self, shape):
         for state in states(shape, range(2)):
             window = probe_window(state, 1e-4)
             assert identity_window(window) is window.records
-            for s, r, rec in zip(window.states, window.curvatures, window.records):
-                assert np.array_equal(r, webster_curvature(s))
+            probes = [integrate_fixed(state, t) for t in (-1e-4, 0.0, 1e-4)]
+            for s, rec in zip(probes, window.records):
                 want = make_record(s).as_tuple()
                 assert [v.hex() for v in rec.as_tuple()] == [v.hex() for v in want]
+            assert np.array_equal(window.curvature, webster_curvature(state))
+            assert np.array_equal(window.volume_element, conformal_volume_element(state))
+
+    def test_window_holds_three_fields_beyond_the_state(self):
+        # the window keeps R, dV and the rate of R at t, and no probe state or
+        # R(t +/- delta); the residual's fields come and go on top of those three
+        state = single_mode_state(build_nilmanifold(GridSpec(32, 32, 32)), 0.1)
+        tracemalloc.start()
+        try:
+            window = probe_window(state, 1e-4)
+            kept = tracemalloc.get_traced_memory()[0]
+            identity_residuals(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 3.25 * state.u.nbytes and peak <= 6.5 * state.u.nbytes
 
     @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_delta_rejected(self, geom448, delta):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import tempfile
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -305,7 +306,7 @@ class TestCheckIdentities:
         assert len(calls) == 5
 
     def test_one_record_per_state(self, tmp_path, monkeypatch):
-        # the three window states, whose centre record gives E at t, and the
+        # the two probes, then the centre, whose record gives E at t, and the
         # scaled and pulled-back states
         calls = []
         real = cryf.analysis.curvature_moments
@@ -319,7 +320,7 @@ class TestCheckIdentities:
         monkeypatch.setattr(cryf.flow, "curvature_moments", counting)
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert calls == [-1e-4, 0.0, 1e-4, 0.0, 0.0]
+        assert calls == [-1e-4, 1e-4, 0.0, 0.0, 0.0]
 
     def test_bad_delta_exit_2(self, tmp_path, capsys):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
@@ -501,6 +502,35 @@ class TestSolitonCheck:
         # 3 x 3 sweep families plus 2 controls, 5 default times and the base
         assert "families: 11" in (out / "verdicts.txt").read_text()
         assert len(calls) <= 11 * (1 + 5)
+
+    def test_default_sweep_holds_two_base_fields_at_once(self, tmp_path, monkeypatch):
+        # a base is built when its family is reached; the last family's base
+        # lives on while the next is built, and no other does
+        bases, most = [], []
+        real = cryf.cli.make_initial_state
+
+        def tracking(*args, **kwargs):
+            state = real(*args, **kwargs)
+            bases.append(weakref.ref(state.u))
+            most.append(sum(ref() is not None for ref in bases))
+            return state
+
+        monkeypatch.setattr(cryf.cli, "make_initial_state", tracking)
+        out = tmp_path / "out"
+        assert main(["soliton-check", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+        assert "families: 11" in (out / "verdicts.txt").read_text()
+        assert len(bases) == 5 and max(most) <= 2
+
+    def test_nonpositive_sweep_constant_exit_2_before_any_geometry(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the off-lattice rate 0.3 would fault too, but only once its family is scanned
+        geometries = count_geometries(monkeypatch)
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[soliton]\n"
+                        "sweep_base_constants = 1.0,-1.0\nsweep_psi_rates = 0.0,0.3\n")
+        assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error: [soliton]: sweep_base_constants "
+                                           "must be positive, got (1.0, -1.0)\n")
+        assert geometries == [] and not (tmp_path / "o").exists()
 
     def test_configured_family_mode(self, tmp_path):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \

@@ -16,14 +16,15 @@ scaled, Reeb-translated `random_smooth` soliton-check and one translated
 backward (psi_rate -2, so its residual shifts wrap both ways), and a
 `single_mode_x` convergence-study on grids 12 and 24, a `random_smooth`
 check-identities on the 40x16x64 grid (twist 4, delta 1e-6), which the
-divergence-form kernel runs in two slabs of x-planes, six configs that
+divergence-form kernel runs in two slabs of x-planes, seven configs that
 exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
-dividing N_z, an unknown preset, `dt_min` above `dt_init`, and a
-convergence-study with grids 16,8), and an 8^3 `single_mode_y`
+dividing N_z, an unknown preset, `dt_min` above `dt_init`, a
+convergence-study with grids 16,8, and an 8^3 soliton-check whose sweep has
+the base constant -1 and the off-lattice rate 0.3), and an 8^3 `single_mode_y`
 check-identities whose probe fails (delta 1e300) into a nested `--out` that
 does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
 report is named `../escaped_report.txt`, through `cryf.cli` once with that
-tree and once with the working tree's `src/` (29 runs).
+tree and once with the working tree's `src/` (30 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
@@ -138,6 +139,11 @@ INLINE_CONFIGS = {
                               "[flow]\ndt_min = 1e-3\n",
     "grids_decreasing": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                         "[analysis]\ngrids = 16,8\n",
+    # two faults, each of which exits 2; the [soliton] rule names the constant
+    # before any geometry is built
+    "sweep_two_faults_8": GRID_8 + "[initial_data]\npreset = constant\n\n"
+                          "[soliton]\nsweep_base_constants = 1.0,-1.0\n"
+                          "sweep_psi_rates = 0.0,0.3\n",
     # exits 2 during the computation: the probe step delta / 8 leaves the positive cone
     "identities_probe_fails_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
                                 "[analysis]\ndelta = 1e300\n",
@@ -178,6 +184,7 @@ RUNS = (
     ("unknown_preset_8", "run-flow", None),
     ("dt_min_above_dt_init_8", "run-flow", None),
     ("grids_decreasing", "convergence-study", None),
+    ("sweep_two_faults_8", "soliton-check", None),
     ("identities_probe_fails_8", "check-identities", None),
     ("output_escapes_8", "run-flow", None),
 )
