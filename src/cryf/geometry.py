@@ -31,13 +31,11 @@ core's L2 cache, so a pass over whole fields runs from L3; the fields of a
 slab, 256 KiB each, stay in L2.  A slab's x differences read one halo plane
 beyond it, through the shear at the x-wrap; small grids are one slab.
 
-A geometry holds four work fields, made with it by `np.empty` (untouched
-pages of a large field cost no resident memory): three slab-sized scratch
-fields of the divergence-form kernel and the one full-size stage field of the
-flow's four-stage step.  Every kernel call and step writes them, so one
-geometry must not be shared by threads that apply the kernel or step the flow
-concurrently.  Build one geometry per grid and pass it around: every further
-geometry of the same grid holds four more.
+A geometry holds three work fields, made with it: the slab-sized scratch
+fields of the divergence-form kernel.  Every kernel call writes them, so one
+geometry must not be shared by threads that apply the kernel concurrently.
+The flow's four-stage step makes its own stage and slope fields per call.
+Build one geometry per grid and pass it around.
 """
 
 from __future__ import annotations
@@ -114,9 +112,9 @@ class BaseGeometry:
     points).
 
     It also holds the kernel's three scratch fields, each one slab of
-    x-planes plus a halo plane, so that a kernel pass stays in L2 cache, and
-    the full-size stage field of the flow's step; see the module docstring
-    for why one geometry must not be shared across threads.
+    x-planes plus a halo plane, so that a kernel pass stays in L2 cache; see
+    the module docstring for why one geometry must not be shared across
+    threads.
 
     Attributes:
         spec: the lattice sizes.
@@ -136,12 +134,11 @@ class BaseGeometry:
                       for step in (1, -1)}
         # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
         self._q = self.x_coord * spec.twist
-        # x-planes per slab of _div_form, its slab-sized work fields (a slab
-        # and its halo plane) and the stage field of flow._rk4_any
+        # x-planes per slab of _div_form and its slab-sized work fields (a
+        # slab and its halo plane)
         self._slab_planes = max(1, min(spec.nx, _SLAB_POINTS // (spec.ny * spec.nz)))
         self._scratch = tuple(np.empty((self._slab_planes + 1, spec.ny, spec.nz))
                               for _ in range(3))
-        self._stage = np.empty(spec.shape)
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -428,8 +428,8 @@ class TestConvergenceStudy:
 
     def test_manufactured_phase_memory(self, tmp_path, monkeypatch):
         # traced memory in fields of the largest grid (16^3) from the command's
-        # start to its first identity probe: the two geometries' work fields
-        # (4.5), the initial state and coordinates (~1.4), and while a case
+        # start to its first identity probe: the two geometries' slab scratch
+        # (3.6), the initial state and coordinates (~1.4), and while a case
         # runs its own pair and temporaries (up to ~5.3, for the theta sum);
         # no case's fields outlast its row
         class FirstProbe(Exception):

@@ -61,27 +61,28 @@ class TestGridSpec:
 
 
 class TestWorkFields:
-    def test_fresh_geometry_holds_four_work_fields(self):
-        # three scratch fields of the kernel, each one slab of x-planes and
-        # its halo plane, and the full-size stage field of the flow's step
+    def test_fresh_geometry_holds_three_slab_work_fields(self):
+        # the kernel's three scratch fields, each one slab of x-planes and its
+        # halo plane, and no full-size field: the flow's step makes its own
         for shape in [(4, 4, 8), (33, 32, 32), (40, 32, 64), (4, 256, 256)]:
             geom = build_nilmanifold(GridSpec(*shape))
             planes, plane = geom._slab_planes, shape[1] * shape[2]
             assert 1 <= planes <= shape[0]
             assert planes == shape[0] or planes == max(1, geometry._SLAB_POINTS // plane)
-            work = [*geom._scratch, geom._stage]
-            assert len(work) == 4
-            assert all(a.shape == (planes + 1,) + shape[1:] for a in geom._scratch)
-            assert geom._stage.shape == shape
+            assert not any(isinstance(a, np.ndarray) and a.shape == shape
+                           for a in vars(geom).values())
+            work = list(geom._scratch)
+            assert len(work) == 3
+            assert all(a.shape == (planes + 1,) + shape[1:] for a in work)
             for i, a in enumerate(work):
                 assert a.dtype == np.float64 and a.flags.c_contiguous
                 assert not any(np.shares_memory(a, b) for b in work[i + 1:])
 
     def test_multi_slab_build_and_first_calls_hold_one_result_beyond_slab_scratch(self):
-        # 40x32x64 runs in three slabs of 16 planes; the geometry holds one
-        # full-size field (the stage) besides its slab scratch, and a call adds
-        # its result and a few planes: the wrap tables, a plane read through
-        # the wrap, and numpy's iterator buffers
+        # 40x32x64 runs in three slabs of 16 planes; the geometry holds only
+        # its slab scratch, and a call adds its result and a few planes: the
+        # wrap tables, a plane read through the wrap, and numpy's iterator
+        # buffers (the bounds leave room for one further field)
         spec = GridSpec(40, 32, 64)
         rng = np.random.default_rng(6)
         f = rng.standard_normal(spec.shape)

@@ -14,9 +14,10 @@ a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
 a `random_smooth` run-flow, a `single_mode_x` check-identities, a
 scaled, Reeb-translated `random_smooth` soliton-check and one translated
 backward (psi_rate -2, so its residual shifts wrap both ways), and a
-`single_mode_x` convergence-study on grids 12 and 24, a `random_smooth`
-check-identities on the 40x16x64 grid (twist 4, delta 1e-6), which the
-divergence-form kernel runs in two slabs of x-planes, seven configs that
+`single_mode_x` convergence-study on grids 12 and 24, a short
+`random_smooth` run-flow and a `random_smooth` check-identities (delta 1e-6)
+on the 40x16x64 grid (twist 4), which the divergence-form kernel runs in two
+slabs of x-planes, seven configs that
 exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
 dividing N_z, an unknown preset, `dt_min` above `dt_init`, a
 convergence-study with grids 16,8, and an 8^3 soliton-check whose sweep has
@@ -24,7 +25,7 @@ the base constant -1 and the off-lattice rate 0.3), and an 8^3 `single_mode_y`
 check-identities whose probe fails (delta 1e300) into a nested `--out` that
 does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
 report is named `../escaped_report.txt`, through `cryf.cli` once with that
-tree and once with the working tree's `src/` (30 runs).
+tree and once with the working tree's `src/` (31 runs).
 Both runs read the working tree's configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
@@ -105,6 +106,10 @@ INLINE_CONFIGS = {
     # the smoothing and every x difference cross the sheared wrap
     "flow_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 5\n\n"
                     "[flow]\nt_end = 2e-3\nrecord_every = 2\n",
+    # the adaptive stepper on two slabs and the sheared wrap: two rejected attempts,
+    # then 30 accepted steps, a record every second one
+    "flow_slabs": GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 8\n\n"
+                  "[flow]\nt_end = 1e-4\ndt_init = 1e-4\nrecord_every = 2\n",
     # the varying-weight kernel path crosses every slab boundary and the sheared wrap
     # (delta 1e-4 leaves the positive cone on this stiffer grid)
     "identities_slabs": GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 6\n\n"
@@ -173,6 +178,7 @@ RUNS = (
     ("flow_input_at_floor_8", "run-flow", None),
     ("flow_twisted", "run-flow", None),
     ("identities_twisted", "check-identities", None),
+    ("flow_slabs", "run-flow", None),
     ("identities_slabs", "check-identities", None),
     ("soliton_twisted", "soliton-check", None),
     ("soliton_twisted_backward", "soliton-check", None),
