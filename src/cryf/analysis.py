@@ -85,23 +85,18 @@ def float64_range(what: str):
 
 
 def curvature_moments(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
-                      dt_used: float = 0.0,
-                      out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                      dt_used: float = 0.0):
     """Curvature R, volume element dV and the record of `state`: its moments and E, var, dE/dt.
 
-    `out`, when given, is three fields (r, dv, work) apart from state.u: R
-    and dV are written into and returned as the first two, and the moments
-    are summed through the third.  A moment or a dE/dt that is not a finite
-    float64 raises FloatRangeError.
+    A moment or a dE/dt that is not a finite float64 raises FloatRangeError.
     """
     geom = state.geom
-    r_out, dv_out, work = (None, None, None) if out is None else out
     with float64_range("a curvature moment"):
-        r = webster_curvature(state, u_floor, r_out)
-        dv = conformal_volume_element(state, dv_out)
+        r = webster_curvature(state, u_floor)
+        dv = conformal_volume_element(state)
         vol = integrate_base(geom, dv)
         # one work field: r dv, then (r r) dv in the same buffer
-        work = np.multiply(r, dv, out=work)
+        work = r * dv
         int_r = integrate_base(geom, work)
         np.multiply(r, r, out=work)
         work *= dv
@@ -220,14 +215,9 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
                        window.volume_element)
 
 
-def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray,
-                work: np.ndarray | None = None) -> float:
-    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv.
-
-    The weighted squares are summed in `work` when given, a field apart from
-    the other three.
-    """
-    work = np.multiply(resid, resid, out=work)
+def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
+    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
+    work = resid * resid
     work *= dv
     num = np.sqrt(integrate_base(geom, work))
     np.multiply(ref, ref, out=work)

@@ -59,10 +59,9 @@ def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
         raise PositivityError(f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}")
 
 
-def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:
     _check_above_floor(u, u_floor)
-    rhs = sub_laplacian_base(geom, u, out)
+    rhs = sub_laplacian_base(geom, u)
     rhs *= -4.0
     # the flat background's R_base u term is +0.0: adding it only turns a
     # -0.0 into +0.0, which the printed curvatures show
@@ -73,23 +72,19 @@ def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float,
     return rhs
 
 
-def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def webster_curvature(state: ConformalState, u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
     """Webster scalar curvature of the conformal contact form.
 
     Refuses states whose minimum of u is at or below `u_floor` instead of
     returning huge values; the unnormalized flow may legitimately drive u
-    toward zero and that must fail loudly.  Written into and returned as
-    `out` when given, a field that shares no memory with u (ValueError
-    otherwise).
+    toward zero and that must fail loudly.
     """
-    return _webster_raw(state.geom, state.u, u_floor, out)
+    return _webster_raw(state.geom, state.u, u_floor)
 
 
-def conformal_volume_element(state: ConformalState, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form, as (u u)^2,
-    written into and returned as `out` when given."""
-    dv = np.multiply(state.u, state.u, out=out)
+def conformal_volume_element(state: ConformalState) -> np.ndarray:
+    """Pointwise density u^((2n+2)/n) = u^4 of the conformal volume form, as (u u)^2."""
+    dv = state.u * state.u
     dv *= dv
     return dv
 

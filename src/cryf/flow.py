@@ -6,11 +6,8 @@ where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps under
 step-doubling error control: one full step against two half steps, accepted
 when the relative L-infinity discrepancy meets err_tol, with the next step
 scaled by safety * (err_tol/err)^(1/5).  A step makes its own stage field
-and one slope field, which holds k1, k3 and k4 in turn, and sums the slopes
-into k2 as they come; the error estimate is formed inside the full step's
-array.  So a step allocates three fields, the returned one among them: at
-64^3 each 2 MiB field freed and allocated again can cost a page fault per
-4 KiB page, once the C allocator has trimmed its heap.
+and sums the slopes into k2 as they come; the error estimate is formed
+inside the full step's array.
 An explicit scheme keeps the time error a clean high-order term for the
 identity checks; stiffness (the sub-parabolic CFL ~ h^2) is handled by
 dt_max and adaptivity.
@@ -64,15 +61,14 @@ class Trajectory:
     termination: FlowTermination = FlowTermination.REACHED_T_END
 
 
-def _du_dt(geom, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _du_dt(geom, u: np.ndarray) -> np.ndarray:
     """Right-hand side -(1/2) R u = 2 Lap(u) / u^2 of the conformal-factor flow.
 
     Requires u > u_floor, which the caller has checked.  Computed as
     2 Lap(u) / u / u, in place on the kernel's result with no power and no
-    temporary field.  Written into and returned as `out` when given, a
-    float64 field that shares no memory with u (ValueError otherwise).
+    temporary field.
     """
-    r = sub_laplacian_base(geom, u, out)
+    r = sub_laplacian_base(geom, u)
     r *= 2.0
     r /= u
     r /= u
@@ -89,18 +85,18 @@ def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
     """One four-stage step of either sign from u > u_floor to a new array.
 
     StepPositivityError if a stage or the result hits the floor; an overflow
-    is such a stage too.  The step makes one stage field, in which every
-    stage is built, and one slope field k, which holds k1, k3 and k4 in turn;
-    each slope is folded into k2 as soon as the next stage has been built
-    from it.  So u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) is built in k2 with that
-    expression's operations and groupings, bit for bit, and the step
-    allocates three fields: the stage, k and the returned k2.
+    is such a stage too.  Every stage is built in one stage field made per
+    call, and each slope is folded into k2 and freed as soon as the next
+    stage has been built from it, so u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) is
+    built in k2 with that expression's operations and groupings, bit for
+    bit, and the step holds at most three fields at once: the stage, k2 and
+    one other slope.
     """
     stage = np.empty_like(u)
     try:
         with np.errstate(over="raise"):
-            k = _du_dt(geom, u)
-            np.multiply(k, 0.5 * dt, out=stage)
+            k1 = _du_dt(geom, u)
+            np.multiply(k1, 0.5 * dt, out=stage)
             stage += u
             _check_floor(stage, u_floor)
             k2 = _du_dt(geom, stage)
@@ -108,14 +104,16 @@ def _rk4_any(geom, u: np.ndarray, dt: float, u_floor: float) -> np.ndarray:
             stage += u
             _check_floor(stage, u_floor)
             k2 *= 2.0
-            k2 += k
-            _du_dt(geom, stage, k)
-            np.multiply(k, dt, out=stage)
+            k2 += k1
+            del k1
+            k3 = _du_dt(geom, stage)
+            np.multiply(k3, dt, out=stage)
             stage += u
             _check_floor(stage, u_floor)
-            k *= 2.0
-            k2 += k
-            k2 += _du_dt(geom, stage, k)
+            k3 *= 2.0
+            k2 += k3
+            del k3
+            k2 += _du_dt(geom, stage)
             k2 *= dt / 6.0
             k2 += u
     except FloatingPointError as exc:

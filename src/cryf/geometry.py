@@ -34,7 +34,7 @@ beyond it, through the shear at the x-wrap; small grids are one slab.
 A geometry holds three work fields, made with it: the slab-sized scratch
 fields of the divergence-form kernel.  Every kernel call writes them, so one
 geometry must not be shared by threads that apply the kernel concurrently.
-The flow's four-stage step makes its own stage and slope fields per call.
+The flow's four-stage step makes its own stage field per call.
 Build one geometry per grid and pass it around.
 """
 
@@ -163,17 +163,6 @@ def _check_field(geom: BaseGeometry, f: np.ndarray, name: str = "f") -> np.ndarr
     if f.shape != geom.shape:
         raise ValueError(f"{name} has shape {f.shape}, expected {geom.shape}")
     return f
-
-
-def _out_field(geom: BaseGeometry, out: np.ndarray | None, f: np.ndarray) -> np.ndarray:
-    """A new field, or `out`; ValueError unless `out` is a float64 field apart from f."""
-    if out is None:
-        return np.empty(geom.shape)
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == geom.shape):
-        raise ValueError(f"out must be a float64 array of shape {geom.shape}")
-    if np.may_share_memory(out, f):
-        raise ValueError("out may share memory with the input field")
-    return out
 
 
 def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarray:
@@ -319,19 +308,16 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     return out
 
 
-def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
     """Horizontal sub-Laplacian of the background contact form.
 
     -(Dx* Dx + Dy* Dy) f built from forward differences with their exact
     adjoints (the backward-difference mirror is the same operator).
     Negative semidefinite by construction ("Laplacian of sin is negative")
     and identical bit for bit to `weighted_div_form` with unit weight.
-    Written into and returned as `out` when given, a float64 field that
-    shares no memory with f (ValueError otherwise).
     """
     f = _check_field(geom, f)
-    return _div_form(geom, f, None, _out_field(geom, out, f))
+    return _div_form(geom, f, None, np.empty(geom.shape))
 
 
 def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -357,21 +343,13 @@ def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:
     return float(geom.w0 * np.sum(f))
 
 
-def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def pullback_z_shift(geom: BaseGeometry, f: np.ndarray, m: int) -> np.ndarray:
     """Pull back f by the central translation of m lattice steps in z.
 
     Central (Reeb direction) translations are exact automorphisms of the
     quotient and of the frame, so this is a bijective relabeling: quadrature
     is exactly invariant and the operation commutes with every frame
-    operator.  It is `np.roll(f, -m, axis=2)` as two slice copies, written
-    into and returned as `out` when given, a float64 field that shares no
-    memory with f (ValueError otherwise).
+    operator.
     """
     f = _check_field(geom, f)
-    out = _out_field(geom, out, f)
-    n = geom.spec.nz
-    k = int(m) % n
-    out[..., :n - k] = f[..., k:]
-    out[..., n - k:] = f[..., :k]
-    return out
+    return np.roll(f, -int(m), axis=2)

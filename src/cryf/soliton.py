@@ -19,14 +19,6 @@ only inside one subtraction, and keeps across times only each state's flow
 residual and `DiagnosticsRecord`, the source of E and the constancy test.
 The harness and the invariance check take that `FamilyScan` as their
 argument, so a caller that needs both scans once.
-
-A scan builds every field in four full-size work fields, made once per call
-with `np.empty`: the state at t, its curvature, volume element and moment
-buffer, then the states at t +/- delta and the residual, reuse them in turn.
-A 64^3 field is 2 MiB.  Fields made and freed per sample let glibc trim the
-top of its heap and fault every page back in on the next sample, about 150k
-minor faults per 64^3 `soliton-check`.  No state built in the work fields
-outlives its sample: a sample keeps only scalars.
 """
 
 from __future__ import annotations
@@ -86,19 +78,17 @@ def shift_steps(family: SolitonFamily, t: float) -> int:
     return int(m)
 
 
-def soliton_state(family: SolitonFamily, t: float,
-                  out: np.ndarray | None = None) -> ConformalState:
-    """State sigma(t) * psi_t^*(theta) at time t, its field built in `out` when given.
+def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
+    """State sigma(t) * psi_t^*(theta) at time t.
 
-    PositivityError unless sigma(t) > 0, FloatRangeError unless it is finite;
-    ValueError when `out` may share memory with the base field.
+    PositivityError unless sigma(t) > 0, FloatRangeError unless it is finite.
     """
     sig = 1.0 + family.sigma_slope * t
     if not sig > 0.0:
         raise PositivityError(f"sigma({t}) = {sig} is not positive")
     if not math.isfinite(sig):
         raise FloatRangeError(f"sigma({t}) = {sig} is not finite")
-    u = pullback_z_shift(family.base.geom, family.base.u, shift_steps(family, t), out)
+    u = pullback_z_shift(family.base.geom, family.base.u, shift_steps(family, t))
     u *= sig ** 0.5
     return ConformalState(family.base.geom, u, t)
 
@@ -117,29 +107,23 @@ class FamilyScan(NamedTuple):
     samples: tuple[FamilySample, ...]
 
 
-def _sample(family: SolitonFamily, t: float, delta: float,
-            work: tuple[np.ndarray, ...]) -> FamilySample:
-    # work fields: a holds the state at t, then the one at t - delta and the
-    # norm's buffer; b R, then the drift; c dV; d the moments, then the residual
-    a, b, c, d = work
-    s0 = soliton_state(family, t, a)
-    r, dv, record = curvature_moments(s0, out=(b, c, d))
-    # the drift R u / 2, built in r before a is overwritten
+def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:
+    s0 = soliton_state(family, t)
+    r, dv, record = curvature_moments(s0)
+    # du/dt + R u / 2, which vanishes on a flow solution; the t - delta field
+    # is subtracted inside the t + delta one, and the drift R u / 2 is built in r
+    resid = soliton_state(family, t + delta).u
+    resid -= soliton_state(family, t - delta).u
+    resid /= 2.0 * delta
     r *= 0.5
     r *= s0.u
-    # du/dt + R u / 2, which vanishes on a flow solution; the t - delta field
-    # is subtracted inside the t + delta one
-    resid = soliton_state(family, t + delta, d).u
-    resid -= soliton_state(family, t - delta, a).u
-    resid /= 2.0 * delta
     resid += r
-    return FamilySample(record, relative_l2(s0.geom, resid, r, dv, a))
+    return FamilySample(record, relative_l2(s0.geom, resid, r, dv))
 
 
 def scan_family(family: SolitonFamily, times: Sequence[float]) -> FamilyScan:
     """Diagnostics record and flow residual at every sampled time, one state each.
 
-    Every field of the scan is built in four work fields made once per call.
     The residual's time step is one lattice step of central shift, or 1e-4
     for a static relabeling.  A family whose fields, moments or dE/dt leave
     the float64 range raises FloatRangeError, and no times raise ValueError.
@@ -147,10 +131,9 @@ def scan_family(family: SolitonFamily, times: Sequence[float]) -> FamilyScan:
     if len(times) == 0:
         raise ValueError("times must list at least one time")
     delta = _residual_delta(family)
-    work = tuple(np.empty(family.base.geom.shape) for _ in range(4))
     with float64_range("soliton family"):
-        e0 = curvature_moments(family.base, out=work[1:])[2].E
-        samples = tuple(_sample(family, t, delta, work) for t in times)
+        e0 = curvature_moments(family.base)[2].E
+        samples = tuple(_sample(family, t, delta) for t in times)
     return FamilyScan(e0, samples)
 
 

@@ -39,7 +39,7 @@ from cryf.flow import FlowConfig, integrate_fixed, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
 from conftest import random_state, single_mode_state
-from reference import REFERENCE_GRIDS, dE_dt_from_moments, integrate_conformal
+from reference import dE_dt_from_moments, integrate_conformal
 
 
 def closed_form_E(n, eps):
@@ -109,7 +109,7 @@ class TestCurvatureMoments:
         # an infinite R overflows nothing in the moments, so only their finite check sees it
         state = ConformalState(geom448, np.ones(geom448.shape))
         monkeypatch.setattr(cryf.analysis, "webster_curvature",
-                            lambda s, u_floor, out=None: np.full(s.geom.shape, np.inf))
+                            lambda s, u_floor: np.full(s.geom.shape, np.inf))
         with pytest.raises(FloatRangeError,
                            match=r"^curvature moments are not finite: 1\.0, inf, inf$"):
             curvature_moments(state)
@@ -314,31 +314,6 @@ class TestInPlaceArithmetic:
             assert np.array_equal(_curvature_rhs(state, r0), rhs)
             want = old_relative_l2(geom, drdt - rhs, rhs, conformal_volume_element(state))
             assert curvature_evolution_residual(window).hex() == want.hex()
-
-
-class TestOutFields:
-    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
-    def test_bitwise_equal_to_allocating_path(self, shape):
-        # each out= path returns the given field and writes the allocating
-        # path's bits into it; the grids include two the kernel cuts in slabs
-        geom = build_nilmanifold(GridSpec(*shape))
-        state = random_state(geom, 9, amplitude=0.3, smooth=1)
-        r_out, dv_out, work = (np.full(shape, np.nan) for _ in range(3))
-        r, dv, record = curvature_moments(state)
-        assert webster_curvature(state, out=r_out) is r_out
-        assert r_out.tobytes() == webster_curvature(state).tobytes() == r.tobytes()
-        assert conformal_volume_element(state, dv_out) is dv_out
-        assert dv_out.tobytes() == dv.tobytes()
-        r_out[:] = dv_out[:] = np.nan
-        got_r, got_dv, got = curvature_moments(state, out=(r_out, dv_out, work))
-        assert got_r is r_out and got_dv is dv_out
-        assert r_out.tobytes() == r.tobytes() and dv_out.tobytes() == dv.tobytes()
-        assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in record.as_tuple()]
-        resid, ref = np.random.default_rng(10).standard_normal((2, *shape))
-        want = relative_l2(geom, resid, ref, dv)
-        assert relative_l2(geom, resid, ref, dv, work).hex() == want.hex()
-        # the squares of ref were summed in work
-        assert work.tobytes() == (ref * ref * dv).tobytes()
 
 
 class TestIdentityResiduals:

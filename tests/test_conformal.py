@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryf.conformal import (
-    DEFAULT_U_FLOOR,
     ConformalState,
-    _webster_raw,
     conformal_sub_laplacian,
     conformal_volume_element,
     pullback_state,
@@ -75,16 +73,6 @@ class TestWebsterCurvature:
             webster_curvature(state)
         # a custom floor overrides the default
         webster_curvature(state, u_floor=1e-9)
-
-    def test_out_sharing_memory_with_u_rejected(self, geom448):
-        state = random_state(geom448, 8)
-        keep = state.u.copy()
-        for out in (state.u, state.u[...]):
-            with pytest.raises(ValueError, match="may share memory"):
-                webster_curvature(state, out=out)
-            with pytest.raises(ValueError, match="may share memory"):
-                _webster_raw(geom448, state.u, DEFAULT_U_FLOOR, out)
-        assert np.array_equal(state.u, keep)
 
     def test_single_mode_discrete_closed_form(self, geom16):
         n = geom16.spec.ny

@@ -18,7 +18,6 @@ from cryf.flow import (
 )
 from cryf.geometry import GridSpec, build_nilmanifold
 from conftest import random_state, single_mode_state
-from reference import REFERENCE_GRIDS
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
 # 16^3 integrated to t_end=0.05 at err_tol=1e-8 (reference run)
@@ -84,19 +83,6 @@ class TestTimeDerivative:
         want = -0.5 * webster_curvature(state) * state.u
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
-
-    def test_out_is_bit_identical_and_returned(self):
-        for shape in REFERENCE_GRIDS:
-            state = random_state(build_nilmanifold(GridSpec(*shape)), 7, amplitude=0.4)
-            f = np.full(shape, np.nan)
-            assert _du_dt(state.geom, state.u, out=f) is f
-            assert np.array_equal(f, time_derivative(state))
-
-    def test_out_sharing_memory_with_u_rejected(self, geom448):
-        u = random_state(geom448, 8).u
-        for out in (u, u[...], u.reshape(-1).reshape(u.shape)):
-            with pytest.raises(ValueError, match="share memory"):
-                _du_dt(geom448, u, out=out)
 
     def test_floor_raises_positivity_error(self, geom448):
         # the steps check their input on entry; _du_dt trusts its caller
@@ -184,8 +170,9 @@ class TestStepAdaptive:
 
     def test_peak_memory_of_a_rejecting_step(self, geom16, monkeypatch):
         # Besides the field the kernel is building, a step holds at most four:
-        # the full step, the first half step, and the stage and slope fields
-        # of the four-stage step under way (see TestStepAllocations).  The
+        # the full step, the first half step, and the stage field and one
+        # earlier slope of the four-stage step under way (see
+        # TestStepAllocations).  The
         # kernel's own peak (its result plus numpy's ufunc buffers, about
         # 0.1 MB, so several fields at 16^3) is measured here.
         state = single_mode_state(geom16, 0.2)
@@ -227,10 +214,11 @@ def peak_of(call):
 
 
 class TestStepAllocations:
-    """A four-stage step makes its own stage field and one slope field for k1,
-    k3 and k4, and the geometry holds only the kernel's slab scratch.  So
+    """A four-stage step makes its own stage field, and the geometry holds only
+    the kernel's slab scratch.  While the kernel builds a slope, the step
+    holds one earlier slope: k1, then the slope sum k2, which it returns.  So
     beyond the kernel's own peak (its result and numpy's buffers) a step holds
-    those two fields and the arrays it returns or still reads; each test's
+    its stage field and the arrays it returns or still reads; each test's
     name counts the latter."""
 
     @pytest.fixture()
@@ -259,24 +247,6 @@ class TestStepAllocations:
         cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
         peak = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
         assert peak <= 4.2 * field_bytes + kernel
-
-    def test_rk4_evaluates_into_two_buffers(self, geom448, monkeypatch):
-        # k1, k3 and k4 share the slope field; k2 is the kernel's new result
-        state = random_state(geom448, 5, amplitude=0.2)
-        real, returned = flow._du_dt, []
-
-        def keeping(*args):
-            r = real(*args)
-            returned.append(r)  # alive, so no buffer's memory is reused
-            return r
-
-        monkeypatch.setattr(flow, "_du_dt", keeping)
-        flow._rk4_any(geom448, state.u, 1e-4, DEFAULT_U_FLOOR)
-        assert len(returned) == 4
-        distinct = [a for i, a in enumerate(returned)
-                    if not any(np.shares_memory(a, b) for b in returned[:i])]
-        assert len(distinct) == 2
-        assert returned[0] is returned[2] is returned[3]
 
     def test_results_share_no_memory(self, geom16):
         state = random_state(geom16, 6, amplitude=0.4, smooth=2)

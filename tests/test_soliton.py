@@ -92,12 +92,6 @@ class TestSolitonState:
             tracemalloc.stop()
         assert peak <= 1.5 * fam.base.u.nbytes
 
-    def test_out_sharing_memory_with_base_rejected(self, geom448):
-        fam = constant_family(geom448, c=1.5, rate=1.0, slope=0.5)
-        with pytest.raises(ValueError, match="may share memory"):
-            soliton_state(fam, 0.25, fam.base.u)
-        assert np.all(fam.base.u == 1.5)
-
     def test_alignment_guard(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), 0.0, 0.3)
         with pytest.raises(ShiftAlignmentError, match="not grid-aligned"):
@@ -267,26 +261,6 @@ class TestFamilyScan:
         soliton_invariance_check(scan)
         assert len(calls) == 1 + len(TIMES)
 
-    def test_every_sample_in_the_same_two_fields(self, geom16, monkeypatch):
-        # the returned fields are kept alive, so a scan that allocated them
-        # per sample could not hand out the same memory twice
-        seen = []
-        real = cryf.soliton.curvature_moments
-
-        def recording(*args, **kwargs):
-            r, dv, record = real(*args, **kwargs)
-            seen.append((r, dv))
-            return r, dv, record
-
-        monkeypatch.setattr(cryf.soliton, "curvature_moments", recording)
-        fam = SolitonFamily(random_state(geom16, 5, smooth=1), 0.5, 1.0)
-        base = fam.base.u.tobytes()
-        scan_family(fam, TIMES)
-        assert len(seen) == 1 + len(TIMES)
-        assert len({(r.ctypes.data, dv.ctypes.data) for r, dv in seen}) == 1
-        assert not np.may_share_memory(*seen[0])
-        assert fam.base.u.tobytes() == base
-
     def test_no_times_rejected(self, geom448):
         # a scan with no sample would pass the harness vacuously
         with pytest.raises(ValueError, match="times must list at least one time"):
@@ -295,10 +269,12 @@ class TestFamilyScan:
     @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
     def test_flow_residual_bitwise_equal_to_plain_expression(self, shape):
         # against a test-local copy of the residual built with a new field
-        # per operation; float.hex compares every bit
+        # per operation; float.hex compares every bit.  The scan leaves the
+        # base field as it was.
         geom = build_nilmanifold(GridSpec(*shape))
         for seed, t in itertools.product(range(4), (0.0, 0.25, 0.5)):
             fam = SolitonFamily(random_state(geom, seed, amplitude=0.3, smooth=2), 0.5, 1.0)
+            base = fam.base.u.tobytes()
             delta = _residual_delta(fam)
             s0 = soliton_state(fam, t)
             r, dv, _ = curvature_moments(s0)
@@ -310,3 +286,4 @@ class TestFamilyScan:
             num = np.sqrt(integrate_base(geom, resid * resid * dv))
             den = max(1.0, np.sqrt(integrate_base(geom, drift * drift * dv)))
             assert flow_residual(fam, t).hex() == float(num / den).hex()
+            assert fam.base.u.tobytes() == base

@@ -93,3 +93,18 @@ def test_compare_outputs_runs_are_consistent():
     assert {name for name, _, cfg in tool.RUNS if cfg is None} <= set(tool.INLINE_CONFIGS)
     assert set(tool.INLINE_CONFIGS) | set(tool.OUT_DIRS) <= set(names)
     assert all((ROOT / cfg).is_file() for _, _, cfg in tool.RUNS if cfg is not None)
+
+
+def test_only_the_program_entry_sets_the_allocator_policy():
+    # ctypes and mallopt appear in cli alone, mallopt only inside the helper,
+    # and the helper is called only from main, so importing cryf sets nothing
+    def names(node):
+        return {name for name in referenced_names(node) if isinstance(name, str)}
+
+    refs = {p.stem: names(parsed(p)) for p in PACKAGE.glob("*.py")}
+    assert {stem for stem, found in refs.items() if "ctypes" in found} == {"cli"}
+    assert {stem for stem, found in refs.items() if "mallopt" in found} == {"cli"}
+    cli = parsed(PACKAGE / "cli.py").body
+    users = [node for node in cli if {"mallopt", "_keep_freed_memory"} & names(node)]
+    assert [getattr(node, "name", None) for node in users] == ["_keep_freed_memory", "main"]
+    assert "mallopt" not in names(users[1])
