@@ -39,7 +39,7 @@ from cryf.flow import FlowConfig, integrate_fixed, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
 from conftest import random_state, single_mode_state
-from reference import dE_dt_from_moments, integrate_conformal
+from reference import REFERENCE_GRIDS, dE_dt_from_moments, integrate_conformal
 
 
 def closed_form_E(n, eps):
@@ -314,6 +314,31 @@ class TestInPlaceArithmetic:
             assert np.array_equal(_curvature_rhs(state, r0), rhs)
             want = old_relative_l2(geom, drdt - rhs, rhs, conformal_volume_element(state))
             assert curvature_evolution_residual(window).hex() == want.hex()
+
+
+class TestOutFields:
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    def test_bitwise_equal_to_allocating_path(self, shape):
+        # curvature_moments hands out the fields of the separate calls, bit for
+        # bit, in new memory; the grids include two the kernel cuts in slabs
+        geom = build_nilmanifold(GridSpec(*shape))
+        state = random_state(geom, 9, amplitude=0.3, smooth=1)
+        u = state.u.tobytes()
+        r, dv, record = curvature_moments(state)
+        assert r.tobytes() == webster_curvature(state).tobytes()
+        assert dv.tobytes() == conformal_volume_element(state).tobytes()
+        assert not np.may_share_memory(r, dv)
+        assert not any(np.may_share_memory(a, state.u) for a in (r, dv))
+        assert state.u.tobytes() == u
+        sums = [integrate_base(geom, f) for f in (dv, r * dv, r * r * dv)]
+        assert [record.vol.hex(), record.intR.hex(), record.intR2.hex()] == [v.hex() for v in sums]
+        want = make_record(state)
+        assert [v.hex() for v in record.as_tuple()] == [v.hex() for v in want.as_tuple()]
+        resid, ref = np.random.default_rng(10).standard_normal((2, *shape))
+        keep = resid.tobytes(), ref.tobytes(), dv.tobytes()
+        got = relative_l2(geom, resid, ref, dv)
+        assert got.hex() == old_relative_l2(geom, resid, ref, dv).hex()
+        assert (resid.tobytes(), ref.tobytes(), dv.tobytes()) == keep
 
 
 class TestIdentityResiduals:

@@ -82,11 +82,14 @@ class TestAllocatorPolicy:
                 main(["no-such-command"])
         assert calls == 2 * self.POLICY
 
-    @pytest.mark.parametrize("library", ["missing", "no_mallopt"])
+    @pytest.mark.parametrize("library", ["missing", "no_mallopt", "no_null_handle"])
     def test_without_glibc_the_run_is_unchanged(self, tmp_path, monkeypatch, library):
         def cdll(name):
             if library == "missing":
                 raise OSError("no C library")
+            if library == "no_null_handle":
+                # where CDLL needs a library name, CDLL(None) raises TypeError
+                raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
             return object()
 
         monkeypatch.setattr(cryf.cli.ctypes, "CDLL", cdll)

@@ -74,6 +74,18 @@ class TestWebsterCurvature:
         # a custom floor overrides the default
         webster_curvature(state, u_floor=1e-9)
 
+    def test_result_shares_no_memory_with_u(self, geom448):
+        # both results are new fields; conformal_volume_element squares its
+        # field in place, which must not reach u
+        state = random_state(geom448, 8)
+        keep = state.u.tobytes()
+        r = webster_curvature(state)
+        dv = conformal_volume_element(state)
+        assert not any(np.may_share_memory(a, state.u) for a in (r, dv))
+        assert not np.may_share_memory(r, dv)
+        assert state.u.tobytes() == keep
+        assert dv.tobytes() == ((state.u * state.u) * (state.u * state.u)).tobytes()
+
     def test_single_mode_discrete_closed_form(self, geom16):
         n = geom16.spec.ny
         eps = 0.1

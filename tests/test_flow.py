@@ -16,8 +16,9 @@ from cryf.flow import (
     run_flow,
     step_adaptive,
 )
-from cryf.geometry import GridSpec, build_nilmanifold
+from cryf.geometry import GridSpec, build_nilmanifold, sub_laplacian_base
 from conftest import random_state, single_mode_state
+from reference import REFERENCE_GRIDS
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
 # 16^3 integrated to t_end=0.05 at err_tol=1e-8 (reference run)
@@ -83,6 +84,18 @@ class TestTimeDerivative:
         want = -0.5 * webster_curvature(state) * state.u
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
+
+    def test_out_is_bit_identical_and_returned(self):
+        # the in-place 2 Lap(u) / u / u is the allocating expression bit for
+        # bit, and the field returned is new; two grids are cut in slabs
+        for shape in REFERENCE_GRIDS:
+            state = random_state(build_nilmanifold(GridSpec(*shape)), 7, amplitude=0.4)
+            keep = state.u.tobytes()
+            f = _du_dt(state.geom, state.u)
+            want = 2.0 * sub_laplacian_base(state.geom, state.u) / state.u / state.u
+            assert f.tobytes() == want.tobytes()
+            assert not np.may_share_memory(f, state.u)
+            assert state.u.tobytes() == keep
 
     def test_floor_raises_positivity_error(self, geom448):
         # the steps check their input on entry; _du_dt trusts its caller

@@ -595,6 +595,39 @@ class TestPullback:
         assert np.abs(lhs - rhs).max() <= 1e-15 * max(1.0, np.abs(rhs).max())
 
 
+class TestOutFields:
+    """Each field-returning function hands out a new float64 field of the
+    geometry's shape, sharing no memory with its input or the geometry's
+    slab scratch, that holds the plain expression's bits."""
+
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    def test_sub_laplacian_into_out(self, shape):
+        geom = build_nilmanifold(GridSpec(*shape))
+        f = np.random.default_rng(31).standard_normal(shape)
+        keep = f.tobytes()
+        out = sub_laplacian_base(geom, f)
+        assert out.dtype == np.float64 and out.shape == shape and out.flags.c_contiguous
+        assert not any(np.may_share_memory(out, a) for a in (f, *geom._scratch))
+        assert f.tobytes() == keep
+        assert out.tobytes() == weighted_div_form(geom, np.ones(shape), f).tobytes()
+        # a call on another field between two calls leaves no trace in the scratch
+        sub_laplacian_base(geom, np.random.default_rng(32).standard_normal(shape))
+        assert sub_laplacian_base(geom, f).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (8, 4, 12)])
+    def test_pullback_bitwise_equal_to_roll(self, shape):
+        geom = build_nilmanifold(GridSpec(*shape))
+        f = np.random.default_rng(32).standard_normal(shape)
+        keep = f.tobytes()
+        nz = shape[2]
+        for m in range(-2 * nz - 1, 2 * nz + 2):
+            out = pullback_z_shift(geom, f, m)
+            assert out.tobytes() == np.roll(f, -m, axis=2).tobytes()
+            # soliton_state scales the result in place, so it is never f itself
+            assert not np.may_share_memory(out, f)
+        assert f.tobytes() == keep
+
+
 class TestCommutator:
     def test_constant_exact_zero(self, geom448):
         f = np.full(geom448.shape, 4.2)

@@ -92,6 +92,14 @@ class TestSolitonState:
             tracemalloc.stop()
         assert peak <= 1.5 * fam.base.u.nbytes
 
+    def test_state_shares_no_memory_with_base(self, geom448):
+        # soliton_state scales the pulled-back field in place, the base never
+        fam = constant_family(geom448, c=1.5, rate=1.0, slope=0.5)
+        for t in TIMES:
+            st = soliton_state(fam, t)
+            assert not np.may_share_memory(st.u, fam.base.u)
+        assert np.all(fam.base.u == 1.5)
+
     def test_alignment_guard(self, geom16):
         fam = SolitonFamily(single_mode_state(geom16, 0.1), 0.0, 0.3)
         with pytest.raises(ShiftAlignmentError, match="not grid-aligned"):
