@@ -252,8 +252,8 @@ def constancy_verdict(state: ConformalState, tol_rel: float,
     return make_record(state, u_floor=u_floor).is_constant(tol_rel)
 
 
-def monotonicity_audit(records, slack: float = MONOTONE_SLACK):
-    """Count record pairs where E increases beyond slack * max(1, |E|) or is nan.
+def monotonicity_audit(records):
+    """Count record pairs where E increases beyond MONOTONE_SLACK * max(1, |E|) or is nan.
 
     Returns (violation_count, worst_violation); the worst violation is the
     largest excess over the slack (0.0 when none, nan when an E is nan).
@@ -261,7 +261,7 @@ def monotonicity_audit(records, slack: float = MONOTONE_SLACK):
     count = 0
     worst = 0.0
     for prev, cur in zip(records, records[1:]):
-        allowed = prev.E + slack * max(1.0, abs(prev.E))
+        allowed = prev.E + MONOTONE_SLACK * max(1.0, abs(prev.E))
         # a nan E is no decrease: it counts, and a nan excess stays the worst
         if not cur.E <= allowed:
             count += 1

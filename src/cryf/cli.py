@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -34,7 +35,6 @@ from .errors import (
     StepPositivityError,
 )
 from .geometry import (
-    BaseGeometry,
     GridSpec,
     build_nilmanifold,
     integrate_base,
@@ -114,10 +114,6 @@ def _write_csv(path: str, records) -> None:
     _write_lines(path, lines)
 
 
-def _initial_state(cfg: RunConfig, geom: BaseGeometry) -> ConformalState:
-    return make_initial_state(geom, **vars(cfg.initial))
-
-
 def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
     """The checked CSV and report paths, the snapshot stem, and the run's existing
     snapshots by index.
@@ -143,7 +139,7 @@ def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
 
 def cmd_run_flow(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     csv_path, report_path, snap_stem, existing = _run_flow_paths(cfg, outdir, overwrite)
-    state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
+    state = make_initial_state(build_nilmanifold(cfg.geometry), **vars(cfg.initial))
     traj = flow.run_flow(state, cfg.flow)
     _write_csv(csv_path, traj.records)
     for idx, snap in enumerate(traj.snapshots):
@@ -204,7 +200,7 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
 
 def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
-    state = _initial_state(cfg, build_nilmanifold(cfg.geometry))
+    state = make_initial_state(build_nilmanifold(cfg.geometry), **vars(cfg.initial))
     rows = _identity_rows(cfg, state)
     lines = ["identity value bound status"]
     failed = []
@@ -246,10 +242,9 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     cases = [(f"laplacian_{name}", [_laplacian_error(geom, factory) for geom in geoms], min_order)
              for name, factory, min_order in laplacian_cases]
 
-    base_delta = cfg.analysis.delta
     residuals = [
-        analysis.identity_residuals(
-            flow.probe_window(_initial_state(cfg, geom), base_delta * grids[0] / n))
+        analysis.identity_residuals(flow.probe_window(
+            make_initial_state(geom, **vars(cfg.initial)), cfg.analysis.delta * grids[0] / n))
         for geom, n in zip(geoms, grids)
     ]
     for field, name in (("curvature_evolution", "curvature_evolution_residual"),
@@ -288,7 +283,8 @@ def _sweep_families(cfg: RunConfig, geom):
         del base  # the last sweep base goes before a control's is built
     else:
         yield (f"{cfg.initial.preset} sigma=1{sol.sigma_slope:+g}*t psi_rate={sol.psi_rate:g}",
-               soliton.SolitonFamily(_initial_state(cfg, geom), sol.sigma_slope, sol.psi_rate))
+               soliton.SolitonFamily(make_initial_state(geom, **vars(cfg.initial)),
+                                     sol.sigma_slope, sol.psi_rate))
     if sol.include_negative_controls:
         yield ("control:single_mode_y(eps=0.1) sigma=1 psi_rate=0",
                soliton.SolitonFamily(
@@ -347,6 +343,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
     """Let glibc keep freed fields on its heap instead of returning them to the system.
 
@@ -355,8 +352,8 @@ def _keep_freed_memory() -> None:
     back in.  Fields up to 32 MiB stay on the heap, and the heap is trimmed
     only beyond 512 MiB free.  Both are set: setting one alone turns off the
     dynamic mmap threshold, so every 2 MiB field would be mmapped.  Only the
-    program's entry sets this; importing the library leaves the allocator
-    as it is.  Does nothing without glibc.
+    program's entry sets this, once per process; importing the library leaves
+    the allocator as it is.  Does nothing without glibc.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

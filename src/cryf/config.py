@@ -21,7 +21,8 @@ from typing import get_type_hints
 from .conformal import DEFAULT_U_FLOOR
 from .errors import ConfigurationError
 from .geometry import GridSpec
-from .presets import PRESETS
+
+PRESETS = ("constant", "single_mode_y", "single_mode_x", "random_smooth")
 
 
 def _require_finite(config, names, allow_zero: bool = False) -> None:
@@ -40,6 +41,25 @@ class InitialDataConfig:
     seed: int = 0
     amplitude: float = 0.2
     smoothing_passes: int = 2
+
+    def __post_init__(self) -> None:
+        # an unknown name, like an unknown key, is positioned at its line by the parse
+        if self.preset not in PRESETS:
+            raise LookupError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        # each preset reads only its own settings, and checks only those
+        if self.preset == "constant":
+            if not 0.0 < self.c < math.inf:
+                raise ValueError(f"constant preset needs finite c > 0, got {self.c}")
+        elif self.preset in ("single_mode_y", "single_mode_x"):
+            if not (self.c - abs(self.epsilon) > 0.0 and self.c + abs(self.epsilon) < math.inf):
+                raise ValueError(f"mode preset needs c - |epsilon| > 0 and c + |epsilon| "
+                                 f"finite, got c={self.c}, epsilon={self.epsilon}")
+        elif not 0.0 < self.amplitude < 1.0:
+            raise ValueError(f"random_smooth needs amplitude in (0, 1), got {self.amplitude}")
+        elif self.smoothing_passes < 0:
+            raise ValueError("smoothing_passes must be >= 0")
+        elif self.seed < 0:
+            raise ValueError(f"random_smooth needs seed >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -253,8 +273,8 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
 def _build_section(sections, name):
     """The dataclass of section `name`, its keys taken in field order.
 
-    A key that is required but missing, or whose value does not parse, is an
-    error; a range rule's ValueError gains the section as a prefix, but
+    A missing required key, a value that does not parse and an unknown preset
+    are errors; a range rule's ValueError gains the section as a prefix, but
     GridSpec's own ConfigurationError passes through as it is.
     """
     entries = sections.get(name, {})
@@ -274,6 +294,9 @@ def _build_section(sections, name):
         return _SECTIONS[name](**values)
     except ConfigurationError:
         raise
+    except LookupError as exc:
+        entry = entries["preset"]
+        raise ConfigurationError(f"line {entry.line}, column {entry.col}: {exc}") from None
     except ValueError as exc:
         raise ConfigurationError(f"[{name}]: {exc}") from None
 
@@ -281,14 +304,7 @@ def _build_section(sections, name):
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration."""
     sections = _tokenize(text)
-    config = RunConfig(*(_build_section(sections, name) for name in _SECTIONS))
-    if config.initial.preset not in PRESETS:
-        entry = sections["initial_data"]["preset"]
-        raise ConfigurationError(
-            f"line {entry.line}, column {entry.col}: unknown preset "
-            f"{config.initial.preset!r}; choose from {PRESETS}"
-        )
-    return config
+    return RunConfig(*(_build_section(sections, name) for name in _SECTIONS))
 
 
 def load_config(path) -> RunConfig:

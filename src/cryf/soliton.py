@@ -36,6 +36,7 @@ from .analysis import (
     float64_range,
     relative_l2,
 )
+from .config import SolitonConfig
 from .conformal import ConformalState
 from .errors import FloatRangeError, PositivityError, ShiftAlignmentError
 from .geometry import pullback_z_shift
@@ -60,8 +61,8 @@ class SolitonFamily:
     """
 
     base: ConformalState
-    sigma_slope: float = 0.0
-    psi_rate: float = 0.0
+    sigma_slope: float
+    psi_rate: float
 
 
 def shift_steps(family: SolitonFamily, t: float) -> int:
@@ -156,8 +157,8 @@ def _residual_delta(family: SolitonFamily) -> float:
     return 1e-4
 
 
-def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = 1e-8,
-                            var_tol: float = 1e-6) -> Verdict:
+def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = SolitonConfig.flow_tol,
+                            var_tol: float = SolitonConfig.var_tol) -> Verdict:
     """Decision procedure for the constancy theorem on one scanned family.
 
     (a) E must be constant along the family (always true for genuine

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cryf.analysis import (
+    MONOTONE_SLACK,
     curvature_evolution_residual,
     dE_dt_formula,
     identity_window,
@@ -66,6 +67,7 @@ def geom16s():
 
 def test_c01_monotonicity_random_seeds(geom16s):
     with criterion("criterion 1: monotone E over 10 random seeds (slack 1e-8)"):
+        assert MONOTONE_SLACK == 1e-8
         cfg = FlowConfig(t_end=0.005, err_tol=1e-8, record_every=5)
         for seed in range(10):
             state = make_initial_state(geom16s, "random_smooth", seed=seed,
@@ -73,7 +75,7 @@ def test_c01_monotonicity_random_seeds(geom16s):
             traj = run_flow(state, cfg)
             assert traj.termination == FlowTermination.REACHED_T_END
             assert len(traj.records) >= 3
-            count, worst = monotonicity_audit(traj.records, slack=1e-8)
+            count, worst = monotonicity_audit(traj.records)
             assert (count, worst) == (0, 0.0), f"seed {seed}"
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import gc
 import io
 import os
 import pathlib
@@ -62,25 +64,57 @@ def count_geometries(monkeypatch):
     return specs
 
 
+def main_without_a_command():
+    # an unknown command ends the parse, so whatever came before it has run
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main(["no-such-command"])
+
+
 class TestAllocatorPolicy:
-    """`main` sets glibc's trim and mmap thresholds through mallopt first of all."""
+    """`main` sets glibc's trim and mmap thresholds through mallopt first of all,
+    once per process."""
 
     POLICY = [(-1, 512 << 20), (-3, 32 << 20)]
 
-    def test_set_on_every_call_before_the_arguments_are_parsed(self, monkeypatch):
-        calls = []
+    @pytest.fixture(autouse=True)
+    def policy_not_yet_set(self):
+        # each test starts as a fresh process would, and leaves the next one
+        # to set the policy with the real C library
+        cryf.cli._keep_freed_memory.cache_clear()
+        yield
+        cryf.cli._keep_freed_memory.cache_clear()
+
+    def test_set_once_per_process_before_the_arguments_are_parsed(self, monkeypatch):
+        calls, handles = [], []
 
         class Library:
+            def __init__(self, name):
+                handles.append(name)
+
             def mallopt(self, param, value):
                 calls.append((param, value))
                 return 1
 
-        monkeypatch.setattr(cryf.cli.ctypes, "CDLL", lambda name: Library())
-        # an unknown command ends the parse, so the calls came before it
-        for _ in range(2):
-            with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
-                main(["no-such-command"])
-        assert calls == 2 * self.POLICY
+        monkeypatch.setattr(cryf.cli.ctypes, "CDLL", Library)
+        for _ in range(3):
+            main_without_a_command()
+        assert calls == self.POLICY and handles == [None]
+
+    def test_repeated_calls_make_no_library_handle(self):
+        # a C library handle made on every call left about 3.4 KB of cyclic
+        # garbage each time; with the collector off, none of it would be freed
+        main_without_a_command()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                main_without_a_command()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        made = snapshot.filter_traces([tracemalloc.Filter(True, ctypes.__file__)])
+        assert sum(stat.size for stat in made.statistics("filename")) == 0
 
     @pytest.mark.parametrize("library", ["missing", "no_mallopt", "no_null_handle"])
     def test_without_glibc_the_run_is_unchanged(self, tmp_path, monkeypatch, library):
@@ -109,8 +143,7 @@ class TestAllocatorPolicy:
                 return returned[-1]
 
         monkeypatch.setattr(cryf.cli.ctypes, "CDLL", Library)
-        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
-            main(["no-such-command"])
+        main_without_a_command()
         assert returned == [1, 1]
 
 
@@ -515,6 +548,18 @@ class TestConvergenceStudy:
         assert main(["convergence-study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert [spec.nx for spec in geometries] == [4, 8]
 
+    def test_initial_data_rule_exit_2_before_the_first_case(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cases = []
+        monkeypatch.setattr(cryf.cli, "_laplacian_error", lambda *args: cases.append(args))
+        body = BASE_CFG.format(preset="random_smooth", extra="amplitude = 5\nseed = -3\n") + \
+            "\n[analysis]\ngrids = 8,16\n"
+        cfg = write_cfg(tmp_path, body=body)
+        assert main(["convergence-study", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error: [initial_data]: random_smooth "
+                                           "needs amplitude in (0, 1), got 5.0\n")
+        assert cases == []
+
     def test_single_grid_is_config_error(self, tmp_path):
         body = BASE_CFG.format(preset="constant", extra="") + "\n[analysis]\ngrids = 16\n"
         cfg = write_cfg(tmp_path, body=body)
@@ -583,6 +628,15 @@ class TestSolitonCheck:
         assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == ("configuration error: [soliton]: sweep_base_constants "
                                            "must be positive, got (1.0, -1.0)\n")
+        assert geometries == [] and not (tmp_path / "o").exists()
+
+    def test_initial_data_rule_exit_2_before_any_geometry(self, tmp_path, capsys, monkeypatch):
+        # the default sweep never builds the configured field, but the config is checked whole
+        geometries = count_geometries(monkeypatch)
+        cfg = write_cfg(tmp_path, preset="random_smooth", extra="amplitude = 5\n")
+        assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error: [initial_data]: random_smooth "
+                                           "needs amplitude in (0, 1), got 5.0\n")
         assert geometries == [] and not (tmp_path / "o").exists()
 
     def test_configured_family_mode(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import typing
 
 import pytest
@@ -9,6 +10,7 @@ import cryf.config
 import cryf.flow
 from cryf.config import _SCHEMA, _SECTIONS, RunConfig, parse_config
 from cryf.errors import ConfigurationError
+from cryf.geometry import GridSpec
 
 MINIMAL = """
 [geometry]
@@ -274,6 +276,65 @@ class TestValidation:
     def test_zero_identity_bound_accepted(self):
         cfg = parse_config(MINIMAL + "\n[analysis]\nmax_curvature_evolution = 0\n")
         assert cfg.analysis.max_curvature_evolution == 0.0
+
+
+# (preset, settings, message) for each [initial_data] rule, which holds for its
+# preset alone
+INITIAL_DATA_RULES = [
+    ("constant", {"c": 0.0}, "constant preset needs finite c > 0, got 0.0"),
+    ("constant", {"c": math.inf}, "constant preset needs finite c > 0, got inf"),
+    ("constant", {"c": math.nan}, "constant preset needs finite c > 0, got nan"),
+    ("single_mode_y", {"c": 1.0, "epsilon": -1.0},
+     "mode preset needs c - |epsilon| > 0 and c + |epsilon| finite, got c=1.0, epsilon=-1.0"),
+    ("single_mode_x", {"c": 1.7e308, "epsilon": 1e308},
+     "mode preset needs c - |epsilon| > 0 and c + |epsilon| finite, got c=1.7e+308, "
+     "epsilon=1e+308"),
+    ("random_smooth", {"amplitude": 1.0}, "random_smooth needs amplitude in (0, 1), got 1.0"),
+    ("random_smooth", {"amplitude": 0.0}, "random_smooth needs amplitude in (0, 1), got 0.0"),
+    ("random_smooth", {"smoothing_passes": -1}, "smoothing_passes must be >= 0"),
+    ("random_smooth", {"seed": -3}, "random_smooth needs seed >= 0, got -3"),
+]
+RULE_IDS = ["c_zero", "c_inf", "c_nan", "mode_c_minus_epsilon", "mode_c_plus_epsilon",
+            "amplitude_one", "amplitude_zero", "smoothing_negative", "seed_negative"]
+
+
+def initial_data(preset, settings):
+    return MINIMAL.replace("preset = constant", f"preset = {preset}") + "".join(
+        f"{key} = {value}\n" for key, value in settings.items())
+
+
+class TestInitialDataRules:
+    """`InitialDataConfig` declares each [initial_data] rule, checked at parse time."""
+
+    @pytest.mark.parametrize("preset, settings, message", INITIAL_DATA_RULES, ids=RULE_IDS)
+    def test_rule_is_a_config_error(self, preset, settings, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(initial_data(preset, settings))
+        assert str(err.value) == f"[initial_data]: {message}"
+
+    @pytest.mark.parametrize("preset, settings, message", INITIAL_DATA_RULES, ids=RULE_IDS)
+    def test_make_initial_state_rejects_with_the_rule_message(self, preset, settings, message):
+        with pytest.raises(ConfigurationError) as err:
+            cryf.make_initial_state(cryf.build_nilmanifold(GridSpec(4, 4, 4)), preset,
+                                    **settings)
+        assert str(err.value) == message
+
+    def test_make_initial_state_rejects_an_unknown_preset(self):
+        with pytest.raises(ConfigurationError) as err:
+            cryf.make_initial_state(cryf.build_nilmanifold(GridSpec(4, 4, 4)), "vortex")
+        assert str(err.value) == ("unknown preset 'vortex'; choose from "
+                                  "('constant', 'single_mode_y', 'single_mode_x', 'random_smooth')")
+
+    def test_settings_of_other_presets_are_not_checked(self):
+        cfg = parse_config(initial_data("constant", {"amplitude": 5.0, "seed": -3, "epsilon": 9}))
+        assert (cfg.initial.amplitude, cfg.initial.seed, cfg.initial.epsilon) == (5.0, -3, 9.0)
+
+    def test_reported_before_a_later_section_fault(self):
+        text = initial_data("random_smooth", {"seed": -3}) + "\n[flow]\ndt_min = 1e-3\n"
+        with pytest.raises(ConfigurationError, match=r"^\[initial_data\]: random_smooth"):
+            parse_config(text)
+        with pytest.raises(ConfigurationError, match=r"^line 8, column 1: unknown preset"):
+            parse_config(text.replace("random_smooth", "vortex"))
 
 
 class TestSchema:

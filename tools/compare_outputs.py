@@ -3,30 +3,11 @@
 Usage: python3 tools/compare_outputs.py BASE_REV
 
 Exports `src/` at BASE_REV with `git archive` into a temporary directory,
-then runs the five shipped configs, nine 8^3 configs (a `constant`
-run-flow, a single-family soliton-check, a `random_smooth`
-check-identities, a convergence-study that fails its orders, a
-`random_smooth` run-flow that writes snapshots and records every second
-step, three rough `random_smooth` run-flows that end in positivity
-retries, a step underflow and an input at the floor, and a soliton-check
-whose sigma turns negative one residual step after its last sampled time),
-a 12^3 `random_smooth` run-flow, and on the twisted 8x4x12 grid (twist 3)
-a `random_smooth` run-flow, a `single_mode_x` check-identities, a
-scaled, Reeb-translated `random_smooth` soliton-check and one translated
-backward (psi_rate -2, so its residual shifts wrap both ways), and a
-`single_mode_x` convergence-study on grids 12 and 24, a short
-`random_smooth` run-flow and a `random_smooth` check-identities (delta 1e-6)
-on the 40x16x64 grid (twist 4), which the divergence-form kernel runs in two
-slabs of x-planes, seven configs that
-exit 2 before any field is built (no `preset`, no `[geometry]`, N_y not
-dividing N_z, an unknown preset, `dt_min` above `dt_init`, a
-convergence-study with grids 16,8, and an 8^3 soliton-check whose sweep has
-the base constant -1 and the off-lattice rate 0.3), and an 8^3 `single_mode_y`
-check-identities whose probe fails (delta 1e300) into a nested `--out` that
-does not exist yet, and an 8^3 `constant` run-flow with `t_end = 0` whose
-report is named `../escaped_report.txt`, through `cryf.cli` once with that
-tree and once with the working tree's `src/` (31 runs).
-Both runs read the working tree's configs, so only the code differs.  Every
+then makes every run of `RUNS` (the five shipped configs, and inline
+configs on 8^3 to 40x16x64 grids that reach each exit code and each kernel
+path; each run's comment says what it covers) through `cryf.cli`, once with
+that tree and once with the working tree's `src/`.
+Both runs read the same configs, so only the code differs.  Every
 output file, plus each command's exit code and stderr, is compared byte for
 byte, and every directory the runs leave is compared by its presence; for
 each file that differs a unified diff is printed, followed by the largest
@@ -47,6 +28,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,123 +58,118 @@ N_z = 64
 """
 ROUGH_8 = GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\nsmoothing_passes = 0\n"
 
-# run name -> config text of the runs that have no shipped config
-INLINE_CONFIGS = {
-    "constant_8": GRID_8 + "[initial_data]\npreset = constant\nc = 1.5\n",
+
+class Run(NamedTuple):
+    name: str
+    command: str
+    config: str  # the config text
+    out: str | None = None  # --out, where it is not the run name
+
+
+def shipped(name: str) -> str:
+    return (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+
+
+# every run, in the order made; a run's outputs go to a directory of its name
+RUNS = (
+    Run("flow_random_16", "run-flow", shipped("flow_random_16")),
+    Run("flow_single_mode_16", "run-flow", shipped("flow_single_mode_16")),
+    Run("identities_16", "check-identities", shipped("identities_16")),
+    Run("convergence", "convergence-study", shipped("convergence")),
+    Run("soliton_sweep", "soliton-check", shipped("soliton_sweep")),
+    Run("constant_8", "run-flow", GRID_8 + "[initial_data]\npreset = constant\nc = 1.5\n"),
     # one scaled, Reeb-translated family besides the two negative controls
-    "soliton_family_8": GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
-                        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 2\n",
+    Run("soliton_family_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
+        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 2\n"),
     # exits 1: the identity bounds are calibrated on single_mode_y at 16^3
-    "identities_random_8": GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\n",
+    Run("identities_random_8", "check-identities",
+        GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\n"),
     # exits 1: the sub-Laplacian's second order misses a minimum order of 3
-    "convergence_fail_8": GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
-                          "[analysis]\ngrids = 8,16\nmin_order_untwisted = 3\n",
+    Run("convergence_fail_8", "convergence-study",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"
+        "[analysis]\ngrids = 8,16\nmin_order_untwisted = 3\n"),
     # writes 9 snapshot files, so the snapshot header and payload are compared too
-    "snapshots_8": GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 3\n\n"
-                   "[flow]\nt_end = 2e-3\nsnapshot_every = 3\nrecord_every = 2\n",
+    Run("snapshots_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 3\n\n"
+        "[flow]\nt_end = 2e-3\nsnapshot_every = 3\nrecord_every = 2\n"),
     # 1/12 is no power of two, so a regrouping of the kernel's scaling shows here
-    "flow_random_12": "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
-                      "[initial_data]\npreset = random_smooth\nseed = 2\n\n"
-                      "[flow]\nt_end = 2e-3\n",
+    Run("flow_random_12", "run-flow",
+        "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
+        "[initial_data]\npreset = random_smooth\nseed = 2\n\n[flow]\nt_end = 2e-3\n"),
     # stage values hit the floor five times, each halving the step; exits 1 on E increases
-    "flow_positivity_retries_8": ROUGH_8 + "amplitude = 0.5\n\n"
-                                 "[flow]\nerr_tol = 10\nt_end = 0.05\n",
+    Run("flow_positivity_retries_8", "run-flow",
+        ROUGH_8 + "amplitude = 0.5\n\n[flow]\nerr_tol = 10\nt_end = 0.05\n"),
     # exits 1: error control pushes dt below dt_min
-    "flow_step_underflow_8": ROUGH_8 + "amplitude = 0.9\n\n"
-                             "[flow]\nerr_tol = 1e-6\nu_floor = 0.1\ndt_init = 1e-5\n"
-                             "dt_min = 1e-5\nt_end = 0.5\n",
+    Run("flow_step_underflow_8", "run-flow",
+        ROUGH_8 + "amplitude = 0.9\n\n[flow]\nerr_tol = 1e-6\nu_floor = 0.1\n"
+        "dt_init = 1e-5\ndt_min = 1e-5\nt_end = 0.5\n"),
     # exits 2: the initial data lies at or below the floor
-    "flow_input_at_floor_8": ROUGH_8 + "amplitude = 0.5\n\n[flow]\nu_floor = 0.51\n",
+    Run("flow_input_at_floor_8", "run-flow",
+        ROUGH_8 + "amplitude = 0.5\n\n[flow]\nu_floor = 0.51\n"),
     # the smoothing and every x difference cross the sheared wrap
-    "flow_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 5\n\n"
-                    "[flow]\nt_end = 2e-3\nrecord_every = 2\n",
+    Run("flow_twisted", "run-flow",
+        GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 5\n\n"
+        "[flow]\nt_end = 2e-3\nrecord_every = 2\n"),
+    Run("identities_twisted", "check-identities",
+        GRID_TWISTED + "[initial_data]\npreset = single_mode_x\nepsilon = 0.1\n"),
     # the adaptive stepper on two slabs and the sheared wrap: two rejected attempts,
     # then 30 accepted steps, a record every second one
-    "flow_slabs": GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 8\n\n"
-                  "[flow]\nt_end = 1e-4\ndt_init = 1e-4\nrecord_every = 2\n",
+    Run("flow_slabs", "run-flow",
+        GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 8\n\n"
+        "[flow]\nt_end = 1e-4\ndt_init = 1e-4\nrecord_every = 2\n"),
     # the varying-weight kernel path crosses every slab boundary and the sheared wrap
     # (delta 1e-4 leaves the positive cone on this stiffer grid)
-    "identities_slabs": GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 6\n\n"
-                        "[analysis]\ndelta = 1e-6\n",
-    "identities_twisted": GRID_TWISTED + "[initial_data]\npreset = single_mode_x\n"
-                          "epsilon = 0.1\n",
+    Run("identities_slabs", "check-identities",
+        GRID_SLABS + "[initial_data]\npreset = random_smooth\nseed = 6\n\n"
+        "[analysis]\ndelta = 1e-6\n"),
     # one scaled family whose Reeb shift (3 cells at t = 0.25) meets the sheared wrap
-    "soliton_twisted": GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 4\n\n"
-                       "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 1\n"
-                       "times = 0.0,0.25,0.5\n",
+    Run("soliton_twisted", "soliton-check",
+        GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 4\n\n"
+        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 1\ntimes = 0.0,0.25,0.5\n"),
     # a backward Reeb translation: its z shifts are negative, except the +1 cell
     # one residual step before t = 0, so the shift's slice copies wrap both ways
-    "soliton_twisted_backward": GRID_TWISTED + "[initial_data]\npreset = random_smooth\n"
-                                "seed = 7\n\n[soliton]\nsweep = false\nsigma_slope = 0.5\n"
-                                "psi_rate = -2\n",
+    Run("soliton_twisted_backward", "soliton-check",
+        GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 7\n\n"
+        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = -2\n"),
+    # exits 2: sigma stays positive at every sampled time but not one residual step later
+    Run("soliton_sigma_neighbour_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
+        "[soliton]\nsweep = false\nsigma_slope = -1\ntimes = 0.0,0.99995\n"),
     # cell sizes 1/12 and 1/24 are no powers of two, so the kernel's scaling rounds
     # differently from the textbook grouping on every manufactured case and probe
-    "convergence_12": "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
-                      "[initial_data]\npreset = single_mode_x\nepsilon = 0.1\n\n"
-                      "[analysis]\ngrids = 12,24\n",
-    # exits 2: sigma stays positive at every sampled time but not one residual step later
-    "soliton_sigma_neighbour_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
-                                 "[soliton]\nsweep = false\nsigma_slope = -1\n"
-                                 "times = 0.0,0.99995\n",
-    # exit 2 on the config alone, so only the stderr wording is compared
-    "no_preset_8": GRID_8 + "[initial_data]\nc = 1.5\n",
-    "no_geometry": "[initial_data]\npreset = constant\n",
-    "ny_not_dividing_nz": "[geometry]\nN_x = 8\nN_y = 8\nN_z = 12\n\n"
-                          "[initial_data]\npreset = constant\n",
-    "unknown_preset_8": GRID_8 + "[initial_data]\npreset = vortex\n",
-    "dt_min_above_dt_init_8": GRID_8 + "[initial_data]\npreset = constant\n\n"
-                              "[flow]\ndt_min = 1e-3\n",
-    "grids_decreasing": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
-                        "[analysis]\ngrids = 16,8\n",
+    Run("convergence_12", "convergence-study",
+        "[geometry]\nN_x = 12\nN_y = 12\nN_z = 12\n\n"
+        "[initial_data]\npreset = single_mode_x\nepsilon = 0.1\n\n[analysis]\ngrids = 12,24\n"),
+    # from here to sweep_bad_amplitude_8, exit 2 on the config alone, before any
+    # field is built, so only the stderr wording is compared
+    Run("no_preset_8", "run-flow", GRID_8 + "[initial_data]\nc = 1.5\n"),
+    Run("no_geometry", "run-flow", "[initial_data]\npreset = constant\n"),
+    Run("ny_not_dividing_nz", "run-flow",
+        "[geometry]\nN_x = 8\nN_y = 8\nN_z = 12\n\n[initial_data]\npreset = constant\n"),
+    Run("unknown_preset_8", "run-flow", GRID_8 + "[initial_data]\npreset = vortex\n"),
+    Run("dt_min_above_dt_init_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\ndt_min = 1e-3\n"),
+    Run("grids_decreasing", "convergence-study",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\n\n[analysis]\ngrids = 16,8\n"),
     # two faults, each of which exits 2; the [soliton] rule names the constant
-    # before any geometry is built
-    "sweep_two_faults_8": GRID_8 + "[initial_data]\npreset = constant\n\n"
-                          "[soliton]\nsweep_base_constants = 1.0,-1.0\n"
-                          "sweep_psi_rates = 0.0,0.3\n",
-    # exits 2 during the computation: the probe step delta / 8 leaves the positive cone
-    "identities_probe_fails_8": GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"
-                                "[analysis]\ndelta = 1e300\n",
+    Run("sweep_two_faults_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = constant\n\n"
+        "[soliton]\nsweep_base_constants = 1.0,-1.0\nsweep_psi_rates = 0.0,0.3\n"),
+    # the default sweep never builds the configured field, but the [initial_data]
+    # rules hold for every command
+    Run("sweep_bad_amplitude_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = random_smooth\namplitude = 5\n"),
+    # exits 2 during the computation: the probe step delta / 8 leaves the positive cone,
+    # into a nested --out that does not exist yet
+    Run("identities_probe_fails_8", "check-identities",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\n\n[analysis]\ndelta = 1e300\n",
+        out="identities_probe_fails_8/nested/out"),
     # exits 2 on the config alone: an output name is a file name in --out; the
     # relative name keeps any file it might make inside the temporary directory
-    "output_escapes_8": GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n\n"
-                        "[output]\nreport = ../escaped_report.txt\n",
-}
-# run name -> its --out, where that is not the run name itself
-OUT_DIRS = {"identities_probe_fails_8": "identities_probe_fails_8/nested/out"}
-
-# (run name, command, config path relative to the repo or None for INLINE_CONFIGS)
-RUNS = (
-    ("flow_random_16", "run-flow", "configs/flow_random_16.cfg"),
-    ("flow_single_mode_16", "run-flow", "configs/flow_single_mode_16.cfg"),
-    ("identities_16", "check-identities", "configs/identities_16.cfg"),
-    ("convergence", "convergence-study", "configs/convergence.cfg"),
-    ("soliton_sweep", "soliton-check", "configs/soliton_sweep.cfg"),
-    ("constant_8", "run-flow", None),
-    ("soliton_family_8", "soliton-check", None),
-    ("identities_random_8", "check-identities", None),
-    ("convergence_fail_8", "convergence-study", None),
-    ("snapshots_8", "run-flow", None),
-    ("flow_random_12", "run-flow", None),
-    ("flow_positivity_retries_8", "run-flow", None),
-    ("flow_step_underflow_8", "run-flow", None),
-    ("flow_input_at_floor_8", "run-flow", None),
-    ("flow_twisted", "run-flow", None),
-    ("identities_twisted", "check-identities", None),
-    ("flow_slabs", "run-flow", None),
-    ("identities_slabs", "check-identities", None),
-    ("soliton_twisted", "soliton-check", None),
-    ("soliton_twisted_backward", "soliton-check", None),
-    ("soliton_sigma_neighbour_8", "soliton-check", None),
-    ("convergence_12", "convergence-study", None),
-    ("no_preset_8", "run-flow", None),
-    ("no_geometry", "run-flow", None),
-    ("ny_not_dividing_nz", "run-flow", None),
-    ("unknown_preset_8", "run-flow", None),
-    ("dt_min_above_dt_init_8", "run-flow", None),
-    ("grids_decreasing", "convergence-study", None),
-    ("sweep_two_faults_8", "soliton-check", None),
-    ("identities_probe_fails_8", "check-identities", None),
-    ("output_escapes_8", "run-flow", None),
+    Run("output_escapes_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n\n"
+        "[output]\nreport = ../escaped_report.txt\n"),
 )
 
 
@@ -203,22 +180,21 @@ def export_src(rev: str, dest: Path) -> None:
         archive.extractall(dest)
 
 
-def run_all(src: Path, workdir: Path, inline_dir: Path) -> None:
-    """Run every entry of RUNS with `src` on the path; outputs go to workdir/<run name>.
+def run_all(src: Path, workdir: Path, config_dir: Path) -> None:
+    """Make every run of RUNS with `src` on the path; outputs go to workdir/<run name>.
 
-    A run without a shipped config reads `inline_dir/<run name>.cfg`.
+    Each run reads its config from `config_dir/<run name>.cfg`.
     """
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for name, command, cfg in RUNS:
-        config = inline_dir / f"{name}.cfg" if cfg is None else ROOT / cfg
+    for run in RUNS:
         # a relative --out keeps paths in stderr equal between the two trees
         proc = subprocess.run(
-            [sys.executable, "-m", "cryf.cli", command, "--config", str(config),
-             "--out", OUT_DIRS.get(name, name)],
+            [sys.executable, "-m", "cryf.cli", run.command,
+             "--config", str(config_dir / f"{run.name}.cfg"), "--out", run.out or run.name],
             cwd=workdir, env=env, capture_output=True,
         )
-        (workdir / name).mkdir(exist_ok=True)
-        (workdir / name / "exit_and_stderr.txt").write_bytes(
+        (workdir / run.name).mkdir(exist_ok=True)
+        (workdir / run.name / "exit_and_stderr.txt").write_bytes(
             f"exit: {proc.returncode}\n".encode() + proc.stderr)
 
 
@@ -300,8 +276,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp_path = Path(tmp)
         export_src(base_rev, tmp_path / "base")
-        for name, text in INLINE_CONFIGS.items():
-            (tmp_path / f"{name}.cfg").write_text(text)
+        for run in RUNS:
+            (tmp_path / f"{run.name}.cfg").write_text(run.config, encoding="utf-8")
         outputs = {}
         for side, src in (("base", tmp_path / "base" / "src"), ("head", ROOT / "src")):
             outputs[side] = tmp_path / f"out_{side}"
