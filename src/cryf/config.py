@@ -123,7 +123,6 @@ class SolitonConfig:
     sweep: bool = True
     sweep_base_constants: tuple[float, ...] = (0.5, 1.0, 2.0)
     sweep_psi_rates: tuple[float, ...] = (0.0, 1.0, 2.0)
-    include_negative_controls: bool = True
 
     def __post_init__(self) -> None:
         _require_finite(self, ("flow_tol", "var_tol"))

@@ -1,11 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types; `cli.main` ends a ConfigurationError, or a subclass, with exit 2."""
 
 
 class ConfigurationError(ValueError):
-    """Invalid grid sizes, configuration values, or config-file contents."""
+    """An input the run cannot use: grid sizes, config values or file contents."""
 
 
-class PositivityError(ValueError):
+class PositivityError(ConfigurationError):
     """Conformal factor at or below the positivity floor."""
 
 
@@ -21,13 +21,13 @@ class PositivityFloorError(RuntimeError):
     """Positivity retries pushed the step size below dt_min; the flow hit the floor."""
 
 
-class FloatRangeError(ValueError):
+class FloatRangeError(ConfigurationError):
     """A value computed from the inputs overflowed float64 or became nan."""
 
 
-class ShiftAlignmentError(ValueError):
+class ShiftAlignmentError(ConfigurationError):
     """Requested central translation does not land on a lattice point."""
 
 
-class SnapshotFormatError(ValueError):
+class SnapshotFormatError(ConfigurationError):
     """Snapshot file fails magic/version/shape validation."""

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import ctypes
 import gc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import cryf.analysis
 import cryf.cli
 import cryf.conformal
+import cryf.errors
 import cryf.flow
 from cryf.cli import CSV_HEADER, main
 
@@ -145,6 +147,46 @@ class TestAllocatorPolicy:
         monkeypatch.setattr(cryf.cli.ctypes, "CDLL", Library)
         main_without_a_command()
         assert returned == [1, 1]
+
+
+class TestParser:
+    def test_one_parser_without_sub_parsers(self):
+        parser = cryf.cli.build_parser()
+        assert cryf.cli.build_parser() is parser and parser._subparsers is None
+        command = next(action for action in parser._actions if action.dest == "command")
+        assert list(command.choices) == [
+            "run-flow", "check-identities", "convergence-study", "soliton-check"]
+
+    def test_options_after_or_before_the_command(self, tmp_path):
+        # one parser reads the three options wherever they stand
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n")
+        assert main(["--config", cfg, "run-flow", "--out", str(tmp_path / "a")]) == 0
+        assert main(["run-flow", "--out", str(tmp_path / "a"), "--config", cfg,
+                     "--overwrite"]) == 0
+
+    def test_repeated_calls_leave_no_growing_argparse_garbage(self, tmp_path):
+        # a parser is a reference cycle: a parser built on every call left
+        # about 26 KB in argparse.py per call with the collector off
+        argv = ["run-flow", "--config", str(tmp_path / "missing.cfg"),
+                "--out", str(tmp_path / "o")]
+
+        def traced_after_five_calls():
+            for _ in range(5):
+                assert main(argv) == 2
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, argparse.__file__)])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+            gc.disable()
+            tracemalloc.start()
+            try:
+                first, second = traced_after_five_calls(), traced_after_five_calls()
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert second - first < 5 * 1024
 
 
 class TestRunFlow:
@@ -560,6 +602,14 @@ class TestConvergenceStudy:
                                            "needs amplitude in (0, 1), got 5.0\n")
         assert cases == []
 
+    def test_orders_of_zero_errors(self):
+        # an error that grows from exactly 0 fails every minimum order
+        inf = float("inf")
+        assert cryf.cli._orders([0.0, 0.0]) == [inf]
+        assert cryf.cli._orders([1e-3, 0.0]) == [inf]
+        assert cryf.cli._orders([0.0, 1e-3]) == [-inf]
+        assert cryf.cli._orders([4e-3, 1e-3, 0.0, 0.0]) == [2.0, inf, inf]
+
     def test_single_grid_is_config_error(self, tmp_path):
         body = BASE_CFG.format(preset="constant", extra="") + "\n[analysis]\ngrids = 16\n"
         cfg = write_cfg(tmp_path, body=body)
@@ -641,13 +691,17 @@ class TestSolitonCheck:
 
     def test_configured_family_mode(self, tmp_path):
         body = BASE_CFG.format(preset="single_mode_y", extra="epsilon = 0.1\n") + \
-            "\n[soliton]\nsweep = false\npsi_rate = 0.0\n" \
-            "include_negative_controls = false\n"
+            "\n[soliton]\nsweep = false\npsi_rate = 0.0\n"
         cfg = write_cfg(tmp_path, body=body)
         out = tmp_path / "out"
         assert main(["soliton-check", "--config", cfg, "--out", str(out)]) == 0
-        table = (out / "verdicts.txt").read_text()
-        assert 'verdict="not a flow solution"' in table
+        lines = (out / "verdicts.txt").read_text().splitlines()
+        # the configured family, then the two controls
+        assert lines[0].startswith('family=single_mode_y sigma=1+0*t psi_rate=0 '
+                                   'verdict="not a flow solution"')
+        assert [line.split()[0] for line in lines[1:3]] == [
+            "family=control:single_mode_y(eps=0.1)", "family=control:constant(c=1)"]
+        assert "families: 3" in lines
 
     def test_configured_family_builds_one_geometry(self, tmp_path, monkeypatch):
         geometries = count_geometries(monkeypatch)
@@ -656,13 +710,16 @@ class TestSolitonCheck:
         assert main(["soliton-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(geometries) == 1
 
-    def test_misaligned_family_is_config_error(self, tmp_path):
+    def test_misaligned_family_is_config_error(self, tmp_path, capsys):
+        # the configured family comes before the controls, and faults first
         body = BASE_CFG.format(preset="constant", extra="") + \
-            "\n[soliton]\nsweep = false\npsi_rate = 0.3\n" \
-            "include_negative_controls = false\n"
+            "\n[soliton]\nsweep = false\npsi_rate = 0.3\n"
         cfg = write_cfg(tmp_path, body=body)
         assert main(["soliton-check", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: central shift 1.2 at t=0.25 is not grid-aligned "
+            "(psi_rate * t * N_z must be an integer)\n")
 
     def test_nonpositive_sigma_exit_2_without_traceback(self, tmp_path, capsys):
         # sigma(t) = 1 - 2t vanishes at the sampled time 0.5
@@ -674,8 +731,7 @@ class TestSolitonCheck:
 
     @pytest.mark.parametrize("sample, message", [
         ("times =\n", "times must list at least one value"),
-        ("sweep_base_constants =\ninclude_negative_controls = false\n",
-         "sweep_base_constants must list at least one value"),
+        ("sweep_base_constants =\n", "sweep_base_constants must list at least one value"),
         ("sweep_psi_rates =\n", "sweep_psi_rates must list at least one value"),
     ], ids=["times", "sweep_base_constants", "sweep_psi_rates"])
     def test_empty_sample_exit_2_without_traceback(self, tmp_path, capsys, sample, message):
@@ -698,6 +754,24 @@ def test_out_of_memory_exit_2_without_traceback(tmp_path, capsys, monkeypatch, c
     cfg = write_cfg(tmp_path)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "out of memory: Unable to allocate 8.00 TiB for an array\n"
+
+
+@pytest.mark.parametrize("error", ["FloatRangeError", "PositivityError",
+                                   "ShiftAlignmentError", "SnapshotFormatError"])
+def test_input_error_exit_2_without_traceback(tmp_path, capsys, monkeypatch, error):
+    # main catches ConfigurationError alone; each input error is one
+    cls = getattr(cryf.errors, error)
+    assert issubclass(cls, cryf.errors.ConfigurationError)
+
+    def raising(spec):
+        raise cls(f"{error} stands in for a fault of the input")
+
+    monkeypatch.setattr(cryf.cli, "build_nilmanifold", raising)
+    assert main(["run-flow", "--config", write_cfg(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {error} stands in for a fault of the input\n")
+    assert not (tmp_path / "o").exists()
 
 
 # 8 * 1.6e17 bytes per field is within numpy's index range, but no allocator

@@ -102,8 +102,6 @@ DOCUMENTED_KEYS = [
     ("soliton", "sweep", "no", "soliton.sweep", False),
     ("soliton", "sweep_base_constants", "0.25", "soliton.sweep_base_constants", (0.25,)),
     ("soliton", "sweep_psi_rates", "0.0,4.0", "soliton.sweep_psi_rates", (0.0, 4.0)),
-    ("soliton", "include_negative_controls", "false",
-     "soliton.include_negative_controls", False),
     ("output", "csv", "a.csv", "output.csv", "a.csv"),
     ("output", "report", "a.txt", "output.report", "a.txt"),
     ("output", "residuals", "b.txt", "output.residuals", "b.txt"),
@@ -134,11 +132,16 @@ class TestDocumentedKeys:
         fields = [f"{section.name}.{f.name}" for section in dataclasses.fields(RunConfig)
                   for f in dataclasses.fields(getattr(parse_config(MINIMAL), section.name))]
         assert sorted(fields) == sorted(attr for _, _, _, attr, _ in DOCUMENTED_KEYS)
-        assert len(fields) == 43
+        assert len(fields) == 42
 
     def test_constancy_tol_is_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown key 'constancy_tol'"):
             parse_config(MINIMAL + "\n[analysis]\nconstancy_tol = 1e-8\n")
+
+    def test_include_negative_controls_is_unknown(self):
+        # the two control families always run
+        with pytest.raises(ConfigurationError, match="unknown key 'include_negative_controls'"):
+            parse_config(MINIMAL + "\n[soliton]\ninclude_negative_controls = false\n")
 
 
 class TestValidation:

@@ -165,6 +165,14 @@ RUNS = (
     Run("identities_probe_fails_8", "check-identities",
         GRID_8 + "[initial_data]\npreset = single_mode_y\n\n[analysis]\ndelta = 1e300\n",
         out="identities_probe_fails_8/nested/out"),
+    # exit 2 during the computation with a subclass of ConfigurationError each:
+    # FloatRangeError, as the first record's curvature moments overflow ...
+    Run("flow_float_range_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\nc = 1e100\n"),
+    # ... and ShiftAlignmentError, as the shift 0.3 * 0.25 * 8 = 0.6 is no lattice step
+    Run("soliton_misaligned_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = constant\n\n"
+        "[soliton]\nsweep = false\npsi_rate = 0.3\n"),
     # exits 2 on the config alone: an output name is a file name in --out; the
     # relative name keeps any file it might make inside the temporary directory
     Run("output_escapes_8", "run-flow",
