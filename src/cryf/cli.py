@@ -1,5 +1,8 @@
 """Command-line drivers: flow runs, identity checks, convergence studies, soliton sweeps.
 
+A convergence study writes one sub-Laplacian row per exact eigenpair of
+`manufactured.EIGENPAIRS`, then the identity-residual rows.
+
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 environment/configuration failure: a ConfigurationError or any of its
 subclasses in `errors`, an identity probe that leaves the positive cone, an
@@ -220,28 +223,27 @@ def _orders(errors: list[float]) -> list[float]:
     return out
 
 
-def _laplacian_error(geom, factory) -> float:
-    """L2 error of the sub-Laplacian on a manufactured pair (f, exact), freed on return."""
-    f, lap = factory(geom)
-    diff = sub_laplacian_base(geom, f) - lap
+def _laplacian_error(geom, field, lam: float) -> float:
+    """L2 norm of (sub-Laplacian + lam) f on an exact eigenpair (f, lam), freed on return."""
+    f = field(geom)
+    diff = sub_laplacian_base(geom, f)
+    diff += lam * f
     return float(np.sqrt(integrate_base(geom, diff * diff)))
 
 
 def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.orders, overwrite)
-    grids = cfg.analysis.grids
+    a = cfg.analysis
+    grids = a.grids
     geoms = [build_nilmanifold(GridSpec(n, n, n)) for n in grids]
 
-    laplacian_cases = [(name, factory, cfg.analysis.min_order_untwisted)
-                       for name, factory in manufactured.UNTWISTED_CASES]
-    laplacian_cases.append(("theta_twisted", manufactured.theta_field,
-                            cfg.analysis.min_order_twisted))
-    cases = [(f"laplacian_{name}", [_laplacian_error(geom, factory) for geom in geoms], min_order)
-             for name, factory, min_order in laplacian_cases]
+    cases = [(f"laplacian_{name}", [_laplacian_error(geom, field, lam) for geom in geoms],
+              a.min_order_twisted if twisted else a.min_order_untwisted)
+             for name, field, lam, twisted in manufactured.EIGENPAIRS]
 
     residuals = [
         analysis.identity_residuals(flow.probe_window(
-            make_initial_state(geom, **vars(cfg.initial)), cfg.analysis.delta * grids[0] / n))
+            make_initial_state(geom, **vars(cfg.initial)), a.delta * grids[0] / n))
         for geom, n in zip(geoms, grids)
     ]
     for field, name in (("curvature_evolution", "curvature_evolution_residual"),
@@ -249,7 +251,7 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
                         ("volume_rate", "volume_rate_residual"),
                         ("dEdt_mismatch", "dEdt_vs_finite_difference")):
         errs = [getattr(res, field) for res in residuals]
-        cases.append((name, errs, cfg.analysis.min_order_twisted))
+        cases.append((name, errs, a.min_order_twisted))
 
     lines = [f"grids: {','.join(str(n) for n in grids)}"]
     failed = []

@@ -111,6 +111,9 @@ class AnalysisConfig:
             raise ValueError("convergence study needs at least 2 grid sizes")
         if list(self.grids) != sorted(set(self.grids)):
             raise ValueError(f"grid list must be strictly increasing, got {self.grids}")
+        # each is N_x = N_y = N_z of a convergence grid, and GridSpec needs 4
+        if self.grids[0] < 4:
+            raise ValueError(f"grids must be at least 4, got {self.grids}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import numpy as np
 
 from cryf.conformal import conformal_volume_element
 from cryf.geometry import _shift, integrate_base
-from cryf.manufactured import THETA_KAPPA, THETA_M_RANGE, TWO_PI
 
 
 SINGLE_SLAB_GRIDS = [(4, 4, 8), (5, 4, 8), (6, 4, 12), (16, 8, 16), (32, 32, 32)]
@@ -65,16 +64,16 @@ def dE_dt_from_moments(vol, int_r, int_r2):
 
 
 def theta_frame_derivatives(geom):
-    """Exact (X f, Y f, Z f) of `manufactured.theta_field`, with its E_m and p_m:
-    X f = sum E_m' cos p_m, Y f = -2 pi sum (m + x) E_m sin p_m, Z f = -2 pi sum E_m sin p_m.
+    """Exact (X f, Y f, Z f) of f_1 = `manufactured.lowest_landau_level`, with
+    E_m = exp(-pi (x+m)^2) and p_m = 2 pi (z + m y): X f = -2 pi sum (x + m) E_m cos p_m,
+    Y f = -2 pi sum (x + m) E_m sin p_m and Z f = -2 pi sum E_m sin p_m.
     """
     x, y, z = geom.coords()
     xf, yf, zf = (np.zeros(geom.shape) for _ in range(3))
-    for m in range(-THETA_M_RANGE, THETA_M_RANGE + 1):
-        c = x + m - 0.5
-        env = np.exp(-THETA_KAPPA * c * c)
-        phase = TWO_PI * (z + m * y)
-        xf += -2.0 * THETA_KAPPA * c * env * np.cos(phase)
-        yf += -TWO_PI * (m + x) * env * np.sin(phase)
-        zf += -TWO_PI * env * np.sin(phase)
+    for m in range(-4, 5):
+        env = np.exp(-np.pi * (x + m) ** 2)
+        phase = 2.0 * np.pi * (z + m * y)
+        xf += -2.0 * np.pi * (x + m) * env * np.cos(phase)
+        yf += -2.0 * np.pi * (x + m) * env * np.sin(phase)
+        zf += -2.0 * np.pi * env * np.sin(phase)
     return xf, yf, zf

@@ -250,21 +250,14 @@ def test_c09_theorem_harness(geom16s):
 
 def test_c10_discretization_quality():
     with criterion("criterion 10: convergence orders and operator invariants"):
-        for _, factory in mfg.UNTWISTED_CASES:
+        for _, field, lam, twisted in mfg.EIGENPAIRS:
             errs = []
             for n in (16, 32):
                 geom = build_nilmanifold(GridSpec(n, n, n))
-                f, lap = factory(geom)
-                diff = sub_laplacian_base(geom, f) - lap
+                f = field(geom)
+                diff = sub_laplacian_base(geom, f) + lam * f
                 errs.append(np.sqrt(integrate_base(geom, diff * diff)))
-            assert np.log2(errs[0] / errs[1]) >= 1.8
-        errs = []
-        for n in (16, 32):
-            geom = build_nilmanifold(GridSpec(n, n, n))
-            tf = mfg.theta_field(geom)
-            diff = sub_laplacian_base(geom, tf.f) - tf.lap
-            errs.append(np.sqrt(integrate_base(geom, diff * diff)))
-        assert np.log2(errs[0] / errs[1]) >= 0.9
+            assert np.log2(errs[0] / errs[1]) >= (0.9 if twisted else 1.8)
 
         rng = np.random.default_rng(5)
         for spec in (GridSpec(4, 4, 4), GridSpec(4, 4, 8),

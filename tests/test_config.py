@@ -270,7 +270,8 @@ class TestValidation:
         ("", "convergence study needs at least 2 grid sizes"),
         ("16,8", "grid list must be strictly increasing, got (16, 8)"),
         ("8,8,16", "grid list must be strictly increasing, got (8, 8, 16)"),
-    ], ids=["one", "none", "decreasing", "repeated"])
+        ("2,8", "grids must be at least 4, got (2, 8)"),
+    ], ids=["one", "none", "decreasing", "repeated", "below_4"])
     def test_grids_rule_message(self, grids, message):
         with pytest.raises(ConfigurationError) as err:
             parse_config(MINIMAL + f"\n[analysis]\ngrids = {grids}\n")

@@ -198,7 +198,7 @@ class TestFrameDerivative:
         errs = {"X": [], "Y": [], "Z": []}
         for n in (16, 32):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            f = mfg.theta_field(geom).f
+            f = mfg.lowest_landau_level(geom)
             for which, exact in zip("XYZ", theta_frame_derivatives(geom)):
                 got = frame_derivative(geom, f, which, "centered")
                 errs[which].append(np.abs(got - exact).max())
@@ -516,6 +516,11 @@ class TestDiff:
         assert peak <= 8 * 16 * 16 + 8192
 
 
+# one case per row of the convergence-study table
+over_eigenpairs = pytest.mark.parametrize("name, field, lam, twisted", mfg.EIGENPAIRS,
+                                          ids=[row[0] for row in mfg.EIGENPAIRS])
+
+
 class TestSubLaplacian:
     def test_constant_exact_zero(self, geom548):
         f = np.full(geom548.shape, 7.5)
@@ -529,25 +534,29 @@ class TestSubLaplacian:
         expect = -4.0 * n * n * np.sin(np.pi / n) ** 2 * f
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
-    @pytest.mark.parametrize("case", mfg.UNTWISTED_CASES, ids=lambda c: c[0])
-    def test_untwisted_consistency_order(self, case):
-        _, factory = case
+    @over_eigenpairs
+    def test_consistency_order(self, name, field, lam, twisted):
         errs = []
         for n in (16, 32):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            f, lap = factory(geom)
-            diff = sub_laplacian_base(geom, f) - lap
+            f = field(geom)
+            diff = sub_laplacian_base(geom, f) + lam * f
             errs.append(np.sqrt(integrate_base(geom, diff * diff)))
-        assert np.log2(errs[0] / errs[1]) >= 1.8
+        assert np.log2(errs[0] / errs[1]) >= (0.9 if twisted else 1.8)
 
-    def test_twisted_consistency_order(self):
+    @over_eigenpairs
+    def test_exact_eigenpair(self, name, field, lam, twisted):
+        # X(Xf) + Y(Yf) + lam f by centred differences, without the kernel: a
+        # wrong lam leaves an O(1) residual that does not fall with h
         errs = []
         for n in (16, 32):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            tf = mfg.theta_field(geom)
-            diff = sub_laplacian_base(geom, tf.f) - tf.lap
-            errs.append(np.sqrt(integrate_base(geom, diff * diff)))
-        assert np.log2(errs[0] / errs[1]) >= 0.9
+            f = field(geom)
+            res = lam * f
+            for which in "XY":
+                res += frame_derivative(geom, frame_derivative(geom, f, which), which)
+            errs.append(np.sqrt(integrate_base(geom, res * res) / integrate_base(geom, f * f)))
+        assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
 class TestIntegrateBase:
@@ -647,6 +656,6 @@ class TestCommutator:
         errs = []
         for n in (16, 32):
             geom = build_nilmanifold(GridSpec(n, n, n))
-            tf = mfg.theta_field(geom)
-            errs.append(np.abs(frame_commutator_check(geom, tf.f)).max())
+            f = mfg.lowest_landau_level(geom)
+            errs.append(np.abs(frame_commutator_check(geom, f)).max())
         assert np.log2(errs[0] / errs[1]) >= 1.0

@@ -152,6 +152,10 @@ RUNS = (
         GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\ndt_min = 1e-3\n"),
     Run("grids_decreasing", "convergence-study",
         GRID_8 + "[initial_data]\npreset = single_mode_y\n\n[analysis]\ngrids = 16,8\n"),
+    # a 2^3 grid is below the smallest lattice; at revisions without the [analysis]
+    # rule this exits 2 only when the convergence grids are built, naming N_x
+    Run("grids_below_4", "convergence-study",
+        GRID_8 + "[initial_data]\npreset = single_mode_y\n\n[analysis]\ngrids = 2,8\n"),
     # two faults, each of which exits 2; the [soliton] rule names the constant
     Run("sweep_two_faults_8", "soliton-check",
         GRID_8 + "[initial_data]\npreset = constant\n\n"
