@@ -25,13 +25,12 @@ from .config import FlowConfig, RunConfig, load_config, parse_config
 from .errors import (
     ConfigurationError,
     PositivityError,
-    PositivityFloorError,
     ShiftAlignmentError,
     SnapshotFormatError,
     StepPositivityError,
-    StepUnderflowError,
 )
 from .flow import (
+    FlowStop,
     FlowTermination,
     Trajectory,
     integrate_fixed,

@@ -104,6 +104,14 @@ def _conclude(path: str, lines: list[str], failure: str | None) -> int:
     return EXIT_OK
 
 
+def _conclude_rows(path: str, head: list[str], rows, failing: str) -> int:
+    """Conclude a pass/FAIL table: head, then `text pass|FAIL` per (name, text, ok) row;
+    the failure line names the failed rows after `failing`."""
+    failed = [name for name, _, ok in rows if not ok]
+    lines = head + [f"{text} {'pass' if ok else 'FAIL'}" for _, text, ok in rows]
+    return _conclude(path, lines, f"{failing}: " + ", ".join(failed) if failed else None)
+
+
 def _write_csv(path: str, records) -> None:
     lines = [CSV_HEADER]
     for rec in records:
@@ -198,16 +206,10 @@ def _identity_rows(cfg: RunConfig, state: ConformalState):
 def cmd_check_identities(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
     table_path = _out_path(outdir, cfg.output.residuals, overwrite)
     state = make_initial_state(build_nilmanifold(cfg.geometry), **vars(cfg.initial))
-    rows = _identity_rows(cfg, state)
-    lines = ["identity value bound status"]
-    failed = []
-    for name, value, bound in rows:
-        ok = value <= bound
-        if not ok:
-            failed.append(name)
-        lines.append(f"{name} {_fmt(value)} {_fmt(bound)} {'pass' if ok else 'FAIL'}")
-    failure = "check-identities: failing identities: " + ", ".join(failed) if failed else None
-    return _conclude(table_path, lines, failure)
+    rows = [(name, f"{name} {_fmt(value)} {_fmt(bound)}", value <= bound)
+            for name, value, bound in _identity_rows(cfg, state)]
+    return _conclude_rows(table_path, ["identity value bound status"], rows,
+                          "check-identities: failing identities")
 
 
 def _orders(errors: list[float]) -> list[float]:
@@ -253,20 +255,14 @@ def cmd_convergence_study(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         errs = [getattr(res, field) for res in residuals]
         cases.append((name, errs, a.min_order_twisted))
 
-    lines = [f"grids: {','.join(str(n) for n in grids)}"]
-    failed = []
+    rows = []
     for name, errs, min_order in cases:
         orders = _orders(errs)
-        ok = all(o >= min_order for o in orders)
-        if not ok:
-            failed.append(name)
-        lines.append(
-            f"{name} errors={','.join(_fmt(e) for e in errs)} "
-            f"orders={','.join(_fmt(o) for o in orders)} "
-            f"min={_fmt(min_order)} {'pass' if ok else 'FAIL'}"
-        )
-    failure = "convergence-study: failing orders: " + ", ".join(failed) if failed else None
-    return _conclude(table_path, lines, failure)
+        rows.append((name, f"{name} errors={','.join(_fmt(e) for e in errs)} "
+                           f"orders={','.join(_fmt(o) for o in orders)} min={_fmt(min_order)}",
+                     all(o >= min_order for o in orders)))
+    return _conclude_rows(table_path, [f"grids: {','.join(str(n) for n in grids)}"], rows,
+                          "convergence-study: failing orders")
 
 
 def _sweep_families(cfg: RunConfig, geom):

@@ -154,9 +154,11 @@ class OutputConfig:
     snapshot_prefix: str = "snap"
 
     def __post_init__(self) -> None:
-        # every output is a file of --out: no folder part, and not --out or its parent
+        # every output is a file of --out: no folder part, not --out or its parent,
+        # and no NUL byte, which no path can hold
         for name, value in vars(self).items():
-            if os.path.basename(value) != value or value in ("", os.curdir, os.pardir):
+            if (os.path.basename(value) != value or value in ("", os.curdir, os.pardir)
+                    or "\0" in value):
                 raise ValueError(f"{name} must be a file name in --out, got {value!r}")
 
 

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .geometry import BaseGeometry, pullback_z_shift, sub_laplacian_base, weighted_div_form
+from .geometry import (
+    BaseGeometry,
+    _check_field,
+    pullback_z_shift,
+    sub_laplacian_base,
+    weighted_div_form,
+)
 
 DEFAULT_U_FLOOR = 1e-6
 
@@ -42,9 +48,7 @@ class ConformalState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != self.geom.shape:
-            raise ValueError(f"u has shape {u.shape}, expected {self.geom.shape}")
+        u = _check_field(self.geom, self.u, "u")
         # a nan propagates into both extremes, an infinity into one of them
         lo, hi = u.min(), u.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):

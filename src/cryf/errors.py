@@ -13,14 +13,6 @@ class StepPositivityError(RuntimeError):
     """An integrator stage left the admissible positive cone (retry with smaller dt)."""
 
 
-class StepUnderflowError(RuntimeError):
-    """Error control pushed the step size below dt_min."""
-
-
-class PositivityFloorError(RuntimeError):
-    """Positivity retries pushed the step size below dt_min; the flow hit the floor."""
-
-
 class FloatRangeError(ConfigurationError):
     """A value computed from the inputs overflowed float64 or became nan."""
 

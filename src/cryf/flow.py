@@ -16,11 +16,13 @@ Positivity of u is guarded with one check per field: the input when
 `integrate_fixed` or `step_adaptive` is entered, each stage, and each step's
 result.  The steps map arrays to arrays, so each call builds one state: the
 accepted one, or the probe at its final time.  The next step size always lies
-in [dt_min, dt_max].  Hitting the floor is a first-class termination (the
-unnormalized flow can collapse volume), not an error; only error-control
-underflow is anomalous.  `probe_window` keeps of the fixed-step probes only
-their records and the centred rate of R, and computes the centre's R, dV and
-record last; the residuals that read them live in `analysis`.
+in [dt_min, dt_max]; a retry below dt_min is the one way a run stops early,
+a FlowStop that carries its FlowTermination to `run_flow`.  Hitting the floor
+is a first-class termination (the unnormalized flow can collapse volume), not
+an error; only error-control underflow is anomalous.  `probe_window` keeps of
+the fixed-step probes only their records and the centred rate of R, and
+computes the centre's R, dV and record last; the residuals that read them live
+in `analysis`.
 The step controls, `FlowConfig`, are the `[flow]` section of `config`.
 """
 
@@ -35,11 +37,7 @@ import numpy as np
 from .analysis import DiagnosticsRecord, ProbeWindow, curvature_moments, make_record
 from .conformal import DEFAULT_U_FLOOR, ConformalState, _check_above_floor
 from .config import FlowConfig
-from .errors import (
-    PositivityFloorError,
-    StepPositivityError,
-    StepUnderflowError,
-)
+from .errors import StepPositivityError
 from .geometry import sub_laplacian_base
 
 _GROWTH_CAP = 5.0
@@ -52,6 +50,14 @@ class FlowTermination(str, Enum):
     REACHED_T_END = "reached_t_end"
     POSITIVITY_FLOOR = "positivity_floor"
     STEP_UNDERFLOW = "step_underflow"
+
+
+class FlowStop(RuntimeError):
+    """A step would fall below dt_min; `termination` says which control pushed it there."""
+
+    def __init__(self, termination: FlowTermination, message: str) -> None:
+        super().__init__(message)
+        self.termination = termination
 
 
 @dataclass
@@ -164,8 +170,10 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
     """One accepted step under step-doubling control.
 
     Returns (new_state, dt_used, dt_next, err_est) with dt_next in
-    [dt_min, dt_max].  Raises StepUnderflowError when error control would
-    push dt below dt_min, and PositivityFloorError when positivity retries do.
+    [dt_min, dt_max].  A rejected attempt retries at a smaller dt: half of it
+    when a stage hits the floor, the error-controlled size otherwise.  When
+    that dt is below dt_min the step raises FlowStop, carrying
+    POSITIVITY_FLOOR or STEP_UNDERFLOW after the rejection that set it.
     """
     if not dt_try > 0.0:
         raise ValueError(f"dt_try must be positive, got {dt_try}")
@@ -179,25 +187,18 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
             half = _rk4_any(geom, u, 0.5 * dt, config.u_floor)
             half = _rk4_any(geom, half, 0.5 * dt, config.u_floor)
         except StepPositivityError:
-            dt_new = 0.5 * dt
-            if dt_new < config.dt_min:
-                raise PositivityFloorError(
-                    f"positivity retries pushed dt below dt_min={config.dt_min}"
-                ) from None
-            dt = dt_new
-            continue
-        # half > u_floor > 0, so its maximum is its L-infinity norm
-        np.subtract(full, half, out=full)
-        err = float(np.abs(full, out=full).max()) / max(float(half.max()), 1e-300)
-        factor = _GROWTH_CAP if err == 0.0 else config.safety * (config.err_tol / err) ** 0.2
-        if err <= config.err_tol:
-            dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))
-            return ConformalState(geom, half, state.t + dt), dt, dt_next, err
-        dt_new = dt * max(_SHRINK_FLOOR, factor)
+            dt_new, stop = 0.5 * dt, FlowTermination.POSITIVITY_FLOOR
+        else:
+            # half > u_floor > 0, so its maximum is its L-infinity norm
+            np.subtract(full, half, out=full)
+            err = float(np.abs(full, out=full).max()) / max(float(half.max()), 1e-300)
+            factor = _GROWTH_CAP if err == 0.0 else config.safety * (config.err_tol / err) ** 0.2
+            if err <= config.err_tol:
+                dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))
+                return ConformalState(geom, half, state.t + dt), dt, dt_next, err
+            dt_new, stop = dt * max(_SHRINK_FLOOR, factor), FlowTermination.STEP_UNDERFLOW
         if dt_new < config.dt_min:
-            raise StepUnderflowError(
-                f"error control pushed dt below dt_min={config.dt_min} (err={err})"
-            )
+            raise FlowStop(stop, f"{stop.value}: dt {dt_new} is below dt_min={config.dt_min}")
         dt = dt_new
 
 
@@ -222,11 +223,8 @@ def run_flow(state0: ConformalState, config: FlowConfig) -> Trajectory:
         dt_try = min(dt_next, t_end - state.t)
         try:
             state, dt_used, dt_next, _ = step_adaptive(state, dt_try, config)
-        except StepUnderflowError:
-            termination = FlowTermination.STEP_UNDERFLOW
-            break
-        except PositivityFloorError:
-            termination = FlowTermination.POSITIVITY_FLOOR
+        except FlowStop as stop:
+            termination = stop.termination
             break
         accepted += 1
         if accepted % config.record_every == 0:

@@ -274,9 +274,8 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     out += a
 
 
-def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
-              out: np.ndarray) -> np.ndarray:
-    """Conservative form -D*(w D f) into out, symmetrized when the weight varies.
+def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Conservative form -D*(w D f) in a new field, symmetrized when the weight varies.
 
     Each one-sided form carries an exact adjoint pair, so symmetry, negative
     semidefiniteness and exact zero mean hold for any positive weight.  For
@@ -289,10 +288,9 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
 
     Both forms run one slab of x-planes at a time in the geometry's three
     slab-sized scratch fields, so each pass reads and writes fields that
-    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).  out
-    must not share memory with f or w: a slab reads their halo and wrap
-    planes after earlier slabs of out are written.
+    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).
     """
+    out = np.empty(geom.shape)
     a, b, c = geom._scratch
     both = w is not None and w.min() != w.max()
     n, planes = geom.spec.nx, geom._slab_planes
@@ -317,7 +315,7 @@ def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
     and identical bit for bit to `weighted_div_form` with unit weight.
     """
     f = _check_field(geom, f)
-    return _div_form(geom, f, None, np.empty(geom.shape))
+    return _div_form(geom, f, None)
 
 
 def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -334,7 +332,7 @@ def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.nd
     w = _check_field(geom, w, "w")
     if w.min() <= 0.0:
         raise ValueError(f"weight must be positive everywhere (min={w.min()})")
-    return _div_form(geom, f, w, np.empty(geom.shape))
+    return _div_form(geom, f, w)
 
 
 def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:

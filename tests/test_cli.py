@@ -913,8 +913,10 @@ def tree(top):
     return {p: p.read_bytes() if p.is_file() else None for p in top.rglob("*")}
 
 
-@pytest.mark.parametrize("value", ["{tmp}/x", "../x", "sub/x", ".", "..", ""],
-                         ids=["absolute", "parent", "sub", "dot", "dotdot", "empty"])
+# a NUL byte passes os.path's checks of --out, so without the config rule the
+# run would write flow.csv and then fail at the report
+@pytest.mark.parametrize("value", ["{tmp}/x", "../x", "sub/x", ".", "..", "", "a\0b.txt"],
+                         ids=["absolute", "parent", "sub", "dot", "dotdot", "empty", "nul"])
 @pytest.mark.parametrize("key", OUTPUT_KEYS)
 def test_output_value_not_a_file_name_exit_2_before_any_geometry(tmp_path, capsys,
                                                                  monkeypatch, key, value):
@@ -925,7 +927,7 @@ def test_output_value_not_a_file_name_exit_2_before_any_geometry(tmp_path, capsy
     argv = [OUTPUT_KEYS[key], "--config", cfg, "--out", str(tmp_path / "out"), "--overwrite"]
     assert main(argv) == 2
     assert capsys.readouterr().err == \
-        f"configuration error: [output]: {key} must be a file name in --out, got '{value}'\n"
+        f"configuration error: [output]: {key} must be a file name in --out, got {value!r}\n"
     assert geometries == [] and tree(tmp_path) == before
 
 

@@ -388,6 +388,13 @@ class TestSchema:
             parse_config(MINIMAL + f"\n[flow]\n{key} = {value}\n")
         assert str(err.value) == f"[flow]: {message}"
 
+    def test_output_name_with_a_nul_byte_rejected(self):
+        # it would pass the path checks before the run and fail only at the write
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(MINIMAL + "\n[output]\nreport = a\0b.txt\n")
+        assert str(err.value) == \
+            "[output]: report must be a file name in --out, got 'a\\x00b.txt'"
+
     def test_integer_beyond_float_range_accepted(self):
         cfg = parse_config(MINIMAL + f"\n[flow]\nrecord_every = {10**400}\n")
         assert cfg.flow.record_every == 10**400

@@ -10,6 +10,7 @@ from cryf.conformal import DEFAULT_U_FLOOR, ConformalState, webster_curvature
 from cryf.errors import PositivityError, StepPositivityError
 from cryf.flow import (
     FlowConfig,
+    FlowStop,
     FlowTermination,
     _du_dt,
     integrate_fixed,
@@ -427,6 +428,19 @@ class TestRunFlow:
         cfg = FlowConfig(t_end=1.0, dt_init=1e-4, dt_min=1e-4, dt_max=1e-4, err_tol=1e-13)
         traj = run_flow(state, cfg)
         assert traj.termination == FlowTermination.STEP_UNDERFLOW
+
+    @pytest.mark.parametrize("eps, cfg, termination", [
+        (0.3, FlowConfig(t_end=1.0, dt_init=0.05, dt_min=0.05, dt_max=0.05, err_tol=1e9),
+         FlowTermination.POSITIVITY_FLOOR),
+        (0.1, FlowConfig(t_end=1.0, dt_init=1e-4, dt_min=1e-4, dt_max=1e-4, err_tol=1e-13),
+         FlowTermination.STEP_UNDERFLOW),
+    ], ids=["positivity_floor", "step_underflow"])
+    def test_step_adaptive_stops_with_its_termination(self, geom16, eps, cfg, termination):
+        # the configs of the two termination tests above, one step each
+        state = single_mode_state(geom16, eps)
+        with pytest.raises(FlowStop) as stop:
+            step_adaptive(state, cfg.dt_init, cfg)
+        assert stop.value.termination is termination
 
     def test_snapshots_recorded(self, geom448):
         state = random_state(geom448, 4, amplitude=0.1, smooth=2)

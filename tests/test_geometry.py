@@ -526,6 +526,22 @@ class TestSubLaplacian:
         f = np.full(geom548.shape, 7.5)
         assert np.all(sub_laplacian_base(geom548, f) == 0.0)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (5, 4, 8), (8, 4, 12)])
+    def test_null_space_is_the_constants(self, shape):
+        # the dense operator, one unit field per column: one zero eigenvalue,
+        # with a constant eigenvector, and every other eigenvalue bounded away below it
+        geom = build_nilmanifold(GridSpec(*shape))
+        n = geom.spec.npoints
+        mat = np.column_stack([sub_laplacian_base(geom, e.reshape(shape)).ravel()
+                               for e in np.eye(n)])
+        lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
+        scale = np.abs(lam).max()
+        null = np.abs(lam) <= 1e-13 * scale
+        assert null.sum() == 1
+        v = vec[:, null][:, 0]
+        assert np.abs(v - v.mean()).max() <= 1e-12 * np.abs(v).max()
+        assert np.all(lam[~null] <= -1e-3 * scale)
+
     def test_sin_y_discrete_closed_form(self, geom16):
         n = geom16.spec.ny
         _, y, _ = geom16.coords()

@@ -104,6 +104,11 @@ RUNS = (
     Run("flow_step_underflow_8", "run-flow",
         ROUGH_8 + "amplitude = 0.9\n\n[flow]\nerr_tol = 1e-6\nu_floor = 0.1\n"
         "dt_init = 1e-5\ndt_min = 1e-5\nt_end = 0.5\n"),
+    # exits 0 on the other early stop: the first step's stages hit the floor, and
+    # halving dt = dt_min for a retry would take it below dt_min
+    Run("flow_positivity_floor_8", "run-flow",
+        ROUGH_8 + "amplitude = 0.5\n\n[flow]\nt_end = 1\ndt_init = 0.05\ndt_min = 0.05\n"
+        "dt_max = 0.05\nerr_tol = 1e9\n"),
     # exits 2: the initial data lies at or below the floor
     Run("flow_input_at_floor_8", "run-flow",
         ROUGH_8 + "amplitude = 0.5\n\n[flow]\nu_floor = 0.51\n"),
