@@ -53,7 +53,6 @@ from .soliton import (
     SolitonFamily,
     Verdict,
     scan_family,
-    soliton_invariance_check,
     soliton_state,
     soliton_theorem_harness,
 )

@@ -52,21 +52,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _check_out(outdir: str) -> None:
-    """ConfigurationError unless --out is a directory, or can be made at the first write."""
-    path = os.path.abspath(outdir)
+def _check_out(outdir: str, *names: str) -> None:
+    """ConfigurationError unless --out is a directory, or can be made at the first write,
+    and each of its missing components and of names fits its file system's name limit."""
+    path, missing = os.path.abspath(outdir), []
     while not os.path.lexists(path):
-        path = os.path.dirname(path)
+        path, name = os.path.split(path)
+        missing.append(name)
     if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
         raise ConfigurationError(f"--out {outdir}: {path} is not a writable directory")
+    limit = os.pathconf(path, "PC_NAME_MAX")
+    for name in (*missing, *names):
+        if 0 <= limit < len(os.fsencode(name)):
+            raise ConfigurationError(f"--out {outdir}: name {name!r} is longer than the "
+                                     f"{limit} bytes its file system allows")
 
 
 def _out_path(outdir: str, name: str, overwrite: bool) -> str:
     """The checked path of one output file in --out, so that no run stops after its first write.
 
     The config makes every output name a file name.  ConfigurationError if the
-    path is a directory, or exists without overwrite.
+    name is too long, or if the path is a directory or exists without overwrite.
     """
+    _check_out(outdir, name)
     path = os.path.join(outdir, name)
     if os.path.isdir(path):
         raise ConfigurationError(f"output file {path} is a directory")
@@ -125,10 +133,12 @@ def _run_flow_paths(cfg: RunConfig, outdir: str, overwrite: bool):
 
     Every file in --out named like a snapshot of the run, {prefix}_NNNN.cryf, is
     its output: an existing one needs overwrite, and the CSV or report may not be
-    named like one.  ConfigurationError otherwise, or if the two coincide.
+    named like one.  ConfigurationError otherwise, or if the two coincide or a name is too long.
     """
     out = cfg.output
     csv, report = (_out_path(outdir, name, overwrite) for name in (out.csv, out.report))
+    if cfg.flow.snapshot_every > 0:
+        _check_out(outdir, f"{out.snapshot_prefix}_0000.cryf")
     pattern = re.compile(re.escape(out.snapshot_prefix) + r"_([0-9]{4}|[1-9][0-9]{4,})\.cryf")
     for name, path in ((out.csv, csv), (out.report, report)):
         if out.csv == out.report or pattern.fullmatch(name):
@@ -298,10 +308,8 @@ def cmd_soliton_check(cfg: RunConfig, outdir: str, overwrite: bool) -> int:
         verdict = soliton.soliton_theorem_harness(scan, sol.flow_tol, sol.var_tol)
         if verdict == soliton.Verdict.THEOREM_VIOLATION:
             violations += 1
-        lines.append(
-            f'family={desc} verdict="{verdict.value}" '
-            f"e_deviation={_fmt(soliton.soliton_invariance_check(scan))}"
-        )
+        lines.append(f'family={desc} verdict="{verdict.value}" '
+                     f"e_deviation={_fmt(scan.e_deviation)}")
     lines.append(f"families: {len(lines)}")
     lines.append(f"theorem_violations: {violations}")
     failure = f"soliton-check: {violations} THEOREM VIOLATION verdict(s)" if violations else None

@@ -68,7 +68,6 @@ class FlowConfig:
     dt_init: float = 1e-6
     dt_min: float = 1e-12
     dt_max: float = 1e-2
-    safety: float = 0.9
     err_tol: float = 1e-8
     u_floor: float = DEFAULT_U_FLOOR
     record_every: int = 1
@@ -76,12 +75,10 @@ class FlowConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self, ("t_end",), allow_zero=True)
-        _require_finite(self, ("dt_init", "dt_min", "dt_max", "safety", "err_tol", "u_floor"))
+        _require_finite(self, ("dt_init", "dt_min", "dt_max", "err_tol", "u_floor"))
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ValueError(f"need 0 < dt_min <= dt_init <= dt_max, got "
                              f"({self.dt_min}, {self.dt_init}, {self.dt_max})")
-        if self.safety > 1.0:
-            raise ValueError(f"safety must be at most 1, got {self.safety}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be positive, got {self.record_every}")
         if self.snapshot_every < 0:

@@ -5,7 +5,7 @@ building R; the code evaluates it at the nilmanifold's CR dimension n = 1,
 where it is 2 Lap(u) / u^2.  Classical four-stage explicit steps under
 step-doubling error control: one full step against two half steps, accepted
 when the relative L-infinity discrepancy meets err_tol, with the next step
-scaled by safety * (err_tol/err)^(1/5).  A step makes its own stage field
+scaled by 0.9 (err_tol/err)^(1/5).  A step makes its own stage field
 and sums the slopes into k2 as they come; the error estimate is formed
 inside the full step's array.
 An explicit scheme keeps the time error a clean high-order term for the
@@ -40,6 +40,7 @@ from .config import FlowConfig
 from .errors import StepPositivityError
 from .geometry import sub_laplacian_base
 
+_SAFETY = 0.9
 _GROWTH_CAP = 5.0
 _SHRINK_FLOOR = 0.1
 # fixed RK4 steps per probe: their error is far below the centered differences' O(delta^2) bias
@@ -192,7 +193,7 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
             # half > u_floor > 0, so its maximum is its L-infinity norm
             np.subtract(full, half, out=full)
             err = float(np.abs(full, out=full).max()) / max(float(half.max()), 1e-300)
-            factor = _GROWTH_CAP if err == 0.0 else config.safety * (config.err_tol / err) ** 0.2
+            factor = _GROWTH_CAP if err == 0.0 else _SAFETY * (config.err_tol / err) ** 0.2
             if err <= config.err_tol:
                 dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))
                 return ConformalState(geom, half, state.t + dt), dt, dt_next, err

@@ -15,10 +15,9 @@ a "THEOREM VIOLATION" verdict is never expected for any input.
 `scan_family` makes one pass over the sampled times: it builds each state
 once (one shifted copy of the base field, scaled in place), computes its
 curvature once (plus one for the base), reads the fields at t +/- delta
-only inside one subtraction, and keeps across times only each state's flow
-residual and `DiagnosticsRecord`, the source of E and the constancy test.
-The harness and the invariance check take that `FamilyScan` as their
-argument, so a caller that needs both scans once.
+only inside one subtraction, and keeps across times only each state's
+`DiagnosticsRecord` (the source of E and the constancy test), the E deviation
+and the largest flow residual: the values the harness compares.
 """
 
 from __future__ import annotations
@@ -94,21 +93,17 @@ def soliton_state(family: SolitonFamily, t: float) -> ConformalState:
     return ConformalState(family.base.geom, u, t)
 
 
-class FamilySample(NamedTuple):
-    """One sampled time: the state's diagnostics record and its flow residual."""
+class FamilyScan(NamedTuple):
+    """One pass over a family's sampled times: E of the base, the record of each
+    sampled state, max |E(t) - E(0)| and the largest flow residual."""
 
-    record: DiagnosticsRecord
+    e0: float
+    records: tuple[DiagnosticsRecord, ...]
+    e_deviation: float
     flow_residual: float
 
 
-class FamilyScan(NamedTuple):
-    """One pass over a family's sampled times: E of the base, one sample per time."""
-
-    e0: float
-    samples: tuple[FamilySample, ...]
-
-
-def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:
+def _sample(family: SolitonFamily, t: float, delta: float) -> tuple[DiagnosticsRecord, float]:
     s0 = soliton_state(family, t)
     r, dv, record = curvature_moments(s0)
     # du/dt + R u / 2, which vanishes on a flow solution; the t - delta field
@@ -119,32 +114,25 @@ def _sample(family: SolitonFamily, t: float, delta: float) -> FamilySample:
     r *= 0.5
     r *= s0.u
     resid += r
-    return FamilySample(record, relative_l2(s0.geom, resid, r, dv))
+    return record, relative_l2(s0.geom, resid, r, dv)
 
 
 def scan_family(family: SolitonFamily, times: Sequence[float]) -> FamilyScan:
     """Diagnostics record and flow residual at every sampled time, one state each.
 
     The residual's time step is one lattice step of central shift, or 1e-4
-    for a static relabeling.  A family whose fields, moments or dE/dt leave
-    the float64 range raises FloatRangeError, and no times raise ValueError.
+    for a static relabeling; E(t) - E(0) is zero up to rounding for every exactly
+    representable family.  A family whose fields, moments or dE/dt leave the
+    float64 range raises FloatRangeError, and no times raise ValueError.
     """
     if len(times) == 0:
         raise ValueError("times must list at least one time")
     delta = _residual_delta(family)
     with float64_range("soliton family"):
         e0 = curvature_moments(family.base)[2].E
-        samples = tuple(_sample(family, t, delta) for t in times)
-    return FamilyScan(e0, samples)
-
-
-def soliton_invariance_check(scan: FamilyScan) -> float:
-    """max over sampled times of |E(t) - E(0)|; zero up to rounding by the
-    scaling/relabeling algebra for every exactly representable family."""
-    dev = 0.0
-    for sample in scan.samples:
-        dev = max(dev, abs(sample.record.E - scan.e0))
-    return dev
+        records, residuals = zip(*(_sample(family, t, delta) for t in times))
+    return FamilyScan(e0, records, max(0.0, *(abs(rec.E - e0) for rec in records)),
+                      max(0.0, *residuals))
 
 
 def _residual_delta(family: SolitonFamily) -> float:
@@ -159,7 +147,7 @@ def _residual_delta(family: SolitonFamily) -> float:
 
 def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = SolitonConfig.flow_tol,
                             var_tol: float = SolitonConfig.var_tol) -> Verdict:
-    """Decision procedure for the constancy theorem on one scanned family.
+    """Decision procedure for the constancy theorem: three comparisons on one scan.
 
     (a) E must be constant along the family (always true for genuine
     families, up to 1e-12).  (b) If the family additionally solves the flow
@@ -168,14 +156,10 @@ def soliton_theorem_harness(scan: FamilyScan, flow_tol: float = SolitonConfig.fl
     and invariance facts would contradict each other and the harness returns
     THEOREM_VIOLATION, which no input is expected to produce.
     """
-    if soliton_invariance_check(scan) > 1e-12 * max(1.0, abs(scan.e0)):
+    if scan.e_deviation > 1e-12 * max(1.0, abs(scan.e0)):
         return Verdict.NOT_INVARIANT
-    worst = 0.0
-    for sample in scan.samples:
-        worst = max(worst, sample.flow_residual)
-    if worst > flow_tol:
+    if scan.flow_residual > flow_tol:
         return Verdict.NOT_A_FLOW_SOLUTION
-    for sample in scan.samples:
-        if not sample.record.is_constant(var_tol):
-            return Verdict.THEOREM_VIOLATION
+    if not all(rec.is_constant(var_tol) for rec in scan.records):
+        return Verdict.THEOREM_VIOLATION
     return Verdict.CONSTANT_CURVATURE

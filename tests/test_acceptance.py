@@ -41,8 +41,7 @@ from cryf.geometry import (
 from cryf import manufactured as mfg
 from cryf.presets import make_initial_state
 from cryf.snapshot import read_snapshot, write_snapshot
-from cryf.soliton import SolitonFamily, Verdict, scan_family, soliton_invariance_check, \
-    soliton_theorem_harness
+from cryf.soliton import SolitonFamily, Verdict, scan_family, soliton_theorem_harness
 
 from conftest import random_state, single_mode_state
 from reference import dE_dt_from_moments, frame_derivative, frame_derivative_adjoint, grid_inner
@@ -217,7 +216,7 @@ def test_c09_theorem_harness(geom16s):
         ]
         for fam in families + controls:
             e0 = yamabe_quantity(fam.base)
-            assert soliton_invariance_check(scan_family(fam, times)) <= 1e-12 * max(1.0, abs(e0))
+            assert scan_family(fam, times).e_deviation <= 1e-12 * max(1.0, abs(e0))
             verdict = soliton_theorem_harness(scan_family(fam, times))
             assert verdict != Verdict.THEOREM_VIOLATION
         for fam in families:

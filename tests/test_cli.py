@@ -19,6 +19,7 @@ import cryf.cli
 import cryf.conformal
 import cryf.errors
 import cryf.flow
+import cryf.soliton
 from cryf.cli import CSV_HEADER, main
 
 BASE_CFG = """
@@ -651,6 +652,27 @@ class TestSolitonCheck:
         assert "families: 11" in (out / "verdicts.txt").read_text()
         assert len(calls) <= 11 * (1 + 5)
 
+    def test_theorem_violation_exit_1(self, tmp_path, capsys, monkeypatch):
+        # no input reaches the verdict, so the fifth family's stands in for one
+        verdicts = []
+        real = cryf.soliton.soliton_theorem_harness
+
+        def violating(*args):
+            verdicts.append(real(*args))
+            return cryf.soliton.Verdict.THEOREM_VIOLATION if len(verdicts) == 5 \
+                else verdicts[-1]
+
+        monkeypatch.setattr(cryf.soliton, "soliton_theorem_harness", violating)
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG)
+        out = tmp_path / "out"
+        assert main(["soliton-check", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "soliton-check: 1 THEOREM VIOLATION verdict(s)\n"
+        lines = (out / "verdicts.txt").read_text().splitlines()
+        assert [line.split(" verdict=")[1].split(" e_deviation=")[0] for line in lines[:11]] \
+            == ['"constant curvature"'] * 4 + ['"THEOREM VIOLATION"'] \
+            + ['"constant curvature"'] * 4 + ['"not a flow solution"'] * 2
+        assert lines[11:] == ["families: 11", "theorem_violations: 1", "status: FAIL"]
+
     def test_default_sweep_holds_two_base_fields_at_once(self, tmp_path, monkeypatch):
         # a base is built when its family is reached; the last family's base
         # lives on while the next is built, and no other does
@@ -981,6 +1003,50 @@ def test_overwrite_replaces_a_linked_output_with_a_file_in_out(tmp_path, link):
     assert (out / "report.txt").read_text().startswith("command: run-flow\n")
 
 
+E_ACUTE = "\u00e9"
+
+
+def name_max(path):
+    return os.pathconf(path, "PC_NAME_MAX")
+
+
+# each name is a few bytes over the file system's limit; without the check,
+# run-flow writes flow.csv and then fails at the report or the first snapshot,
+# and the long --out component fails after the whole computation and leaves
+# new/sub behind.  Two-byte characters count as two.
+LONG_NAMES = {
+    "report": lambda limit: ("[flow]\nt_end = 0\n\n[output]\n"
+                             f"report = {'r' * (limit + 45)}.txt\n", "out"),
+    "report_two_byte": lambda limit: ("[flow]\nt_end = 0\n\n[output]\n"
+                                      f"report = {E_ACUTE * (limit // 2 + 1)}\n", "out"),
+    "snapshot": lambda limit: ("[flow]\nt_end = 1e-5\nsnapshot_every = 1\n\n[output]\n"
+                               f"snapshot_prefix = {'s' * (limit - 7)}\n", "out"),
+    "out_component": lambda limit: ("[flow]\nt_end = 0\n", f"new/sub/{'d' * (limit + 45)}/x"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_NAMES)
+def test_name_over_the_limit_exit_2_before_any_geometry(tmp_path, capsys, monkeypatch, case):
+    geometries = count_geometries(monkeypatch)
+    limit = name_max(tmp_path)
+    body, out = LONG_NAMES[case](limit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes((OUTPUT_8_CFG + body).encode("utf-8"))
+    assert main(["run-flow", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out ") and err.count("\n") == 1
+    assert err.endswith(f" is longer than the {limit} bytes its file system allows\n")
+    assert geometries == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_name_at_the_limit_written(tmp_path):
+    name = "r" * name_max(tmp_path)
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n\n"
+                    f"[output]\nreport = {name}\n")
+    assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["flow.csv", name]
+
+
 # an 8^3 constant run whose first comment holds the Latin-1 byte for e-acute
 NON_UTF8_CFG = b"# caf\xe9\n" + OUTPUT_8_CFG.encode() + b"[flow]\nt_end = 0\n"
 
@@ -1080,13 +1146,12 @@ def _key(*values, free=None):
 
 _NAN, _INF = float("nan"), float("inf")
 # mostly valid flow settings, so that most draws reach the commands; t_end is
-# always short and dt_min and safety mild, so that no drawn run takes long
+# always short and dt_min mild, so that no drawn run takes long
 _FLOW_VALUES = st.fixed_dictionaries({
     "t_end": st.sampled_from([2e-5, 1e-6, 0.0, -1e-5]),
     "dt_init": _key(1e-6, 1e-5),
     "dt_min": _key(1e-12, 1e-6),
     "dt_max": _key(1e-2, 1e-5, 1e300),
-    "safety": _key(0.9, 1.0, 0.5),
     "err_tol": _key(1e-8, 1e-14, 1e300),
     "u_floor": _key(1e-6, 0.5, 0.99, 1e300, 1e-300),
     "record_every": _key(1, 3),

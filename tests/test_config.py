@@ -79,7 +79,6 @@ DOCUMENTED_KEYS = [
     ("flow", "dt_init", "2e-6", "flow.dt_init", 2e-6),
     ("flow", "dt_min", "1e-11", "flow.dt_min", 1e-11),
     ("flow", "dt_max", "5e-3", "flow.dt_max", 5e-3),
-    ("flow", "safety", "0.8", "flow.safety", 0.8),
     ("flow", "err_tol", "1e-7", "flow.err_tol", 1e-7),
     ("flow", "u_floor", "1e-5", "flow.u_floor", 1e-5),
     ("flow", "record_every", "3", "flow.record_every", 3),
@@ -132,7 +131,7 @@ class TestDocumentedKeys:
         fields = [f"{section.name}.{f.name}" for section in dataclasses.fields(RunConfig)
                   for f in dataclasses.fields(getattr(parse_config(MINIMAL), section.name))]
         assert sorted(fields) == sorted(attr for _, _, _, attr, _ in DOCUMENTED_KEYS)
-        assert len(fields) == 42
+        assert len(fields) == 41
 
     def test_constancy_tol_is_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown key 'constancy_tol'"):
@@ -142,6 +141,11 @@ class TestDocumentedKeys:
         # the two control families always run
         with pytest.raises(ConfigurationError, match="unknown key 'include_negative_controls'"):
             parse_config(MINIMAL + "\n[soliton]\ninclude_negative_controls = false\n")
+
+    def test_safety_is_unknown(self):
+        # the step controller's safety factor is the constant flow._SAFETY
+        with pytest.raises(ConfigurationError, match="unknown key 'safety'"):
+            parse_config(MINIMAL + "\n[flow]\nsafety = 0.9\n")
 
 
 class TestValidation:
@@ -374,15 +378,12 @@ class TestSchema:
         ("dt_init", "nan", "dt_init must be positive and finite, got nan"),
         ("dt_min", "0", "dt_min must be positive and finite, got 0.0"),
         ("dt_max", "-1e-2", "dt_max must be positive and finite, got -0.01"),
-        ("safety", "0", "safety must be positive and finite, got 0.0"),
-        ("safety", "1.5", "safety must be at most 1, got 1.5"),
         ("err_tol", "0", "err_tol must be positive and finite, got 0.0"),
         ("u_floor", "-1", "u_floor must be positive and finite, got -1.0"),
         ("record_every", "0", "record_every must be positive, got 0"),
         ("snapshot_every", "-1", "snapshot_every must be non-negative, got -1"),
-    ], ids=["t_end_negative", "dt_init_nan", "dt_min_zero", "dt_max_negative", "safety_zero",
-            "safety_above_1", "err_tol_zero", "u_floor_negative", "record_every_zero",
-            "snapshot_every_negative"])
+    ], ids=["t_end_negative", "dt_init_nan", "dt_min_zero", "dt_max_negative",
+            "err_tol_zero", "u_floor_negative", "record_every_zero", "snapshot_every_negative"])
     def test_flow_rule_message(self, key, value, message):
         with pytest.raises(ConfigurationError) as err:
             parse_config(MINIMAL + f"\n[flow]\n{key} = {value}\n")

@@ -41,13 +41,11 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(u_floor=-1.0)
         with pytest.raises(ValueError):
-            FlowConfig(safety=1.5)
-        with pytest.raises(ValueError):
             FlowConfig(record_every=0)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("name", ["t_end", "dt_init", "dt_min", "dt_max", "safety",
-                                      "err_tol", "u_floor"])
+    @pytest.mark.parametrize("name", ["t_end", "dt_init", "dt_min", "dt_max", "err_tol",
+                                      "u_floor"])
     def test_nonfinite_rejected(self, name, value):
         rule = "non-negative" if name == "t_end" else "positive"
         with pytest.raises(ValueError) as err:

@@ -7,17 +7,23 @@ import pytest
 
 import cryf.conformal
 import cryf.soliton
-from cryf.analysis import constancy_verdict, curvature_moments, make_record, yamabe_quantity
+from cryf.analysis import (
+    DiagnosticsRecord,
+    constancy_verdict,
+    curvature_moments,
+    make_record,
+    yamabe_quantity,
+)
 from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
 from cryf.soliton import (
+    FamilyScan,
     SolitonFamily,
     Verdict,
     _residual_delta,
     scan_family,
     shift_steps,
-    soliton_invariance_check,
     soliton_state,
     soliton_theorem_harness,
 )
@@ -28,7 +34,7 @@ TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def flow_residual(fam, t):
-    return scan_family(fam, (t,)).samples[0].flow_residual
+    return scan_family(fam, (t,)).flow_residual
 
 
 def constant_family(geom, c=1.0, rate=0.0, slope=0.0):
@@ -63,7 +69,7 @@ class TestSolitonState:
     def test_invariance_for_scaled_shifted_family(self, geom16):
         base = single_mode_state(geom16, 0.1)
         fam = SolitonFamily(base, 1.0, 2.0)
-        dev = soliton_invariance_check(scan_family(fam, TIMES))
+        dev = scan_family(fam, TIMES).e_deviation
         assert dev <= 1e-12 * max(1.0, abs(yamabe_quantity(base)))
 
     @pytest.mark.parametrize("shape", [(4, 4, 8), (16, 16, 16), (8, 4, 12)])
@@ -138,7 +144,7 @@ class TestSolitonState:
 
 class TestInvarianceCheck:
     def test_constant_family_zero(self, geom448):
-        assert soliton_invariance_check(scan_family(constant_family(geom448), TIMES)) == 0.0
+        assert scan_family(constant_family(geom448), TIMES).e_deviation == 0.0
 
     def test_corrupted_base_detected(self, geom16):
         # replacing the base mid-stream breaks the invariance claim
@@ -200,6 +206,28 @@ class TestHarness:
                     assert verdict != Verdict.THEOREM_VIOLATION
 
 
+def plain_record(var):
+    # vol 1 and mean curvature 0, so the record is constant when var <= var_tol
+    return DiagnosticsRecord(t=0.0, E=2.0, vol=1.0, intR=0.0, intR2=var, var=var,
+                             dEdt_formula=0.0, min_u=1.0, min_R=0.0, max_R=0.0, dt=0.0)
+
+
+class TestHandBuiltScan:
+    # each row breaks every test from its own on, so a verdict shows only when
+    # every test before it passes: the order of precedence
+    @pytest.mark.parametrize("e_deviation, flow_residual, var, verdict", [
+        (3e-12, 1.0, 1.0, Verdict.NOT_INVARIANT),
+        (2e-12, 1e-7, 1.0, Verdict.NOT_A_FLOW_SOLUTION),
+        (0.0, 0.0, 1.1e-6, Verdict.THEOREM_VIOLATION),
+        (2e-12, 1e-8, 1e-6, Verdict.CONSTANT_CURVATURE),
+    ], ids=["not_invariant", "not_a_flow_solution", "theorem_violation", "constant_curvature"])
+    def test_verdict_from_plain_values(self, e_deviation, flow_residual, var, verdict):
+        # E(0) = 2 sets the invariance bound 2e-12; the bounds themselves pass
+        records = (plain_record(0.0), plain_record(var), plain_record(0.0))
+        scan = FamilyScan(2.0, records, e_deviation, flow_residual)
+        assert soliton_theorem_harness(scan, flow_tol=1e-8, var_tol=1e-6) == verdict
+
+
 def separate_verdict(fam, times, flow_tol=1e-8, var_tol=1e-6):
     """The harness's decision from per-time quantities computed one call each."""
     e0 = yamabe_quantity(fam.base)
@@ -231,16 +259,17 @@ class TestFamilyScan:
             scan = scan_family(fam, TIMES)
             verdict, dev = separate_verdict(fam, TIMES)
             assert soliton_theorem_harness(scan) == verdict
-            assert soliton_invariance_check(scan) == dev
+            assert scan.e_deviation == dev
+            assert scan.flow_residual == max(flow_residual(fam, t) for t in TIMES)
             verdicts.append(verdict)
         assert verdicts == [Verdict.CONSTANT_CURVATURE] * 9 + [Verdict.NOT_A_FLOW_SOLUTION] * 2
 
     def test_samples_hold_scalars_only(self, geom448):
         scan = scan_family(constant_family(geom448, rate=1.0, slope=0.5), TIMES)
-        assert len(scan.samples) == len(TIMES)
-        for sample in scan.samples:
-            assert all(type(v) is float for v in sample.record.as_tuple())
-            assert type(sample.flow_residual) is float
+        assert len(scan.records) == len(TIMES)
+        for record in scan.records:
+            assert all(type(v) is float for v in record.as_tuple())
+        assert type(scan.e_deviation) is float and type(scan.flow_residual) is float
 
     @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
     def test_records_equal_make_record(self, shape):
@@ -249,9 +278,9 @@ class TestFamilyScan:
         for fam in sweep_and_controls(geom):
             scan = scan_family(fam, TIMES)
             assert scan.e0.hex() == make_record(fam.base).E.hex()
-            for t, sample in zip(TIMES, scan.samples):
+            for t, record in zip(TIMES, scan.records):
                 ref = make_record(soliton_state(fam, t))
-                assert [v.hex() for v in sample.record.as_tuple()] == \
+                assert [v.hex() for v in record.as_tuple()] == \
                     [v.hex() for v in ref.as_tuple()]
 
     def test_one_curvature_per_sampled_time(self, geom448, monkeypatch):
@@ -264,9 +293,7 @@ class TestFamilyScan:
 
         monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
         fam = constant_family(geom448, rate=1.0)
-        scan = scan_family(fam, TIMES)
-        soliton_theorem_harness(scan)
-        soliton_invariance_check(scan)
+        soliton_theorem_harness(scan_family(fam, TIMES))
         assert len(calls) == 1 + len(TIMES)
 
     def test_no_times_rejected(self, geom448):

@@ -187,6 +187,15 @@ RUNS = (
     Run("output_escapes_8", "run-flow",
         GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n\n"
         "[output]\nreport = ../escaped_report.txt\n"),
+    # exit 2 before any field is built, on a file system whose names hold at most
+    # 255 bytes: a 304-byte report name, and a 300-byte component of a missing --out
+    # (revisions without the check write flow.csv, or leave new/sub behind)
+    Run("report_name_too_long_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n\n"
+        "[output]\nreport = " + "r" * 300 + ".txt\n"),
+    Run("out_component_too_long_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n",
+        out="out_component_too_long_8/new/sub/" + "d" * 300 + "/x"),
 )
 
 
