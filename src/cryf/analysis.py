@@ -209,21 +209,25 @@ def curvature_evolution_residual(window: ProbeWindow) -> float:
     The norm is L2 with the evolving volume weight, normalized by
     max(1, |rhs|_L2).
     """
-    state = window.state
-    rhs = _curvature_rhs(state, window.curvature)
-    return relative_l2(state.geom, np.subtract(window.curvature_rate, rhs), rhs,
-                       window.volume_element)
+    geom, dv = window.state.geom, window.volume_element
+    rhs = _curvature_rhs(window.state, window.curvature)
+    # |rhs| first, so that the residual is built in rhs's own array
+    den = max(1.0, _weighted_l2(geom, rhs, dv))
+    np.subtract(window.curvature_rate, rhs, out=rhs)
+    return float(_weighted_l2(geom, rhs, dv) / den)
+
+
+def _weighted_l2(geom, f: np.ndarray, dv: np.ndarray):
+    """L2 norm of f weighted by the volume element dv, in one work field."""
+    work = f * f
+    work *= dv
+    return np.sqrt(integrate_base(geom, work))
 
 
 def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
     """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
-    work = resid * resid
-    work *= dv
-    num = np.sqrt(integrate_base(geom, work))
-    np.multiply(ref, ref, out=work)
-    work *= dv
-    den = max(1.0, np.sqrt(integrate_base(geom, work)))
-    return float(num / den)
+    num = _weighted_l2(geom, resid, dv)
+    return float(num / max(1.0, _weighted_l2(geom, ref, dv)))
 
 
 class IdentityResiduals(NamedTuple):

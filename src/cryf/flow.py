@@ -7,7 +7,11 @@ step-doubling error control: one full step against two half steps, accepted
 when the relative L-infinity discrepancy meets err_tol, with the next step
 scaled by 0.9 (err_tol/err)^(1/5).  A step makes its own stage field
 and sums the slopes into k2 as they come; the error estimate is formed
-inside the full step's array.
+inside the full step's array.  An attempt runs both half steps before the
+full step and a rejected one is dropped before the retry, so an adaptive
+step holds five fields: the state, one half step, the stage, k2 and one
+slope.  `run_flow` frees the initial state after the first accepted step
+unless a snapshot keeps it.
 An explicit scheme keeps the time error a clean high-order term for the
 identity checks; stiffness (the sub-parabolic CFL ~ h^2) is handled by
 dt_max and adaptivity.
@@ -175,6 +179,13 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
     when a stage hits the floor, the error-controlled size otherwise.  When
     that dt is below dt_min the step raises FlowStop, carrying
     POSITIVITY_FLOOR or STEP_UNDERFLOW after the rejection that set it.
+
+    Each attempt runs the two half steps, then the full step, and frees a
+    rejected attempt's results before the retry, so beside the state the
+    step holds one half step and the four-stage step's stage, k2 and one
+    slope.  A full step that hits the floor is thus found after both half
+    steps: a positivity rejection can cost up to 8 more evaluations than
+    with the full step first.
     """
     if not dt_try > 0.0:
         raise ValueError(f"dt_try must be positive, got {dt_try}")
@@ -183,10 +194,11 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
     dt = min(dt_try, config.dt_max)
     while True:
         try:
-            full = _rk4_any(geom, u, dt, config.u_floor)
-            # two statements, so the last attempt's half is freed before the second half step
+            # half steps first: the first half is freed once the second is
+            # built, so the full step is built beside one half-step result
             half = _rk4_any(geom, u, 0.5 * dt, config.u_floor)
             half = _rk4_any(geom, half, 0.5 * dt, config.u_floor)
+            full = _rk4_any(geom, u, dt, config.u_floor)
         except StepPositivityError:
             dt_new, stop = 0.5 * dt, FlowTermination.POSITIVITY_FLOOR
         else:
@@ -198,6 +210,7 @@ def step_adaptive(state: ConformalState, dt_try: float, config: FlowConfig):
                 dt_next = min(config.dt_max, max(config.dt_min, dt * min(_GROWTH_CAP, factor)))
                 return ConformalState(geom, half, state.t + dt), dt, dt_next, err
             dt_new, stop = dt * max(_SHRINK_FLOOR, factor), FlowTermination.STEP_UNDERFLOW
+        full = half = None  # a rejected attempt's fields go before the retry's first step
         if dt_new < config.dt_min:
             raise FlowStop(stop, f"{stop.value}: dt {dt_new} is below dt_min={config.dt_min}")
         dt = dt_new
@@ -210,10 +223,14 @@ def run_flow(state0: ConformalState, config: FlowConfig) -> Trajectory:
     quantity E is nonincreasing record to record up to the audit slack.
     Termination reasons are recorded, never silent.  Snapshots are the
     states themselves: nothing mutates a state's u, so none is copied.
+    The loop holds the only reference run_flow keeps to state0, so a caller
+    that keeps none has it freed after the first accepted step, unless it
+    is snapshots[0].
     """
     records = [make_record(state0, 0.0, config.u_floor)]
     snapshots = [state0] if config.snapshot_every > 0 else []
     state = state0
+    del state0  # unless a snapshot keeps it, the first accepted step frees it
     dt_next = config.dt_init
     dt_used = 0.0
     accepted = 0

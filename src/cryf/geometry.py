@@ -242,10 +242,17 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     permutation and commutes with every pointwise operation, so each entry
     is bit for bit that of the whole-field expression.  f and w are whole
     fields; out holds m planes.  a, b, c are scratch of at least m + 1
-    planes; out may be c[:m], whose last read comes before out's first write.
+    planes.  The forward form (step 1) fills out with q first, so its out is
+    not scratch; the backward form's out may be c[:m], whose last read comes
+    before out's first write.
     """
     m, n = i1 - i0, geom.spec.nx
     fs, q = f[i0:i1], geom._q[i0:i1]
+    if step == 1:
+        # q filled into out, which the X part writes only after the last read
+        # of q, makes both products contiguous; the backward form's out is c
+        out[...] = q
+        q = out
     a, c, flux = a[:m], c[:m], b[:m + 1]
     b = flux[:m]
     _diff(fs, 1, step, b)

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,27 @@ class TestRunFlow:
         assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "snap_0000.cryf").exists()
 
+    def test_initial_state_freed_after_the_first_step(self, tmp_path, monkeypatch):
+        # the command keeps no reference to the initial state, so with no
+        # snapshots the flow frees it once its first step is accepted
+        made, alive = [], []
+        real_make, real_step = cryf.cli.make_initial_state, cryf.flow.step_adaptive
+
+        def tracking(*args, **kwargs):
+            state = real_make(*args, **kwargs)
+            made.append(weakref.ref(state))
+            return state
+
+        def watching(*args):
+            alive.append(made[0]() is not None)
+            return real_step(*args)
+
+        monkeypatch.setattr(cryf.cli, "make_initial_state", tracking)
+        monkeypatch.setattr(cryf.flow, "step_adaptive", watching)
+        cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.2\n")
+        assert main(["run-flow", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(alive) >= 3 and alive == [True] + [False] * (len(alive) - 1)
+
     def test_overwrite_contract(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -405,6 +427,30 @@ class TestCheckIdentities:
         assert rc == 1
 
 
+    def test_invariance_rows_peak_memory(self, tmp_path, monkeypatch):
+        # Traced at 32^3 with the window made beforehand, an invariance row
+        # peaks at four fields inside the curvature moments: the moved state,
+        # R, dV and one work field.  Then dV is dropped and |R - expected R|
+        # is formed in R's own array, so the rest of the row holds fewer.
+        cfg = cryf.cli.load_config(write_cfg(tmp_path, body=BASE_CFG.replace(
+            "16", "32").format(preset="single_mode_y", extra="epsilon = 0.1\n")))
+        state = cryf.cli.make_initial_state(cryf.cli.build_nilmanifold(cfg.geometry),
+                                            **vars(cfg.initial))
+        window = cryf.flow.probe_window(state, cfg.analysis.delta)
+        res = cryf.analysis.identity_residuals(window)
+        monkeypatch.setattr(cryf.flow, "probe_window", lambda *args: window)
+        monkeypatch.setattr(cryf.analysis, "identity_residuals", lambda *args: res)
+        cryf.cli._identity_rows(cfg, state)  # warm-up
+        tracemalloc.start()
+        try:
+            rows = cryf.cli._identity_rows(cfg, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [name for name, _, _ in rows[4:]] == ["scaling_invariance",
+                                                     "pullback_invariance"]
+        assert peak <= 4.2 * state.u.nbytes
+
     def test_integrates_one_probe_pair(self, tmp_path, monkeypatch):
         calls = []
         real = cryf.flow.integrate_fixed
@@ -558,9 +604,10 @@ class TestConvergenceStudy:
     def test_manufactured_phase_memory(self, tmp_path, monkeypatch):
         # traced memory in fields of the largest grid (16^3) from the command's
         # start to its first identity probe: the two geometries' slab scratch
-        # and the first initial state (4.16 at the probe), and while a case
-        # runs its own field and temporaries (up to 4.15, for the lowest Landau
-        # level; the peak reads 8.17); no case's fields outlast its row
+        # and the first initial state (4.18 at the probe), and while a case
+        # runs its own field and temporaries (the peak reads 7.09); no case's
+        # fields outlast its row.  numpy's ufunc buffers are cut to 1024
+        # elements, so that they count for 0.25 of a 16^3 field, not 2
         class FirstProbe(Exception):
             pass
 
@@ -574,14 +621,16 @@ class TestConvergenceStudy:
                 "--out", str(tmp_path / "out")]
         with pytest.raises(FirstProbe):
             main(argv)  # imports what the command imports on its first run
+        bufsize = np.setbufsize(1024)
         tracemalloc.start()
         try:
             with pytest.raises(FirstProbe) as probe:
                 main(argv)
         finally:
             tracemalloc.stop()
+            np.setbufsize(bufsize)
         kept, peak = (m / (8 * 16**3) for m in probe.value.args[0])
-        assert kept <= 5.5 and peak <= 9.0
+        assert kept <= 4.4 and peak <= 7.3
 
     def test_one_geometry_per_grid(self, tmp_path, monkeypatch):
         geometries = count_geometries(monkeypatch)
@@ -1036,6 +1085,20 @@ def test_name_over_the_limit_exit_2_before_any_geometry(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("configuration error: --out ") and err.count("\n") == 1
     assert err.endswith(f" is longer than the {limit} bytes its file system allows\n")
+    assert geometries == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_path_over_the_limit_exit_2_before_any_geometry(tmp_path, capsys, monkeypatch):
+    # every component fits the name limit, the whole path does not; without
+    # the check, the run fails at its first write and leaves the parents it made
+    geometries = count_geometries(monkeypatch)
+    limit = os.pathconf(tmp_path, "PC_PATH_MAX")
+    out = tmp_path.joinpath("deep", *["p" * 250] * (limit // 250 + 2))
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 0\n")
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --out {out}: a path of ") and err.count("\n") == 1
+    assert err.endswith(f" bytes is longer than the {limit - 1} bytes its file system allows\n")
     assert geometries == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 

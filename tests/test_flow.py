@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,12 +182,12 @@ class TestStepAdaptive:
         assert cfg.dt_min <= dt_next <= cfg.dt_max
 
     def test_peak_memory_of_a_rejecting_step(self, geom16, monkeypatch):
-        # Besides the field the kernel is building, a step holds at most four:
-        # the full step, the first half step, and the stage field and one
-        # earlier slope of the four-stage step under way (see
-        # TestStepAllocations).  The
-        # kernel's own peak (its result plus numpy's ufunc buffers, about
-        # 0.1 MB, so several fields at 16^3) is measured here.
+        # Besides the field the kernel is building, a step holds at most three:
+        # one half-step result, and the stage field and one earlier slope of
+        # the four-stage step under way; the half steps run first, and a
+        # rejected attempt's fields go before the retry (see
+        # TestStepAllocations).  The kernel's own peak (its result plus
+        # numpy's ufunc buffers) is measured here.
         state = single_mode_state(geom16, 0.2)
         cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
         real = flow._rk4_any
@@ -213,7 +214,7 @@ class TestStepAdaptive:
 
         kernel = peak_of(lambda: _du_dt(geom16, state.u))
         step = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
-        assert step <= 6.2 * state.u.nbytes + kernel
+        assert step <= 3.2 * state.u.nbytes + kernel
 
 
 def peak_of(call):
@@ -251,14 +252,16 @@ class TestStepAllocations:
         peak = peak_of(lambda: integrate_fixed(state, 1e-4, 8))
         assert peak <= 3.2 * field_bytes + kernel
 
-    def test_rejecting_step_holds_three_fields(self, geom16, warm):
-        # the full step, the first half step and the second half step's slope
-        # sum; the first attempt is rejected by error control (see
+    def test_rejecting_step_holds_two_fields(self, geom16, warm):
+        # one half-step result and the slope sum of the step under way: the
+        # half steps run before the full step, and the rejected attempt's
+        # full and half are freed before the retry; the first attempt is
+        # rejected by error control (see
         # TestStepAdaptive.test_peak_memory_of_a_rejecting_step)
         state, field_bytes, kernel = warm
         cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
         peak = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
-        assert peak <= 4.2 * field_bytes + kernel
+        assert peak <= 3.2 * field_bytes + kernel
 
     def test_results_share_no_memory(self, geom16):
         state = random_state(geom16, 6, amplitude=0.4, smooth=2)
@@ -446,6 +449,29 @@ class TestRunFlow:
         traj = run_flow(state, cfg)
         assert len(traj.snapshots) >= 2
         assert traj.snapshots[0] is state
+
+    @pytest.mark.parametrize("snapshot_every", [0, 2])
+    def test_initial_state_freed_after_the_first_step(self, geom16, monkeypatch,
+                                                      snapshot_every):
+        # run_flow holds the initial state until its first accepted step,
+        # and longer only as snapshots[0]
+        states = [single_mode_state(geom16, 0.2)]
+        initial = weakref.ref(states[0])
+        alive = []
+        real = flow.step_adaptive
+
+        def watching(*args):
+            alive.append(initial() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(flow, "step_adaptive", watching)
+        cfg = FlowConfig(t_end=1e-4, dt_init=2e-5, dt_max=2e-5, snapshot_every=snapshot_every)
+        traj = run_flow(states.pop(), cfg)
+        assert len(alive) >= 3
+        if snapshot_every:
+            assert all(alive) and traj.snapshots[0] is initial()
+        else:
+            assert alive == [True] + [False] * (len(alive) - 1)
 
 
 class TestDecayRateFit:
