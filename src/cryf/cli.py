@@ -55,7 +55,7 @@ def _fmt(x: float) -> str:
 def _check_out(outdir: str, *names: str) -> None:
     """ConfigurationError unless --out is a directory, or can be made at the first write,
     each of its missing components and of names fits its file system's name limit,
-    and --out, or each name joined to it, fits its path limit."""
+    and each name joined to --out fits its path limit."""
     path, missing = os.path.abspath(outdir), []
     while not os.path.lexists(path):
         path, name = os.path.split(path)
@@ -69,8 +69,8 @@ def _check_out(outdir: str, *names: str) -> None:
                                      f"{limit} bytes its file system allows")
     # PC_PATH_MAX counts the terminating NUL byte
     path_limit = os.pathconf(path, "PC_PATH_MAX")
-    for full in [os.path.join(outdir, name) for name in names] or [outdir]:
-        size = len(os.fsencode(full))
+    for name in names:
+        size = len(os.fsencode(os.path.join(outdir, name)))
         if 0 < path_limit <= size:
             raise ConfigurationError(f"--out {outdir}: a path of {size} bytes is longer than "
                                      f"the {path_limit - 1} bytes its file system allows")
@@ -381,7 +381,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _check_out(args.out)
         return _COMMANDS[args.command](cfg, args.out, args.overwrite)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

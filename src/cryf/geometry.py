@@ -218,8 +218,7 @@ def _x_diff(geom: BaseGeometry, f: np.ndarray, i0: int, i1: int,
 
 
 def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
-                       step: int, i0: int, i1: int, out: np.ndarray, a: np.ndarray,
-                       b: np.ndarray, c: np.ndarray) -> None:
+                       step: int, i0: int, i1: int, out: np.ndarray) -> None:
     """One conservative form -D*(w D f) on x-planes [i0, i1) into out, D one-sided
     in direction `step`.
 
@@ -241,29 +240,26 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     read through the shear; that gather is a
     permutation and commutes with every pointwise operation, so each entry
     is bit for bit that of the whole-field expression.  f and w are whole
-    fields; out holds m planes.  a, b, c are scratch of at least m + 1
-    planes.  The forward form (step 1) fills out with q first, so its out is
-    not scratch; the backward form's out may be c[:m], whose last read comes
-    before out's first write.
+    fields; out holds m planes.  The work fields a, b, c are the geometry's
+    slab scratch: q is filled into a, which d'_y Fy overwrites only after
+    the last product with q, so both products are contiguous.  Only the X
+    part writes out, after the last read of c, so out may be c[:m].
     """
     m, n = i1 - i0, geom.spec.nx
-    fs, q = f[i0:i1], geom._q[i0:i1]
-    if step == 1:
-        # q filled into out, which the X part writes only after the last read
-        # of q, makes both products contiguous; the backward form's out is c
-        out[...] = q
-        q = out
+    fs = f[i0:i1]
+    a, b, c = geom._scratch
     a, c, flux = a[:m], c[:m], b[:m + 1]
     b = flux[:m]
+    a[...] = geom._q[i0:i1]
     _diff(fs, 1, step, b)
     _diff(fs, 2, step, c)
-    c *= q
+    c *= a
     b += c
     if w is not None:
         b *= w[i0:i1]
-    _diff(b, 1, -step, a)
     _diff(b, 2, -step, c)
-    c *= q
+    c *= a
+    _diff(b, 1, -step, a)
     a += c
     a *= geom.spec.ny ** 2
     _x_diff(geom, f, i0, i1, flux)
@@ -295,19 +291,19 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
 
     Both forms run one slab of x-planes at a time in the geometry's three
     slab-sized scratch fields, so each pass reads and writes fields that
-    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).
+    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).  The
+    first holds q, and the third the backward form's slab result.
     """
     out = np.empty(geom.shape)
-    a, b, c = geom._scratch
     both = w is not None and w.min() != w.max()
     n, planes = geom.spec.nx, geom._slab_planes
     for i0 in range(0, n, planes):
         i1 = min(i0 + planes, n)
         slab = out[i0:i1]
-        _conservative_form(geom, f, w, 1, i0, i1, slab, a, b, c)
+        _conservative_form(geom, f, w, 1, i0, i1, slab)
         if both:
-            bwd = c[:i1 - i0]
-            _conservative_form(geom, f, w, -1, i0, i1, bwd, a, b, c)
+            bwd = geom._scratch[2][:i1 - i0]
+            _conservative_form(geom, f, w, -1, i0, i1, bwd)
             slab += bwd
             slab *= 0.5
     return out

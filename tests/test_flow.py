@@ -181,41 +181,6 @@ class TestStepAdaptive:
         assert err == 0.0 and dt_used == 1e-13
         assert cfg.dt_min <= dt_next <= cfg.dt_max
 
-    def test_peak_memory_of_a_rejecting_step(self, geom16, monkeypatch):
-        # Besides the field the kernel is building, a step holds at most three:
-        # one half-step result, and the stage field and one earlier slope of
-        # the four-stage step under way; the half steps run first, and a
-        # rejected attempt's fields go before the retry (see
-        # TestStepAllocations).  The kernel's own peak (its result plus
-        # numpy's ufunc buffers) is measured here.
-        state = single_mode_state(geom16, 0.2)
-        cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
-        real = flow._rk4_any
-        completed = []
-
-        def counting(*args):
-            out = real(*args)
-            completed.append(args[2])
-            return out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(flow, "_rk4_any", counting)
-            step_adaptive(state, 3e-4, cfg)  # warm-up
-        # two completed attempts: the first is rejected by error control
-        assert len(completed) == 6
-
-        def peak_of(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        kernel = peak_of(lambda: _du_dt(geom16, state.u))
-        step = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
-        assert step <= 3.2 * state.u.nbytes + kernel
-
 
 def peak_of(call):
     tracemalloc.start()
@@ -252,14 +217,25 @@ class TestStepAllocations:
         peak = peak_of(lambda: integrate_fixed(state, 1e-4, 8))
         assert peak <= 3.2 * field_bytes + kernel
 
-    def test_rejecting_step_holds_two_fields(self, geom16, warm):
+    def test_rejecting_step_holds_two_fields(self, geom16, warm, monkeypatch):
         # one half-step result and the slope sum of the step under way: the
         # half steps run before the full step, and the rejected attempt's
-        # full and half are freed before the retry; the first attempt is
-        # rejected by error control (see
-        # TestStepAdaptive.test_peak_memory_of_a_rejecting_step)
+        # full and half are freed before the retry
         state, field_bytes, kernel = warm
         cfg = FlowConfig(t_end=1.0, dt_max=1.0, err_tol=1e-8)
+        real = flow._rk4_any
+        completed = []
+
+        def counting(*args):
+            out = real(*args)
+            completed.append(args[2])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_rk4_any", counting)
+            step_adaptive(state, 3e-4, cfg)
+        # two completed attempts: the first is rejected by error control
+        assert len(completed) == 6
         peak = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
         assert peak <= 3.2 * field_bytes + kernel
 

@@ -80,9 +80,9 @@ class TestWorkFields:
 
     def test_multi_slab_build_and_first_calls_hold_one_result_beyond_slab_scratch(self):
         # 40x32x64 runs in three slabs of 16 planes; the geometry holds only
-        # its slab scratch, and a call adds its result and a few planes: the
-        # wrap tables, a plane read through the wrap, and numpy's iterator
-        # buffers
+        # its slab scratch and its wrap tables, and a call keeps its result; its
+        # peak beyond that is a plane read through the wrap and numpy's
+        # iterator buffers, the same for either call
         spec = GridSpec(40, 32, 64)
         rng = np.random.default_rng(6)
         f = rng.standard_normal(spec.shape)
@@ -99,27 +99,32 @@ class TestWorkFields:
                 kept, peak = tracemalloc.get_traced_memory()
                 del result
                 assert kept <= field + scratch + 3 * plane
-                assert peak <= field + scratch + 8 * plane
+                assert peak <= kept + 3 * plane
         finally:
             tracemalloc.stop()
         assert geom._slab_planes == 16 and scratch == 3 * 17 * plane
 
     def test_first_kernel_call_allocates_only_its_result(self):
-        # the first call's peak is that of any later call (its result and numpy's
-        # iterator buffers), and once the result is dropped it has kept nothing
-        geom = build_nilmanifold(GridSpec(16, 16, 16))
-        f = random_field(geom, 9)
-        peaks = []
-        for _ in range(2):
-            tracemalloc.start()
-            try:
-                sub_laplacian_base(geom, f)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert kept <= 1024
-            peaks.append(peak)
-        assert peaks[0] <= peaks[1] + 1024
+        # the first call's peak is that of any later call (its result, a plane
+        # read through the wrap and numpy's iterator buffers), and once the
+        # result is dropped it has kept nothing; both conservative forms hold
+        # q, and the backward one its result, in the geometry's slab scratch
+        f = random_field(build_nilmanifold(GridSpec(16, 16, 16)), 9)
+        w = 0.5 + np.random.default_rng(4).random(f.shape)
+        for call in (sub_laplacian_base, lambda geom, f: weighted_div_form(geom, w, f)):
+            geom = build_nilmanifold(GridSpec(16, 16, 16))
+            peaks = []
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    call(geom, f)
+                    kept, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert kept <= 1024
+                peaks.append(peak)
+            assert peaks[0] <= peaks[1] + 1024
+            assert max(peaks) <= 1.35 * f.nbytes
 
 
 class TestCanonicalIndex:

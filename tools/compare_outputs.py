@@ -196,6 +196,11 @@ RUNS = (
     Run("out_component_too_long_8", "run-flow",
         GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n",
         out="out_component_too_long_8/new/sub/" + "d" * 300 + "/x"),
+    # exits 2 before any field is built, on a file system whose paths hold at most
+    # 4095 bytes: --out alone is 4288 bytes, each of its components 250 at most
+    Run("out_path_too_long_8", "run-flow",
+        GRID_8 + "[initial_data]\npreset = constant\n\n[flow]\nt_end = 0\n",
+        out="out_path_too_long_8/" + "/".join(["p" * 250] * 17) + "/x"),
 )
 
 
