@@ -918,6 +918,22 @@ def test_out_not_a_directory_exit_2_before_any_geometry(tmp_path, capsys, monkey
     assert geometries == [] and blocker.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", [
+    "run-flow", "check-identities", "convergence-study", "soliton-check"])
+def test_every_command_checks_out_before_any_geometry(tmp_path, capsys, monkeypatch, command):
+    # main does not check --out: each command checks it with its first output
+    # name, and makes no geometry on a bad --out
+    geometries = count_geometries(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "sub"
+    cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: --out {out}: {blocker} is not a writable directory\n"
+    assert geometries == [] and blocker.read_text() == "kept"
+
+
 def test_out_under_an_unwritable_directory_exit_2_before_any_geometry(tmp_path, capsys,
                                                                       monkeypatch):
     geometries = count_geometries(monkeypatch)
