@@ -95,11 +95,14 @@ def _out_path(outdir: str, name: str, overwrite: bool) -> str:
 def _fresh_path(path: str) -> str:
     """path, ready for a write that makes a new regular file there.
 
-    --out is made at the first write.  An existing entry, which `_out_path`
+    --out is made, with its missing parents, at the first write; later
+    writes find it with one stat.  An existing entry, which `_out_path`
     passes only with overwrite, is removed first: a write through a symbolic
     or hard link would replace a file outside --out.
     """
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        os.makedirs(folder, exist_ok=True)
     if os.path.lexists(path):
         os.remove(path)
     return path

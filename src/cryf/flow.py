@@ -87,7 +87,8 @@ def _du_dt(geom, u: np.ndarray) -> np.ndarray:
 
 
 def _check_floor(u: np.ndarray, u_floor: float) -> None:
-    m = u.min()
+    # the reduction u.min() runs, without its Python-level wrapper
+    m = np.minimum.reduce(u, axis=None)
     if m <= u_floor:
         raise StepPositivityError(f"stage value hit the floor: min u = {m} <= {u_floor}")
 

@@ -32,8 +32,15 @@ slab, 256 KiB each, stay in L2.  A slab's x differences read one halo plane
 beyond it, through the shear at the x-wrap; small grids are one slab.
 
 A geometry holds three work fields, made with it: the slab-sized scratch
-fields of the divergence-form kernel.  Every kernel call writes them, so one
-geometry must not be shared by threads that apply the kernel concurrently.
+fields a, b, c of the divergence-form kernel.  It also builds, once, one
+small record of views per slab (`_Slab`): the scratch slices a[:m], b[:m]
+and c[:m] of a slab of m planes, the flux b[:m+1] and its planes, the
+slab's q column, and the views each one-sided difference reads and writes.
+The halo plane c[m], which no slab result uses, is the plane every gather
+across the x-wrap writes, of f or of a weight.  So a kernel call does its
+numpy operations on views it is handed, and derives none of them.  Every
+kernel call writes the scratch, so one geometry must not be shared by
+threads that apply the kernel concurrently.
 The flow's four-stage step makes its own stage field per call.
 Build one geometry per grid and pass it around.
 """
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +120,10 @@ class BaseGeometry:
     points).
 
     It also holds the kernel's three scratch fields, each one slab of
-    x-planes plus a halo plane, so that a kernel pass stays in L2 cache; see
-    the module docstring for why one geometry must not be shared across
+    x-planes plus a halo plane, so that a kernel pass stays in L2 cache, and
+    one `_Slab` record of views on them per slab, built here; the third
+    field's halo plane c[m] is where the kernel gathers across the x-wrap.
+    See the module docstring for why one geometry must not be shared across
     threads.
 
     Attributes:
@@ -124,6 +134,7 @@ class BaseGeometry:
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
+        self.shape = spec.shape
         self.w0 = spec.hx * spec.hy * spec.hz
         self.x_coord = (np.arange(spec.nx) * spec.hx).reshape(-1, 1, 1)
         jj = np.arange(spec.ny)[:, None]
@@ -134,15 +145,12 @@ class BaseGeometry:
                       for step in (1, -1)}
         # Y = (d_y + q d_z)/hy in _conservative_form, hy/hz = twist
         self._q = self.x_coord * spec.twist
-        # x-planes per slab of _div_form and its slab-sized work fields (a
-        # slab and its halo plane)
+        # x-planes per slab of _div_form, its slab-sized work fields (a slab
+        # and its halo plane) and the views of each slab on them
         self._slab_planes = max(1, min(spec.nx, _SLAB_POINTS // (spec.ny * spec.nz)))
         self._scratch = tuple(np.empty((self._slab_planes + 1, spec.ny, spec.nz))
                               for _ in range(3))
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.spec.shape
+        self._slabs = _slabs(self)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays (x, y, z) of the grid points."""
@@ -178,52 +186,107 @@ def _shift(geom: BaseGeometry, f: np.ndarray, axis: int, step: int) -> np.ndarra
     return out
 
 
-def _diff(g: np.ndarray, axis: int, step: int, out: np.ndarray) -> None:
-    """Unscaled one-sided difference of g along lattice axis 1 or 2, into out.
+def _lines(x: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """Views (lead, lag, first, last) of a C-contiguous x for differences along axis 1 or 2.
 
-    step=+1 gives S g - g and step=-1 gives g - S^-1 g, where S samples one
-    lattice step further along the axis, wrapping periodically (only the
-    x-wrap shears, and x is differenced by _x_diff).  S is a permutation,
-    so every entry is a single subtraction.  A lattice step is `stride`
-    places of the flat C-order array, so one flat pass differences every
-    line; the entries it takes across two lines lie in the wrap slab, which
-    the second subtraction overwrites.  `out` must be C-contiguous and
-    distinct from g.
+    A lattice step along the axis is `stride` places of the flat C-order
+    array, so lead - lag (the flat array without its first and without its
+    last step) differences every line in one pass; the entries it takes
+    across two lines lie in the wrap slab, which first - last (the first
+    and last planes across the axis) then gives.  A difference in
+    direction +1, S g - g, writes these into its output's lag and last
+    views, and one in direction -1, g - S^-1 g, into its lead and first
+    ones; so every entry is a single subtraction.
     """
-    stride = math.prod(g.shape[axis + 1:])
-    flat = g.reshape(-1)
-    dst, edge = (slice(None, -stride), -1) if step == 1 else (slice(stride, None), 0)
-    np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[dst])
+    stride = math.prod(x.shape[axis + 1:])
+    flat = x.reshape(-1)
     ix = (slice(None),) * axis
-    np.subtract(g[ix + (0,)], g[ix + (-1,)], out=out[ix + (edge,)])
+    return flat[stride:], flat[:-stride], x[ix + (0,)], x[ix + (-1,)]
 
 
-def _x_diff(geom: BaseGeometry, f: np.ndarray, i0: int, i1: int,
-            out: np.ndarray) -> None:
-    """Unscaled x differences d[k] = f[i0+k] - f[i0+k-1], k = 0..i1-i0, into out.
+def _ends(lines: tuple[np.ndarray, ...], step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two views of `_lines` that a difference in direction `step` writes."""
+    lead, lag, first, last = lines
+    return (lag, last) if step == 1 else (lead, first)
 
-    These are the m + 1 planes that x-planes [i0, i1) and one halo plane on
-    either side need: d[1:] is the slab's forward difference S f - f, and
-    d[:-1] its backward one f - S^-1 f.  A plane beyond the x-wrap (-1 or
-    N_x) is read through the shear, so every entry is a single subtraction.
-    f is a whole field; out holds at least m + 1 planes.
+
+class _Slab(NamedTuple):
+    """The views `_conservative_form` reads and writes on x-planes [i0, i1).
+
+    Built once per slab with the geometry; slabs of the same length m share
+    their views of the scratch fields a, b, c.  The flux is b[:m+1], and
+    c[m], which no slab result uses, is the plane each gather across the
+    x-wrap writes.
     """
-    n, m = geom.spec.nx, i1 - i0
-    lo, hi = max(i0, 1), min(i1, n - 1) + 1
-    np.subtract(f[lo:hi], f[lo - 1:hi - 1], out=out[lo - i0:hi - i0])
-    if i0 == 0:
-        np.subtract(f[0], np.take(f[-1], geom._wrap[-1]), out=out[0])
-    if i1 == n:
-        np.subtract(np.take(f[0], geom._wrap[1]), f[-1], out=out[m])
+
+    rows: slice  # the slab's x-planes, [i0, i1)
+    q: np.ndarray  # the column q = x * hy/hz on those planes
+    a: np.ndarray  # a[:m], b[:m] and c[:m]
+    b: np.ndarray
+    c: np.ndarray
+    flux_next: np.ndarray  # b[1:m+1], so flux[k+1] - flux[k] is flux_next - b
+    gather: np.ndarray  # c[m]
+    b_y: tuple[np.ndarray, ...]  # `_lines` of b along y and along z
+    b_z: tuple[np.ndarray, ...]
+    # per direction, the `_ends` of the four y and z differences, in order:
+    # d_y f into b, d_z f into c, then d'_z Fy into c and d'_y Fy into a
+    writes: dict[int, tuple]
+    x_rows: slice  # x-planes whose difference with the previous one stays inside f
+    x_prev: slice  # ... and those previous planes
+    x_inner: np.ndarray  # the flux planes they give
+    x_first: np.ndarray | None  # flux[0], when plane i0 - 1 lies across the x-wrap
+    x_last: np.ndarray | None  # flux[m], when plane i1 does
+    # per direction, (rows of w, the flux planes they weight, the flux plane
+    # weighted by a row gathered across the x-wrap or None)
+    w_x: dict[int, tuple]
+
+
+def _scratch_views(scratch: tuple[np.ndarray, ...], m: int) -> tuple:
+    """The views of a slab of m planes on the scratch fields, as `_Slab` holds them."""
+    a, flux, c = scratch[0][:m], scratch[1][:m + 1], scratch[2][:m]
+    b = flux[:m]
+    b_y, b_z, c_z, a_y = _lines(b, 1), _lines(b, 2), _lines(c, 2), _lines(a, 1)
+    writes = {step: (_ends(b_y, step), _ends(c_z, step), _ends(c_z, -step), _ends(a_y, -step))
+              for step in (1, -1)}
+    return a, b, c, flux[1:], scratch[2][m], b_y, b_z, writes
+
+
+def _slabs(geom: BaseGeometry) -> tuple[_Slab, ...]:
+    """One `_Slab` per slab of `geom._slab_planes` x-planes, in order."""
+    n, planes = geom.spec.nx, geom._slab_planes
+    shared = {}  # slab length -> `_scratch_views`
+    slabs = []
+    for i0 in range(0, n, planes):
+        i1 = min(i0 + planes, n)
+        m = i1 - i0
+        if m not in shared:
+            shared[m] = _scratch_views(geom._scratch, m)
+        flux = geom._scratch[1][:m + 1]
+        # flux[k] = f[i0+k] - f[i0+k-1], k = 0..m; a plane beyond the x-wrap
+        # (-1 or N_x) is read through the shear
+        lo, hi = max(i0, 1), min(i1, n - 1) + 1
+        first = flux[0] if i0 == 0 else None
+        last = flux[m] if i1 == n else None
+        # the forward form weights flux[k] by plane i0+k-1, the backward by i0+k
+        w_x = {}
+        for step in (1, -1):
+            j0 = i0 - (step == 1)
+            w_lo, w_hi = max(j0, 0), min(j0 + m, n - 1) + 1
+            w_x[step] = (slice(w_lo, w_hi), flux[w_lo - j0:w_hi - j0],
+                         first if step == 1 else last)
+        slabs.append(_Slab(slice(i0, i1), geom._q[i0:i1], *shared[m], slice(lo, hi),
+                           slice(lo - 1, hi - 1), flux[lo - i0:hi - i0], first, last, w_x))
+    return tuple(slabs)
 
 
 def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
-                       step: int, i0: int, i1: int, out: np.ndarray) -> None:
-    """One conservative form -D*(w D f) on x-planes [i0, i1) into out, D one-sided
-    in direction `step`.
+                       step: int, s: _Slab, out: np.ndarray) -> None:
+    """One conservative form -D*(w D f) on the x-planes of slab s into out, D
+    one-sided in direction `step`.
 
-    With d = _diff(.., step), d' = _diff(.., -step) = -h D* and the column
-    q = x * hy/hz, it takes differences unscaled and scales each part once:
+    With d the unscaled one-sided difference in direction step, d' the one
+    in direction -step (d' = -h D*) and the column q = x * hy/hz, it takes
+    differences unscaled and scales each part once:
 
         Fx = w * d_x f                 Fy = w * (d_y f + q * d_z f)
         out = d'_x Fx * hx^-2 + (d'_y Fy + q * d'_z Fy) * hy^-2
@@ -233,47 +296,62 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     sizes are powers of two the two agree bit for bit, and elsewhere they
     differ by rounding.
 
-    The Y part reads only the slab's m = i1 - i0 planes.  The X part needs
-    m + 1 planes of flux Fx: the slab's and one halo plane, i0 - 1 for the
-    forward form and i1 for the backward one, built in b from the
-    differences d[k] of _x_diff.  A plane beyond the x-wrap (-1 or N_x) is
-    read through the shear; that gather is a
+    The Y part reads only the slab's m planes; each y or z difference is a
+    flat pass and a wrap slab (see `_lines`).  The X part needs m + 1 planes
+    of flux Fx: the slab's and one halo plane, i0 - 1 for the forward form
+    and i1 for the backward one, built in b from the x differences
+    flux[k] = f[i0+k] - f[i0+k-1].  A plane beyond the x-wrap (-1 or N_x),
+    of f or of w, is gathered through the shear into c[m]; that gather is a
     permutation and commutes with every pointwise operation, so each entry
-    is bit for bit that of the whole-field expression.  f and w are whole
-    fields; out holds m planes.  The work fields a, b, c are the geometry's
-    slab scratch: q is filled into a, which d'_y Fy overwrites only after
-    the last product with q, so both products are contiguous.  Only the X
-    part writes out, after the last read of c, so out may be c[:m].
+    is bit for bit that of the whole-field expression.  The table's indices
+    are in range, so mode "clip" changes none of them; it lets `take` write
+    into c[m] without a copy of its own.  f and w are whole fields; out
+    holds m planes.  The work fields a, b, c are the geometry's slab
+    scratch: q is filled into a, which d'_y Fy overwrites only after the
+    last product with q, so both products are contiguous.  Only the X part
+    writes out, after the last read of c[:m], so out may be c[:m].
     """
-    m, n = i1 - i0, geom.spec.nx
-    fs = f[i0:i1]
-    a, b, c = geom._scratch
-    a, c, flux = a[:m], c[:m], b[:m + 1]
-    b = flux[:m]
-    a[...] = geom._q[i0:i1]
-    _diff(fs, 1, step, b)
-    _diff(fs, 2, step, c)
+    fs = f[s.rows]
+    flat = fs.reshape(-1)
+    nz = geom.spec.nz
+    a, b, c = s.a, s.b, s.c
+    (y, y_wrap), (z, z_wrap), (back_z, back_z_wrap), (back_y, back_y_wrap) = s.writes[step]
+    a[...] = s.q
+    # d_y f into b and d_z f into c, through the views `_lines` gives of f's slab
+    np.subtract(flat[nz:], flat[:-nz], out=y)
+    np.subtract(fs[:, 0], fs[:, -1], out=y_wrap)
+    np.subtract(flat[1:], flat[:-1], out=z)
+    np.subtract(fs[:, :, 0], fs[:, :, -1], out=z_wrap)
     c *= a
     b += c
     if w is not None:
-        b *= w[i0:i1]
-    _diff(b, 2, -step, c)
+        b *= w[s.rows]
+    lead, lag, first, last = s.b_z
+    np.subtract(lead, lag, out=back_z)
+    np.subtract(first, last, out=back_z_wrap)
     c *= a
-    _diff(b, 1, -step, a)
+    lead, lag, first, last = s.b_y
+    np.subtract(lead, lag, out=back_y)
+    np.subtract(first, last, out=back_y_wrap)
     a += c
     a *= geom.spec.ny ** 2
-    _x_diff(geom, f, i0, i1, flux)
+    wrap, gather = geom._wrap, s.gather
+    np.subtract(f[s.x_rows], f[s.x_prev], out=s.x_inner)
+    if s.x_first is not None:
+        f[-1].take(wrap[-1], out=gather, mode="clip")
+        np.subtract(f[0], gather, out=s.x_first)
+    if s.x_last is not None:
+        f[0].take(wrap[1], out=gather, mode="clip")
+        np.subtract(gather, f[-1], out=s.x_last)
     if w is not None:
-        # the forward form weights d[k] by plane i0+k-1, the backward by i0+k
-        j0 = i0 - (step == 1)
-        lo, hi = max(j0, 0), min(j0 + m, n - 1) + 1
-        flux[lo - j0:hi - j0] *= w[lo:hi]
-        if j0 < 0:
-            flux[0] *= np.take(w[-1], geom._wrap[-1])
-        if j0 + m == n:
-            flux[m] *= np.take(w[0], geom._wrap[1])
-    np.subtract(flux[1:], flux[:-1], out=out)
-    out *= n ** 2
+        rows, planes, wrapped = s.w_x[step]
+        planes *= w[rows]
+        if wrapped is not None:
+            # plane -1 for the forward form, N_x for the backward one
+            w[-1 if step == 1 else 0].take(wrap[-step], out=gather, mode="clip")
+            wrapped *= gather
+    np.subtract(s.flux_next, b, out=out)
+    out *= geom.spec.nx ** 2
     out += a
 
 
@@ -296,15 +374,12 @@ def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.nda
     """
     out = np.empty(geom.shape)
     both = w is not None and w.min() != w.max()
-    n, planes = geom.spec.nx, geom._slab_planes
-    for i0 in range(0, n, planes):
-        i1 = min(i0 + planes, n)
-        slab = out[i0:i1]
-        _conservative_form(geom, f, w, 1, i0, i1, slab)
+    for s in geom._slabs:
+        slab = out[s.rows]
+        _conservative_form(geom, f, w, 1, s, slab)
         if both:
-            bwd = geom._scratch[2][:i1 - i0]
-            _conservative_form(geom, f, w, -1, i0, i1, bwd)
-            slab += bwd
+            _conservative_form(geom, f, w, -1, s, s.c)
+            slab += s.c
             slab *= 0.5
     return out
 

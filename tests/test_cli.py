@@ -245,6 +245,20 @@ class TestRunFlow:
         assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 2
         assert main(["run-flow", "--config", cfg, "--out", str(out), "--overwrite"]) == 0
 
+    def test_out_made_once_with_its_parents(self, tmp_path, monkeypatch):
+        # every later write finds --out with a stat, not a failing mkdir
+        made = []
+        real = os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda *args, **kw: made.append(args)
+                            or real(*args, **kw))
+        cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\n"
+                        "snapshot_every = 1\n")
+        out = tmp_path / "a" / "out"
+        assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 0
+        assert len(list(out.glob("snap_*.cryf"))) >= 3
+        # os.makedirs makes the missing parent a by calling itself
+        assert made.count((str(out),)) == 1 and made == [(str(out),), (str(out.parent),)]
+
     def test_existing_snapshot_stops_before_any_write(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, body=OUTPUT_8_CFG + "[flow]\nt_end = 1e-3\nsnapshot_every = 1\n")
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,26 @@ class TestWorkFields:
                 assert a.dtype == np.float64 and a.flags.c_contiguous
                 assert not any(np.shares_memory(a, b) for b in work[i + 1:])
 
+    def test_slab_records_hold_only_views_of_the_scratch_and_q(self):
+        # the per-slab records add no array: every one is a view of a scratch
+        # field or of the q column, and slabs of one length share theirs
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, (tuple, dict)):
+                for y in (x.values() if isinstance(x, dict) else x):
+                    yield from arrays(y)
+
+        for shape in [(4, 4, 8), (33, 32, 32), (40, 32, 64), (64, 64, 64)]:
+            geom = build_nilmanifold(GridSpec(*shape))
+            owners = (*geom._scratch, geom._q)
+            assert [s.rows for s in geom._slabs] == [
+                slice(i0, min(i0 + geom._slab_planes, shape[0]))
+                for i0 in range(0, shape[0], geom._slab_planes)]
+            for s in geom._slabs:
+                assert all(any(a.base is o for o in owners) for a in arrays(tuple(s)))
+            assert len({id(s.a) for s in geom._slabs}) == len({s.c.shape for s in geom._slabs})
+
     def test_multi_slab_build_and_first_calls_hold_one_result_beyond_slab_scratch(self):
         # 40x32x64 runs in three slabs of 16 planes; the geometry holds only
         # its slab scratch and its wrap tables, and a call keeps its result; its
@@ -105,13 +126,17 @@ class TestWorkFields:
         assert geom._slab_planes == 16 and scratch == 3 * 17 * plane
 
     def test_first_kernel_call_allocates_only_its_result(self):
-        # the first call's peak is that of any later call (its result, a plane
-        # read through the wrap and numpy's iterator buffers), and once the
-        # result is dropped it has kept nothing; both conservative forms hold
+        # the first call's peak is that of any later call (its result and
+        # numpy's iterator buffers), and once the result is dropped it has
+        # kept nothing; both conservative forms hold
         # q, and the backward one its result, in the geometry's slab scratch
         f = random_field(build_nilmanifold(GridSpec(16, 16, 16)), 9)
         w = 0.5 + np.random.default_rng(4).random(f.shape)
         for call in (sub_laplacian_base, lambda geom, f: weighted_div_form(geom, w, f)):
+            # an untraced call on another geometry first fills numpy's own
+            # caches, which last for the process (the first `slab *= 0.5`
+            # keeps 1 KiB), so what follows does not depend on test order
+            call(build_nilmanifold(GridSpec(16, 16, 16)), f)
             geom = build_nilmanifold(GridSpec(16, 16, 16))
             peaks = []
             for _ in range(2):
@@ -416,6 +441,51 @@ class TestKernelMatchesReference:
             weighted_div_form(geom548, w, f)
         assert calls == [1, -1][:passes]
 
+    @pytest.mark.parametrize("shape", REFERENCE_GRIDS)
+    @pytest.mark.parametrize("weight", [None, "constant", "varying"])
+    def test_wrap_gathers_write_the_halo_plane_of_c(self, shape, weight):
+        # each gather across the x-wrap writes c[m], the plane past a slab of
+        # m planes in the third scratch field, which no result reads; with
+        # the scratch poisoned the result still matches bit for bit, and the
+        # first and the last slab's c[m] each hold a gathered plane
+        geom = build_nilmanifold(GridSpec(*shape))
+        for a in geom._scratch:
+            a.fill(np.nan)
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal(shape)
+        w = {None: None, "constant": np.full(shape, 2.5),
+             "varying": 0.5 + rng.random(shape)}[weight]
+        got = sub_laplacian_base(geom, f) if w is None else weighted_div_form(geom, w, f)
+        assert np.array_equal(got, shift_div_form_reference(geom, f, w))
+        gathered = [_shift(geom, a, 0, 1)[-1] for a in (f, w) if a is not None]
+        gathered += [_shift(geom, a, 0, -1)[0] for a in (f, w) if a is not None]
+        planes, n = geom._slab_planes, shape[0]
+        for m in (min(planes, n), (n - 1) % planes + 1):
+            assert any(np.array_equal(geom._scratch[2][m], p) for p in gathered)
+
+    @pytest.mark.parametrize("n, base_calls, weighted_calls", [(16, 10, 22), (64, 31, 64)])
+    def test_python_calls_per_kernel_call(self, n, base_calls, weighted_calls):
+        # the slab views are built with the geometry, so a call makes few
+        # Python-level calls beyond one `_conservative_form` per slab and form;
+        # the bounds, the calling lambda counted, are half of what a call made
+        # when it derived its views itself (20 and 44 at 16^3, 62 and 128 at 64^3)
+        geom = build_nilmanifold(GridSpec(n, n, n))
+        f = random_field(geom, 12)
+        w = 0.5 + np.abs(random_field(geom, 13))
+
+        def python_calls(call):
+            events = []
+            old = sys.getprofile()
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                call()
+            finally:
+                sys.setprofile(old)
+            return events.count("call")
+
+        assert python_calls(lambda: sub_laplacian_base(geom, f)) <= base_calls
+        assert python_calls(lambda: weighted_div_form(geom, w, f)) <= weighted_calls
+
     def test_noncontiguous_input(self, geom548):
         # on one slab, and on 40x16x64, whose second slab reads its halo
         # planes from a strided f and w
@@ -470,46 +540,68 @@ class TestShift:
 
 
 class TestDiff:
-    # the kernel differences y and z with _diff, and x, whose wrap shears,
-    # with _x_diff: n + 1 planes over all of x hold the forward difference
-    # in d[1:] and the backward one in d[:-1]
+    # the kernel differences y and z through the views of `_lines`, and x,
+    # whose wrap shears, plane by plane into the flux planes of a slab; a
+    # plane of f or w beyond the x-wrap is gathered into the slab's c[m]
     @pytest.mark.parametrize("shape", [(4, 4, 8), (5, 4, 8), (6, 4, 12)])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("step", [1, -1])
-    def test_bitwise_equal_to_shifted_difference(self, shape, axis, step):
+    def test_bitwise_equal_to_shifted_difference(self, monkeypatch, shape, axis, step):
         geom = build_nilmanifold(GridSpec(*shape))
-        g = np.random.default_rng(4 * axis + step + 1).standard_normal(shape)
-        if axis == 0:
-            n = shape[0]
-            d = np.empty((n + 1,) + shape[1:])
-            geometry._x_diff(geom, g, 0, n, d)
-            out = d[1:] if step == 1 else d[:-1]
-            # a slab's planes and its two halo planes are those of the whole
-            for i0 in range(n):
-                for i1 in range(i0 + 1, n + 1):
-                    part = np.empty((i1 - i0 + 1,) + shape[1:])
-                    geometry._x_diff(geom, g, i0, i1, part)
-                    assert np.array_equal(part, d[i0:i1 + 1])
-        else:
+        rng = np.random.default_rng(4 * axis + step + 1)
+        g = rng.standard_normal(shape)
+        if axis:
             out = np.empty(shape)
-            geometry._diff(g, axis, step, out)
-        shifted = _shift(geom, g, axis, step)
-        assert np.array_equal(out, shifted - g if step == 1 else g - shifted)
+            lead, lag, first, last = geometry._lines(g, axis)
+            dst, edge = geometry._ends(geometry._lines(out, axis), step)
+            np.subtract(lead, lag, out=dst)
+            np.subtract(first, last, out=edge)
+            shifted = _shift(geom, g, axis, step)
+            assert np.array_equal(out, shifted - g if step == 1 else g - shifted)
+            return
+        # planes -1..n, the outer two read through the shear: d[k] = g[k] - g[k-1]
+        # for k = 0..n, and flux[k] of slab [i0, i1) is d[i0+k], weighted by
+        # plane i0+k-1 in the forward form and by plane i0+k in the backward one
+        n, ny, nz = shape
+
+        def planes(a):
+            return np.concatenate([_shift(geom, a, 0, -1)[:1], a, _shift(geom, a, 0, 1)[-1:]])
+
+        w = 0.5 + rng.random(shape)
+        d, ws = np.diff(planes(g), axis=0), planes(w)
+        # every cut of x into slabs the kernel can make: slabs of p planes and a rest
+        for p in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_SLAB_POINTS", p * ny * nz)
+            cut = build_nilmanifold(GridSpec(*shape))
+            assert cut._slab_planes == p
+            for s in cut._slabs:
+                i0, i1 = s.rows.start, s.rows.stop
+                j0 = i0 - (step == 1)
+                for weight, scale in ((None, 1.0), (w, ws[j0 + 1:j0 + i1 - i0 + 2])):
+                    geometry._conservative_form(cut, g, weight, step, s, np.empty(s.c.shape))
+                    flux = np.concatenate([s.b, s.flux_next[-1:]])
+                    assert np.array_equal(flux, d[i0:i1 + 1] * scale)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("step", [1, -1])
     def test_peak_memory_one_plane_plus_slack(self, geom16, axis, step):
-        # the flat pass allocates nothing; the wrap may: each x-wrap take
-        # builds one x-plane, and numpy's iterator gives a strided 2-D slab
-        # three slab-sized buffers (6 KiB here), inside the 8 KiB slack
+        # the flat pass allocates nothing; the wrap may: numpy's iterator gives
+        # a strided 2-D slab three slab-sized buffers (6 KiB here), inside the
+        # 8 KiB slack; a whole conservative form, whose gathers across the
+        # x-wrap write into the slab scratch, needs no more
         g = random_field(geom16, 4)
-        out = np.empty((17, 16, 16) if axis == 0 else geom16.shape)
+        w = 0.5 + np.abs(random_field(geom16, 5))
+        out = np.empty(geom16.shape)
+        s = geom16._slabs[0]
 
         def diff():
             if axis == 0:
-                geometry._x_diff(geom16, g, 0, 16, out)
+                geometry._conservative_form(geom16, g, w, step, s, out)
             else:
-                geometry._diff(g, axis, step, out)
+                lead, lag, first, last = geometry._lines(g, axis)
+                dst, edge = geometry._ends(geometry._lines(out, axis), step)
+                np.subtract(lead, lag, out=dst)
+                np.subtract(first, last, out=edge)
 
         diff()
         tracemalloc.start()
