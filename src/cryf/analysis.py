@@ -204,17 +204,10 @@ def _curvature_rhs(state: ConformalState, r: np.ndarray) -> np.ndarray:
 
 
 def curvature_evolution_residual(window: ProbeWindow) -> float:
-    """Normalized L2 residual of dR/dt = 2 Lap_u R + R^2 at a window's centre.
-
-    The norm is L2 with the evolving volume weight, normalized by
-    max(1, |rhs|_L2).
-    """
-    geom, dv = window.state.geom, window.volume_element
+    """Normalized L2 residual of dR/dt = 2 Lap_u R + R^2 at a window's centre:
+    `_relative_l2` of the centred rate of R against the right-hand side."""
     rhs = _curvature_rhs(window.state, window.curvature)
-    # |rhs| first, so that the residual is built in rhs's own array
-    den = max(1.0, _weighted_l2(geom, rhs, dv))
-    np.subtract(window.curvature_rate, rhs, out=rhs)
-    return float(_weighted_l2(geom, rhs, dv) / den)
+    return _relative_l2(window.state.geom, window.curvature_rate, rhs, window.volume_element)
 
 
 def _weighted_l2(geom, f: np.ndarray, dv: np.ndarray):
@@ -224,10 +217,14 @@ def _weighted_l2(geom, f: np.ndarray, dv: np.ndarray):
     return np.sqrt(integrate_base(geom, work))
 
 
-def relative_l2(geom, resid: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
-    """|resid| / max(1, |ref|) in the L2 norm weighted by the volume element dv."""
-    num = _weighted_l2(geom, resid, dv)
-    return float(num / max(1.0, _weighted_l2(geom, ref, dv)))
+def _relative_l2(geom, rate: np.ndarray, ref: np.ndarray, dv: np.ndarray) -> float:
+    """|rate - ref| / max(1, |ref|) in the L2 norm weighted by the volume element dv.
+
+    |ref| is taken first, then rate - ref is built in ref's own array: ref is
+    overwritten, and rate and dv are only read."""
+    den = max(1.0, _weighted_l2(geom, ref, dv))
+    np.subtract(rate, ref, out=ref)
+    return float(_weighted_l2(geom, ref, dv) / den)
 
 
 class IdentityResiduals(NamedTuple):

@@ -59,8 +59,9 @@ class ConformalState:
 
 
 def _check_above_floor(u: np.ndarray, u_floor: float) -> None:
-    if u.min() <= u_floor:
-        raise PositivityError(f"conformal factor at/below floor: min u = {u.min()} <= {u_floor}")
+    lo = np.minimum.reduce(u, axis=None)
+    if lo <= u_floor:
+        raise PositivityError(f"conformal factor at/below floor: min u = {lo} <= {u_floor}")
 
 
 def _webster_raw(geom: BaseGeometry, u: np.ndarray, u_floor: float) -> np.ndarray:

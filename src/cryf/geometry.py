@@ -355,25 +355,22 @@ def _conservative_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None,
     out += a
 
 
-def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Conservative form -D*(w D f) in a new field, symmetrized when the weight varies.
+def _div_form(geom: BaseGeometry, f: np.ndarray, w: np.ndarray | None, both: bool) -> np.ndarray:
+    """Conservative form -D*(w D f) in a new field, symmetrized when `both`.
 
     Each one-sided form carries an exact adjoint pair, so symmetry, negative
-    semidefiniteness and exact zero mean hold for any positive weight.  For
-    a weight that varies, the forward-flux and backward-flux forms are
-    averaged, which cancels the O(h) weight-offset error of either one and
-    gives second-order consistency for smooth weights.  For no weight or a
-    constant one the two forms are the same linear operator (the lattice
-    shifts commute, and x is constant along y and z), so only the forward
-    form is evaluated; it differs from the average only by rounding.
+    semidefiniteness and exact zero mean hold for any positive weight.  With
+    `both` (the caller's choice; this function reduces no field), the
+    forward-flux and backward-flux forms are averaged, which cancels the
+    O(h) weight-offset error of either one and gives second-order
+    consistency for smooth weights.  Without it only the forward form runs:
+    for no weight or a constant one the two forms are the same linear
+    operator (the lattice shifts commute, and x is constant along y and z).
 
-    Both forms run one slab of x-planes at a time in the geometry's three
-    slab-sized scratch fields, so each pass reads and writes fields that
-    fit in a core's L2 cache (a whole 64^3 field is 2 MiB, a full L2).  The
-    first holds q, and the third the backward form's slab result.
+    Both forms run slab by slab in the geometry's three scratch fields, which
+    fit in L2 cache; the first holds q, and the third the backward result.
     """
     out = np.empty(geom.shape)
-    both = w is not None and w.min() != w.max()
     for s in geom._slabs:
         slab = out[s.rows]
         _conservative_form(geom, f, w, 1, s, slab)
@@ -393,7 +390,7 @@ def sub_laplacian_base(geom: BaseGeometry, f: np.ndarray) -> np.ndarray:
     and identical bit for bit to `weighted_div_form` with unit weight.
     """
     f = _check_field(geom, f)
-    return _div_form(geom, f, None)
+    return _div_form(geom, f, None, False)
 
 
 def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -404,13 +401,17 @@ def weighted_div_form(geom: BaseGeometry, w: np.ndarray, f: np.ndarray) -> np.nd
     form alone when w is constant, where the two are the same operator.
     Symmetric in the grid inner product, negative semidefinite for w > 0,
     grid sum telescoping to zero exactly, and second-order consistent with
-    div(w grad f) for smooth positive weights.
+    div(w grad f) for smooth positive weights.  It reduces w once to its
+    minimum and once to its maximum, and runs both forms when they differ;
+    a minimum that is not positive, or a nan anywhere in w, raises ValueError.
     """
     f = _check_field(geom, f)
     w = _check_field(geom, w, "w")
-    if w.min() <= 0.0:
-        raise ValueError(f"weight must be positive everywhere (min={w.min()})")
-    return _div_form(geom, f, w)
+    # the reductions of w.min() and w.max(), without their Python-level wrappers
+    lo = np.minimum.reduce(w, axis=None)
+    if not lo > 0.0:
+        raise ValueError(f"weight must be positive everywhere (min={lo})")
+    return _div_form(geom, f, w, lo != np.maximum.reduce(w, axis=None))
 
 
 def integrate_base(geom: BaseGeometry, f: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,28 @@ def single_mode_state(geom, epsilon=0.1, coord="y"):
     s = y if coord == "y" else x
     u = 1.0 + epsilon * np.sin(2.0 * np.pi * s) + np.zeros(geom.shape)
     return ConformalState(geom, u, 0.0)
+
+
+def record_calls(monkeypatch, owner, name, record=lambda *args, **kwargs: None):
+    """Patch owner.name to append record(*args, **kwargs) to the list returned
+    here, then make the original call; by default the list only counts calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def traced_memory(call):
+    """(kept, peak): the bytes tracemalloc sees still allocated after call()
+    returns and its result is dropped, and the most it saw during the call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cryf.analysis import (
     DiagnosticsRecord,
     _curvature_rhs,
+    _relative_l2,
     constancy_verdict,
     curvature_evolution_residual,
     curvature_moments,
@@ -20,7 +21,6 @@ from cryf.analysis import (
     make_record,
     mean_curvature_rate_residual,
     monotonicity_audit,
-    relative_l2,
     volume_rate_residual,
     yamabe_quantity,
 )
@@ -38,7 +38,7 @@ from cryf.errors import FloatRangeError
 from cryf.flow import FlowConfig, integrate_fixed, probe_window, run_flow
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base, weighted_div_form
 
-from conftest import random_state, single_mode_state
+from conftest import random_state, record_calls, single_mode_state, traced_memory
 from reference import REFERENCE_GRIDS, dE_dt_from_moments, integrate_conformal
 
 
@@ -251,12 +251,7 @@ class TestCurvatureEvolutionResidual:
         for n in (16, 32):
             window = probe_window(single_mode_state(build_nilmanifold(GridSpec(n, n, n)), 0.1),
                                   1e-4)
-            tracemalloc.start()
-            try:
-                curvature_evolution_residual(window)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_memory(lambda: curvature_evolution_residual(window))[1]
             assert peak <= 2.5 * window.state.u.nbytes
 
     def test_decreases_under_grid_refinement(self):
@@ -269,7 +264,7 @@ class TestCurvatureEvolutionResidual:
 
 
 def old_relative_l2(geom, resid, ref, dv):
-    # the expression relative_l2 evaluated before it reused one work field
+    # |resid| / max(1, |ref|) with a new field per operation, the reference for _relative_l2
     num = np.sqrt(integrate_base(geom, resid * resid * dv))
     den = max(1.0, np.sqrt(integrate_base(geom, ref * ref * dv)))
     return float(num / den)
@@ -309,9 +304,9 @@ class TestInPlaceArithmetic:
             geom = state.geom
             dv = conformal_volume_element(state)
             for scale in (1e-3, 1.0, 1e3):
-                resid, ref = scale * rng.standard_normal((2, *geom.shape))
-                got = relative_l2(geom, resid, ref, dv)
-                assert got.hex() == old_relative_l2(geom, resid, ref, dv).hex()
+                rate, ref = scale * rng.standard_normal((2, *geom.shape))
+                want = old_relative_l2(geom, rate - ref, ref, dv)
+                assert _relative_l2(geom, rate, ref, dv).hex() == want.hex()
 
     @pytest.mark.parametrize("shape", GRIDS_16)
     def test_curvature_rhs_and_residual(self, shape):
@@ -348,11 +343,24 @@ class TestOutFields:
         assert [record.vol.hex(), record.intR.hex(), record.intR2.hex()] == [v.hex() for v in sums]
         want = make_record(state)
         assert [v.hex() for v in record.as_tuple()] == [v.hex() for v in want.as_tuple()]
-        resid, ref = np.random.default_rng(10).standard_normal((2, *shape))
-        keep = resid.tobytes(), ref.tobytes(), dv.tobytes()
-        got = relative_l2(geom, resid, ref, dv)
-        assert got.hex() == old_relative_l2(geom, resid, ref, dv).hex()
-        assert (resid.tobytes(), ref.tobytes(), dv.tobytes()) == keep
+        rate, ref = np.random.default_rng(10).standard_normal((2, *shape))
+        keep = rate.tobytes(), dv.tobytes()
+        want = old_relative_l2(geom, rate - ref, ref, dv)
+        assert _relative_l2(geom, rate, ref, dv).hex() == want.hex()
+        assert (rate.tobytes(), dv.tobytes()) == keep
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_relative_l2_writes_only_into_ref(self, n):
+        # ref ends as rate - ref, rate and dv as they were, and the call holds
+        # one work field at a time
+        geom = build_nilmanifold(GridSpec(n, n, n))
+        rate, ref, dv = np.random.default_rng(n).standard_normal((3, n, n, n))
+        dv = 1.0 + dv * dv
+        _relative_l2(geom, rate, ref.copy(), dv)  # warm-up
+        want, keep = rate - ref, (rate.tobytes(), dv.tobytes())
+        peak = traced_memory(lambda: _relative_l2(geom, rate, ref, dv))[1]
+        assert ref.tobytes() == want.tobytes() and (rate.tobytes(), dv.tobytes()) == keep
+        assert peak <= dv.nbytes + 4096
 
 
 class TestIdentityResiduals:
@@ -369,14 +377,8 @@ class TestIdentityResiduals:
             == abs(fd - r1.dEdt_formula) / max(1.0, abs(r1.dEdt_formula))
 
     def test_one_probe_pair_per_state(self, geom448, monkeypatch):
-        calls = []
-        real = cryf.flow.integrate_fixed
-
-        def counting(state, t_offset, *args):
-            calls.append(t_offset)
-            return real(state, t_offset, *args)
-
-        monkeypatch.setattr(cryf.flow, "integrate_fixed", counting)
+        calls = record_calls(monkeypatch, cryf.flow, "integrate_fixed",
+                             lambda state, t_offset, *args: t_offset)
         state = random_state(geom448, 5, smooth=2)
         window = probe_window(state, 1e-4)
         assert calls == [-1e-4, 1e-4]

@@ -20,8 +20,11 @@ import cryf.cli
 import cryf.conformal
 import cryf.errors
 import cryf.flow
+import cryf.geometry
 import cryf.soliton
 from cryf.cli import CSV_HEADER, main
+
+from conftest import record_calls, traced_memory
 
 BASE_CFG = """
 [geometry]
@@ -57,15 +60,7 @@ OUTPUT_8_CFG = "[geometry]\nN_x = 8\nN_y = 8\nN_z = 8\n\n[initial_data]\npreset 
 
 def count_geometries(monkeypatch):
     """Record the grid of every geometry the CLI builds from now on."""
-    specs = []
-    real = cryf.cli.build_nilmanifold
-
-    def counting(spec):
-        specs.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(cryf.cli, "build_nilmanifold", counting)
-    return specs
+    return record_calls(monkeypatch, cryf.cli, "build_nilmanifold", lambda spec: spec)
 
 
 def main_without_a_command():
@@ -454,26 +449,15 @@ class TestCheckIdentities:
         res = cryf.analysis.identity_residuals(window)
         monkeypatch.setattr(cryf.flow, "probe_window", lambda *args: window)
         monkeypatch.setattr(cryf.analysis, "identity_residuals", lambda *args: res)
-        cryf.cli._identity_rows(cfg, state)  # warm-up
-        tracemalloc.start()
-        try:
-            rows = cryf.cli._identity_rows(cfg, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows = cryf.cli._identity_rows(cfg, state)  # warm-up
+        peak = traced_memory(lambda: cryf.cli._identity_rows(cfg, state))[1]
         assert [name for name, _, _ in rows[4:]] == ["scaling_invariance",
                                                      "pullback_invariance"]
         assert peak <= 4.2 * state.u.nbytes
 
     def test_integrates_one_probe_pair(self, tmp_path, monkeypatch):
-        calls = []
-        real = cryf.flow.integrate_fixed
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cryf.flow, "integrate_fixed", counting)
+        calls = record_calls(monkeypatch, cryf.flow, "integrate_fixed",
+                             lambda state, t_offset, *args: t_offset)
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [-1e-4, 1e-4]
@@ -482,14 +466,7 @@ class TestCheckIdentities:
         # curvatures outside the flow right-hand side: R at t - delta, t and
         # t + delta, shared by the window, the evolution residual and the
         # invariance rows (3), plus the scaled and pulled-back states (2)
-        calls = []
-        real = cryf.conformal._webster_raw
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw")
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 5
@@ -497,16 +474,10 @@ class TestCheckIdentities:
     def test_one_record_per_state(self, tmp_path, monkeypatch):
         # the two probes, then the centre, whose record gives E at t, and the
         # scaled and pulled-back states
-        calls = []
-        real = cryf.analysis.curvature_moments
-
-        def counting(state, *args, **kwargs):
-            calls.append(state.t)
-            return real(state, *args, **kwargs)
-
+        calls = record_calls(monkeypatch, cryf.analysis, "curvature_moments",
+                             lambda state, *args: state.t)
         # the probe window calls it through flow's binding, the invariance rows through analysis
-        monkeypatch.setattr(cryf.analysis, "curvature_moments", counting)
-        monkeypatch.setattr(cryf.flow, "curvature_moments", counting)
+        monkeypatch.setattr(cryf.flow, "curvature_moments", cryf.analysis.curvature_moments)
         cfg = write_cfg(tmp_path, "single_mode_y", "epsilon = 0.1\n")
         assert main(["check-identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [-1e-4, 1e-4, 0.0, 0.0, 0.0]
@@ -617,11 +588,13 @@ class TestConvergenceStudy:
 
     def test_manufactured_phase_memory(self, tmp_path, monkeypatch):
         # traced memory in fields of the largest grid (16^3) from the command's
-        # start to its first identity probe: the two geometries' slab scratch
-        # and the first initial state (4.18 at the probe), and while a case
-        # runs its own field and temporaries (the peak reads 7.09); no case's
-        # fields outlast its row.  numpy's ufunc buffers are cut to 1024
-        # elements, so that they count for 0.25 of a 16^3 field, not 2
+        # start to its first identity probe, less the two geometries' slab
+        # records (their bytes per slab are pinned in TestWorkFields): the slab
+        # scratch, the wrap tables and the first initial state (4.15 at the
+        # probe, run alone), and while a case runs its own field and
+        # temporaries (the peak reads 7.06); no case's fields outlast its row.
+        # numpy's ufunc buffers are cut to 1024 elements, so that they count
+        # for 0.25 of a 16^3 field, not 2
         class FirstProbe(Exception):
             pass
 
@@ -643,7 +616,10 @@ class TestConvergenceStudy:
         finally:
             tracemalloc.stop()
             np.setbufsize(bufsize)
-        kept, peak = (m / (8 * 16**3) for m in probe.value.args[0])
+        geoms = [cryf.geometry.build_nilmanifold(cryf.geometry.GridSpec(n, n, n)) for n in (8, 16)]
+        held = []
+        records = sum(traced_memory(lambda: held.append(cryf.geometry._slabs(g)))[0] for g in geoms)
+        kept, peak = ((m - records) / (8 * 16**3) for m in probe.value.args[0])
         assert kept <= 4.4 and peak <= 7.3
 
     def test_one_geometry_per_grid(self, tmp_path, monkeypatch):
@@ -699,14 +675,7 @@ class TestSolitonCheck:
         assert "THEOREM VIOLATION" not in table
 
     def test_one_curvature_per_sampled_time(self, tmp_path, monkeypatch):
-        calls = []
-        real = cryf.conformal._webster_raw
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw")
         cfg = write_cfg(tmp_path, body=BASE_CFG.format(preset="constant", extra="").replace(
             "= 16", "= 8"))
         out = tmp_path / "out"

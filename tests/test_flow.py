@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,7 +18,7 @@ from cryf.flow import (
     step_adaptive,
 )
 from cryf.geometry import GridSpec, build_nilmanifold, sub_laplacian_base
-from conftest import random_state, single_mode_state
+from conftest import random_state, record_calls, single_mode_state, traced_memory
 from reference import REFERENCE_GRIDS
 
 # frozen regression value: final/initial E for single_mode_y epsilon=0.2 on
@@ -182,15 +181,6 @@ class TestStepAdaptive:
         assert cfg.dt_min <= dt_next <= cfg.dt_max
 
 
-def peak_of(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStepAllocations:
     """A four-stage step makes its own stage field, and the geometry holds only
     the kernel's slab scratch.  While the kernel builds a slope, the step
@@ -203,18 +193,18 @@ class TestStepAllocations:
     def warm(self, geom16):
         state = single_mode_state(geom16, 0.2)
         integrate_fixed(state, 1e-4, 1)  # warm-up
-        return state, state.u.nbytes, peak_of(lambda: _du_dt(geom16, state.u))
+        return state, state.u.nbytes, traced_memory(lambda: _du_dt(geom16, state.u))[1]
 
     def test_rk4_holds_one_field(self, geom16, warm):
         # the slope sum, which becomes the result
         state, field_bytes, kernel = warm
-        peak = peak_of(lambda: flow._rk4_any(geom16, state.u, 1e-4, DEFAULT_U_FLOOR))
+        peak = traced_memory(lambda: flow._rk4_any(geom16, state.u, 1e-4, DEFAULT_U_FLOOR))[1]
         assert peak <= 2.2 * field_bytes + kernel
 
     def test_integrate_fixed_holds_two_fields(self, geom16, warm):
         # the previous step's result and the current slope sum
         state, field_bytes, kernel = warm
-        peak = peak_of(lambda: integrate_fixed(state, 1e-4, 8))
+        peak = traced_memory(lambda: integrate_fixed(state, 1e-4, 8))[1]
         assert peak <= 3.2 * field_bytes + kernel
 
     def test_rejecting_step_holds_two_fields(self, geom16, warm, monkeypatch):
@@ -236,7 +226,7 @@ class TestStepAllocations:
             step_adaptive(state, 3e-4, cfg)
         # two completed attempts: the first is rejected by error control
         assert len(completed) == 6
-        peak = peak_of(lambda: step_adaptive(state, 3e-4, cfg))
+        peak = traced_memory(lambda: step_adaptive(state, 3e-4, cfg))[1]
         assert peak <= 3.2 * field_bytes + kernel
 
     def test_results_share_no_memory(self, geom16):
@@ -433,14 +423,8 @@ class TestRunFlow:
         # and longer only as snapshots[0]
         states = [single_mode_state(geom16, 0.2)]
         initial = weakref.ref(states[0])
-        alive = []
-        real = flow.step_adaptive
-
-        def watching(*args):
-            alive.append(initial() is not None)
-            return real(*args)
-
-        monkeypatch.setattr(flow, "step_adaptive", watching)
+        alive = record_calls(monkeypatch, flow, "step_adaptive",
+                             lambda *args: initial() is not None)
         cfg = FlowConfig(t_end=1e-4, dt_init=2e-5, dt_max=2e-5, snapshot_every=snapshot_every)
         traj = run_flow(states.pop(), cfg)
         assert len(alive) >= 3

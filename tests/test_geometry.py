@@ -1,7 +1,6 @@
 import functools
 import itertools
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +20,27 @@ from cryf.geometry import (
 from cryf import geometry
 from cryf import manufactured as mfg
 
-from conftest import random_field
+from conftest import random_field, record_calls, traced_memory
 from reference import (REFERENCE_GRIDS, SINGLE_SLAB_GRIDS, canonical_index,
                        frame_commutator_check, frame_derivative, frame_derivative_adjoint,
                        grid_inner, theta_frame_derivatives)
+
+
+def python_calls(call):
+    """Names of the Python functions that run, the calling one included, during call()."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(old)
+    return names
 
 
 class TestGridSpec:
@@ -99,6 +115,17 @@ class TestWorkFields:
                 assert all(any(a.base is o for o in owners) for a in arrays(tuple(s)))
             assert len({id(s.a) for s in geom._slabs}) == len({s.c.shape for s in geom._slabs})
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_slab_records_bytes_per_slab(self, n):
+        # a grid of one slab: the views, tuples and dicts of its record read
+        # 4.3-5.2 KB (up to 0.16 of a 16^3 field) with the first record kept,
+        # depending on numpy's and the interpreter's caches; this bounds what
+        # test_manufactured_phase_memory leaves out of its count
+        geom = build_nilmanifold(GridSpec(n, n, n))
+        held = [geometry._slabs(geom)]
+        kept = traced_memory(lambda: held.append(geometry._slabs(geom)))[0]
+        assert len(held[1]) == len(geom._slabs) == 1 and kept <= 6144
+
     def test_multi_slab_build_and_first_calls_hold_one_result_beyond_slab_scratch(self):
         # 40x32x64 runs in three slabs of 16 planes; the geometry holds only
         # its slab scratch and its wrap tables, and a call keeps its result; its
@@ -109,20 +136,15 @@ class TestWorkFields:
         f = rng.standard_normal(spec.shape)
         w = 0.5 + rng.random(spec.shape)
         field, plane = 8 * spec.npoints, 8 * spec.ny * spec.nz
-        tracemalloc.start()
-        try:
-            geom = build_nilmanifold(spec)
-            scratch = sum(a.nbytes for a in geom._scratch)
-            for call in (lambda: weighted_div_form(geom, w, f),
-                         lambda: sub_laplacian_base(geom, f)):
-                tracemalloc.reset_peak()
-                result = call()
-                kept, peak = tracemalloc.get_traced_memory()
-                del result
-                assert kept <= field + scratch + 3 * plane
-                assert peak <= kept + 3 * plane
-        finally:
-            tracemalloc.stop()
+        held = []
+        built = traced_memory(lambda: held.append(build_nilmanifold(spec)))[0]
+        geom = held.pop()
+        scratch = sum(a.nbytes for a in geom._scratch)
+        for call in (lambda: weighted_div_form(geom, w, f), lambda: sub_laplacian_base(geom, f)):
+            kept, peak = traced_memory(lambda: held.append(call()))
+            held.clear()
+            assert built + kept <= field + scratch + 3 * plane
+            assert peak <= kept + 3 * plane
         assert geom._slab_planes == 16 and scratch == 3 * 17 * plane
 
     def test_first_kernel_call_allocates_only_its_result(self):
@@ -140,12 +162,7 @@ class TestWorkFields:
             geom = build_nilmanifold(GridSpec(16, 16, 16))
             peaks = []
             for _ in range(2):
-                tracemalloc.start()
-                try:
-                    call(geom, f)
-                    kept, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+                kept, peak = traced_memory(lambda: call(geom, f))
                 assert kept <= 1024
                 peaks.append(peak)
             assert peaks[0] <= peaks[1] + 1024
@@ -266,6 +283,14 @@ class TestDivForm:
         w = np.ones(geom4.shape)
         w[0, 0, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
+            weighted_div_form(geom4, w, np.ones(geom4.shape))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (-1, -1, -1)])
+    def test_nan_weight_rejected(self, geom4, where):
+        # a nan propagates into the minimum, which is then not positive
+        w = np.ones(geom4.shape)
+        w[where] = np.nan
+        with pytest.raises(ValueError, match=r"^weight must be positive everywhere \(min=nan\)$"):
             weighted_div_form(geom4, w, np.ones(geom4.shape))
 
     @given(st.integers(0, 2**32 - 1))
@@ -424,14 +449,7 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("weight,passes", [(None, 1), ("constant", 1), ("varying", 2)])
     def test_conservative_form_passes(self, geom548, monkeypatch, weight, passes):
-        calls = []
-        real = geometry._conservative_form
-
-        def counting(*args):
-            calls.append(args[3])
-            return real(*args)
-
-        monkeypatch.setattr(geometry, "_conservative_form", counting)
+        calls = record_calls(monkeypatch, geometry, "_conservative_form", lambda *args: args[3])
         f = random_field(geom548, 7)
         if weight is None:
             sub_laplacian_base(geom548, f)
@@ -472,19 +490,17 @@ class TestKernelMatchesReference:
         geom = build_nilmanifold(GridSpec(n, n, n))
         f = random_field(geom, 12)
         w = 0.5 + np.abs(random_field(geom, 13))
+        assert len(python_calls(lambda: sub_laplacian_base(geom, f))) <= base_calls
+        assert len(python_calls(lambda: weighted_div_form(geom, w, f))) <= weighted_calls
 
-        def python_calls(call):
-            events = []
-            old = sys.getprofile()
-            sys.setprofile(lambda frame, event, arg: events.append(event))
-            try:
-                call()
-            finally:
-                sys.setprofile(old)
-            return events.count("call")
-
-        assert python_calls(lambda: sub_laplacian_base(geom, f)) <= base_calls
-        assert python_calls(lambda: weighted_div_form(geom, w, f)) <= weighted_calls
+    def test_weight_reduced_without_python_calls(self, geom16):
+        # w's minimum and maximum are ufunc reductions, which run no Python
+        # function (w.min() and w.max() run numpy's _amin and _amax); the
+        # calling lambda counted, a call runs 7 at 16^3
+        f = random_field(geom16, 12)
+        w = 0.5 + np.abs(random_field(geom16, 13))
+        names = python_calls(lambda: weighted_div_form(geom16, w, f))
+        assert len(names) <= 7 and not {"_amin", "_amax"} & set(names)
 
     def test_noncontiguous_input(self, geom548):
         # on one slab, and on 40x16x64, whose second slab reads its halo
@@ -604,13 +620,7 @@ class TestDiff:
                 np.subtract(first, last, out=edge)
 
         diff()
-        tracemalloc.start()
-        try:
-            diff()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 16 * 16 + 8192
+        assert traced_memory(diff)[1] <= 8 * 16 * 16 + 8192
 
 
 # one case per row of the convergence-study table

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from cryf.soliton import (
     soliton_theorem_harness,
 )
 
-from conftest import random_state, single_mode_state
+from conftest import random_state, record_calls, single_mode_state, traced_memory
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -90,12 +89,7 @@ class TestSolitonState:
         # the shifted copy is the only field; validation adds a boolean mask
         fam = SolitonFamily(random_state(geom16, 7), 0.5, 1.0)
         soliton_state(fam, 0.25)
-        tracemalloc.start()
-        try:
-            soliton_state(fam, 0.25)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_memory(lambda: soliton_state(fam, 0.25))[1]
         assert peak <= 1.5 * fam.base.u.nbytes
 
     def test_state_shares_no_memory_with_base(self, geom448):
@@ -284,14 +278,7 @@ class TestFamilyScan:
                     [v.hex() for v in ref.as_tuple()]
 
     def test_one_curvature_per_sampled_time(self, geom448, monkeypatch):
-        calls = []
-        real = cryf.conformal._webster_raw
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(cryf.conformal, "_webster_raw", counting)
+        calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw")
         fam = constant_family(geom448, rate=1.0)
         soliton_theorem_harness(scan_family(fam, TIMES))
         assert len(calls) == 1 + len(TIMES)

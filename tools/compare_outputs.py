@@ -78,6 +78,10 @@ RUNS = (
     Run("convergence", "convergence-study", shipped("convergence")),
     Run("soliton_sweep", "soliton-check", shipped("soliton_sweep")),
     Run("constant_8", "run-flow", GRID_8 + "[initial_data]\npreset = constant\nc = 1.5\n"),
+    # the weight u^2 of the conformal sub-Laplacian is constant, so the kernel runs
+    # its forward form alone; R is +0.0 everywhere, and every row reads 0
+    Run("identities_constant_8", "check-identities",
+        GRID_8 + "[initial_data]\npreset = constant\nc = 1.5\n"),
     # one scaled, Reeb-translated family besides the two negative controls
     Run("soliton_family_8", "soliton-check",
         GRID_8 + "[initial_data]\npreset = single_mode_y\nepsilon = 0.1\n\n"

@@ -4,8 +4,10 @@ Usage: python3 tools/percall.py [BASE_REV] [--grids 16,32,64] [--rounds 5]
 
 Times `sub_laplacian_base`, `weighted_div_form` (weight u^2), `flow._du_dt`,
 `flow._rk4_any`, one `flow.step_adaptive` from `[flow]`'s default dt_init,
-and `analysis.make_record`, on the `random_smooth` seed-1 field of each N^3
-grid, in a fresh process per round.  Each of a process's REPEATS repeats
+`analysis.make_record`, `analysis.curvature_evolution_residual` on a
+`ProbeWindow` built from the field itself, and `soliton._sample` of the
+static family on it, on the `random_smooth` seed-1 field of each N^3 grid,
+in a fresh process per round.  Each of a process's REPEATS repeats
 runs a call as many times as take about 20 ms, and the fastest repeat gives
 that process's time per call; a row shows the median and the quartiles of
 those times over the rounds, in microseconds.
@@ -35,14 +37,14 @@ from compare_outputs import export_src
 ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = ("sub_laplacian_base", "weighted_div_form", "_du_dt", "_rk4_any",
-          "step_adaptive", "make_record")
+          "step_adaptive", "make_record", "curvature_evolution_residual", "_sample")
 REPEATS = 9
 
 
 def layer_calls(n: int) -> dict:
     """The call of each of LAYERS on the random_smooth seed-1 field of an n^3 grid."""
     # imported here: a worker's PYTHONPATH picks the tree, and the parent needs none
-    from cryf import analysis, flow
+    from cryf import analysis, flow, soliton
     from cryf.config import FlowConfig
     from cryf.geometry import GridSpec, build_nilmanifold, sub_laplacian_base, \
         weighted_div_form
@@ -51,6 +53,11 @@ def layer_calls(n: int) -> dict:
     geom = build_nilmanifold(GridSpec(n, n, n))
     state = make_initial_state(geom, "random_smooth", seed=1)
     u, w, cfg = state.u, state.u * state.u, FlowConfig()
+    # the window's rate is R itself: the residual's time does not depend on it,
+    # and a real probe on this field leaves the positive cone at 32^3 and 64^3
+    r, dv, record = analysis.curvature_moments(state)
+    window = analysis.ProbeWindow(state, r, dv, r, (record,) * 3)
+    static = soliton.SolitonFamily(state, 0.0, 0.0)
     return {
         "sub_laplacian_base": lambda: sub_laplacian_base(geom, u),
         "weighted_div_form": lambda: weighted_div_form(geom, w, u),
@@ -58,6 +65,8 @@ def layer_calls(n: int) -> dict:
         "_rk4_any": lambda: flow._rk4_any(geom, u, cfg.dt_init, cfg.u_floor),
         "step_adaptive": lambda: flow.step_adaptive(state, cfg.dt_init, cfg),
         "make_record": lambda: analysis.make_record(state),
+        "curvature_evolution_residual": lambda: analysis.curvature_evolution_residual(window),
+        "_sample": lambda: soliton._sample(static, 0.0, 1e-4),
     }
 
 
@@ -91,11 +100,11 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
 
 def table(pooled: dict, sides: list[str]) -> list[str]:
     """One row per grid and layer: median [q1, q3] in microseconds per side."""
-    head = f"{'grid':>5} {'layer':<19}" + "".join(f" {side + ' us':>27}" for side in sides)
+    head = f"{'grid':>5} {'layer':<28}" + "".join(f" {side + ' us':>27}" for side in sides)
     lines = [head + ("  tree/base" if len(sides) == 2 else "")]
     for grid in pooled[sides[0]]:
         for name in LAYERS:
-            medians, row = [], f"{grid + '^3':>5} {name:<19}"
+            medians, row = [], f"{grid + '^3':>5} {name:<28}"
             for side in sides:
                 q1, q2, q3 = (1e6 * q for q in quartiles(pooled[side][grid][name]))
                 medians.append(q2)
