@@ -27,20 +27,15 @@ from reference import (REFERENCE_GRIDS, SINGLE_SLAB_GRIDS, canonical_index,
 
 
 def python_calls(call):
-    """Names of the Python functions that run, the calling one included, during call()."""
-    names = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            names.append(frame.f_code.co_name)
-
+    """How many Python functions run, the calling one included, during call()."""
+    events = []
     old = sys.getprofile()
-    sys.setprofile(profile)
+    sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
         call()
     finally:
         sys.setprofile(old)
-    return names
+    return events.count("call")
 
 
 class TestGridSpec:
@@ -137,14 +132,16 @@ class TestWorkFields:
         w = 0.5 + rng.random(spec.shape)
         field, plane = 8 * spec.npoints, 8 * spec.ny * spec.nz
         held = []
-        built = traced_memory(lambda: held.append(build_nilmanifold(spec)))[0]
+        total = traced_memory(lambda: held.append(build_nilmanifold(spec)))[0]
         geom = held.pop()
         scratch = sum(a.nbytes for a in geom._scratch)
         for call in (lambda: weighted_div_form(geom, w, f), lambda: sub_laplacian_base(geom, f)):
+            # what a call leaves beyond its result counts against the next one
             kept, peak = traced_memory(lambda: held.append(call()))
             held.clear()
-            assert built + kept <= field + scratch + 3 * plane
+            assert total + kept <= field + scratch + 3 * plane
             assert peak <= kept + 3 * plane
+            total += kept - field
         assert geom._slab_planes == 16 and scratch == 3 * 17 * plane
 
     def test_first_kernel_call_allocates_only_its_result(self):
@@ -279,18 +276,12 @@ class TestDivForm:
         f = np.full(geom448.shape, -3.0)
         assert np.all(weighted_div_form(geom448, w, f) == 0.0)
 
-    def test_nonpositive_weight_rejected(self, geom4):
-        w = np.ones(geom4.shape)
-        w[0, 0, 0] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            weighted_div_form(geom4, w, np.ones(geom4.shape))
-
-    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (-1, -1, -1)])
-    def test_nan_weight_rejected(self, geom4, where):
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_nonpositive_weight_rejected(self, geom4, bad):
         # a nan propagates into the minimum, which is then not positive
         w = np.ones(geom4.shape)
-        w[where] = np.nan
-        with pytest.raises(ValueError, match=r"^weight must be positive everywhere \(min=nan\)$"):
+        w[2, 1, 3] = bad
+        with pytest.raises(ValueError, match=rf"^weight must be positive everywhere \(min={bad}\)$"):
             weighted_div_form(geom4, w, np.ones(geom4.shape))
 
     @given(st.integers(0, 2**32 - 1))
@@ -481,26 +472,19 @@ class TestKernelMatchesReference:
         for m in (min(planes, n), (n - 1) % planes + 1):
             assert any(np.array_equal(geom._scratch[2][m], p) for p in gathered)
 
-    @pytest.mark.parametrize("n, base_calls, weighted_calls", [(16, 10, 22), (64, 31, 64)])
+    @pytest.mark.parametrize("n, base_calls, weighted_calls", [(16, 10, 7), (64, 31, 21)])
     def test_python_calls_per_kernel_call(self, n, base_calls, weighted_calls):
         # the slab views are built with the geometry, so a call makes few
         # Python-level calls beyond one `_conservative_form` per slab and form;
-        # the bounds, the calling lambda counted, are half of what a call made
-        # when it derived its views itself (20 and 44 at 16^3, 62 and 128 at 64^3)
+        # the base bounds, the calling lambda counted, are half of what a call
+        # made when it derived its views itself (20 at 16^3, 62 at 64^3); w's
+        # minimum and maximum are ufunc reductions, which run no Python function
+        # (w.min() and w.max() ran numpy's _amin and _amax: 10 and 24 calls)
         geom = build_nilmanifold(GridSpec(n, n, n))
         f = random_field(geom, 12)
         w = 0.5 + np.abs(random_field(geom, 13))
-        assert len(python_calls(lambda: sub_laplacian_base(geom, f))) <= base_calls
-        assert len(python_calls(lambda: weighted_div_form(geom, w, f))) <= weighted_calls
-
-    def test_weight_reduced_without_python_calls(self, geom16):
-        # w's minimum and maximum are ufunc reductions, which run no Python
-        # function (w.min() and w.max() run numpy's _amin and _amax); the
-        # calling lambda counted, a call runs 7 at 16^3
-        f = random_field(geom16, 12)
-        w = 0.5 + np.abs(random_field(geom16, 13))
-        names = python_calls(lambda: weighted_div_form(geom16, w, f))
-        assert len(names) <= 7 and not {"_amin", "_amax"} & set(names)
+        assert python_calls(lambda: sub_laplacian_base(geom, f)) <= base_calls
+        assert python_calls(lambda: weighted_div_form(geom, w, f)) <= weighted_calls
 
     def test_noncontiguous_input(self, geom548):
         # on one slab, and on 40x16x64, whose second slab reads its halo
