@@ -674,15 +674,17 @@ class TestSolitonCheck:
         assert "theorem_violations: 0" in table
         assert "THEOREM VIOLATION" not in table
 
-    def test_one_curvature_per_sampled_time(self, tmp_path, monkeypatch):
+    def test_default_sweep_one_curvature_per_distinct_state(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw")
         cfg = write_cfg(tmp_path, body=BASE_CFG.format(preset="constant", extra="").replace(
             "= 16", "= 8"))
         out = tmp_path / "out"
         assert main(["soliton-check", "--config", cfg, "--out", str(out)]) == 0
-        # 3 x 3 sweep families plus 2 controls, 5 default times and the base
+        # over the 5 default times, each of the 3 bases has 1 state at rate 0,
+        # 4 at rate 1 and 2 at rate 2; the static control has 1 and the scaled
+        # one 5, each with the base among them: 3 * 7 + 1 + 5, not 11 * (1 + 5)
         assert "families: 11" in (out / "verdicts.txt").read_text()
-        assert len(calls) <= 11 * (1 + 5)
+        assert len(calls) == 27
 
     def test_theorem_violation_exit_1(self, tmp_path, capsys, monkeypatch):
         # no input reaches the verdict, so the fifth family's stands in for one

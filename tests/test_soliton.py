@@ -10,17 +10,20 @@ from cryf.analysis import (
     DiagnosticsRecord,
     constancy_verdict,
     curvature_moments,
+    float64_range,
     make_record,
     yamabe_quantity,
 )
 from cryf.conformal import ConformalState, pullback_state, scale_state
 from cryf.errors import FloatRangeError, ShiftAlignmentError
 from cryf.geometry import GridSpec, build_nilmanifold, integrate_base
+from cryf.presets import make_initial_state
 from cryf.soliton import (
     FamilyScan,
     SolitonFamily,
     Verdict,
     _residual_delta,
+    _sample,
     scan_family,
     shift_steps,
     soliton_state,
@@ -277,11 +280,17 @@ class TestFamilyScan:
                 assert [v.hex() for v in record.as_tuple()] == \
                     [v.hex() for v in ref.as_tuple()]
 
-    def test_one_curvature_per_sampled_time(self, geom448, monkeypatch):
-        calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw")
-        fam = constant_family(geom448, rate=1.0)
-        soliton_theorem_harness(scan_family(fam, TIMES))
-        assert len(calls) == 1 + len(TIMES)
+    def test_one_curvature_per_distinct_state(self, geom448, monkeypatch):
+        # at rate 1, t = 1 is a full period: the state at t = 0, which is also
+        # the base, so the five times and the base make four curvatures
+        calls = record_calls(monkeypatch, cryf.conformal, "_webster_raw",
+                             lambda geom, u, u_floor: u.tobytes())
+        fam = SolitonFamily(random_state(geom448, 7, smooth=1), 0.0, 1.0)
+        scan = scan_family(fam, TIMES)
+        assert calls == [soliton_state(fam, t).u.tobytes() for t in TIMES[:4]]
+        assert calls[0] == fam.base.u.tobytes()
+        assert scan.e0 == scan.records[0].E == scan.records[4].E
+        assert [record.t for record in scan.records] == list(TIMES)
 
     def test_no_times_rejected(self, geom448):
         # a scan with no sample would pass the harness vacuously
@@ -309,3 +318,54 @@ class TestFamilyScan:
             den = max(1.0, np.sqrt(integrate_base(geom, drift * drift * dv)))
             assert flow_residual(fam, t).hex() == float(num / den).hex()
             assert fam.base.u.tobytes() == base
+
+
+def plain_scan(fam, times):
+    """`scan_family` without shared samples: the base's curvature, then one
+    `_sample` per time, in that order."""
+    delta = _residual_delta(fam)
+    with float64_range("soliton family"):
+        e0 = curvature_moments(fam.base)[2].E
+        records, residuals = zip(*(_sample(fam, t, delta) for t in times))
+    return FamilyScan(e0, records, max(0.0, *(abs(rec.E - e0) for rec in records)),
+                      max(0.0, *residuals))
+
+
+def scan_hex(scan):
+    return ([[v.hex() for v in record.as_tuple()] for record in scan.records],
+            scan.e0.hex(), scan.e_deviation.hex(), scan.flow_residual.hex())
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestSharedSamples:
+    # times that repeat, times one and more periods on, and times without 0
+    # (at rate 1 and slope 0, t = 1 still samples the base's state)
+    @pytest.mark.parametrize("times", [(0.0, 0.25, 0.5, 0.25, 1.0, 1.25, 0.0),
+                                       (0.5, 0.25, 1.0, 0.5, 2.75)],
+                             ids=["from_zero", "without_zero"])
+    @pytest.mark.parametrize("slope", [0.0, 0.5])
+    @pytest.mark.parametrize("rate", [-2.0, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 4, 12)])
+    def test_bitwise_equal_to_one_sample_per_time(self, shape, rate, slope, times):
+        geom = build_nilmanifold(GridSpec(*shape))
+        fam = SolitonFamily(make_initial_state(geom, "random_smooth", seed=1), slope, rate)
+        assert scan_hex(scan_family(fam, times)) == scan_hex(plain_scan(fam, times))
+
+    @pytest.mark.parametrize("base_u, slope, rate, times", [
+        # the repeated time 0 passes; sigma(0.875 + 1/8) = 0 one step on
+        (1.0, -1.0, 1.0, (0.0, 0.5, 0.0, 0.875)),
+        # the base sits below the floor, and its curvature fails before the
+        # first time's sigma(0.5) = 0 is reached
+        (1e-200, -2.0, 0.0, (0.5, 0.0, 0.5)),
+        # the base's volume element overflows before the shift 0.3 * 0.25 * 8 is
+        # found off the lattice
+        (1e100, 0.0, 0.3, (0.25, 0.25)),
+    ], ids=["sigma_zero_one_step_on", "base_below_floor", "base_overflows"])
+    def test_error_as_one_sample_per_time(self, geom448, base_u, slope, rate, times):
+        fam = constant_family(geom448, c=base_u, rate=rate, slope=slope)
+        assert raised(lambda: scan_family(fam, times)) == raised(lambda: plain_scan(fam, times))

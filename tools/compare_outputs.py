@@ -141,6 +141,17 @@ RUNS = (
     Run("soliton_twisted_backward", "soliton-check",
         GRID_TWISTED + "[initial_data]\npreset = random_smooth\nseed = 7\n\n"
         "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = -2\n"),
+    # samples repeat on a non-constant base: t = 1 and t = 1.25 are t = 0 and
+    # t = 0.25 one period on, and E of the base comes from t = 0
+    Run("soliton_period_repeats_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 1\n\n"
+        "[soliton]\nsweep = false\npsi_rate = 1\ntimes = 0,0.25,0.5,0.75,1,1.25\n"),
+    # a repeated time of a scaled family, and no t = 0, so E of the base is
+    # computed from the base itself
+    Run("soliton_scaled_repeats_8", "soliton-check",
+        GRID_8 + "[initial_data]\npreset = random_smooth\nseed = 2\n\n"
+        "[soliton]\nsweep = false\nsigma_slope = 0.5\npsi_rate = 2\n"
+        "times = 0.25,0.5,0.25,1.0\n"),
     # exits 2: sigma stays positive at every sampled time but not one residual step later
     Run("soliton_sigma_neighbour_8", "soliton-check",
         GRID_8 + "[initial_data]\npreset = single_mode_y\n\n"

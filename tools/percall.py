@@ -5,9 +5,10 @@ Usage: python3 tools/percall.py [BASE_REV] [--grids 16,32,64] [--rounds 5]
 Times `sub_laplacian_base`, `weighted_div_form` (weight u^2), `flow._du_dt`,
 `flow._rk4_any`, one `flow.step_adaptive` from `[flow]`'s default dt_init,
 `analysis.make_record`, `analysis.curvature_evolution_residual` on a
-`ProbeWindow` built from the field itself, and `soliton._sample` of the
-static family on it, on the `random_smooth` seed-1 field of each N^3 grid,
-in a fresh process per round.  Each of a process's REPEATS repeats
+`ProbeWindow` built from the field itself, `soliton._sample` of the
+static family on it, and `soliton.scan_family` of the family that translates
+it at psi-rate 2 over `[soliton]`'s default times, on the `random_smooth`
+seed-1 field of each N^3 grid, in a fresh process per round.  Each of a process's REPEATS repeats
 runs a call as many times as take about 20 ms, and the fastest repeat gives
 that process's time per call; a row shows the median and the quartiles of
 those times over the rounds, in microseconds.
@@ -37,7 +38,8 @@ from compare_outputs import export_src
 ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = ("sub_laplacian_base", "weighted_div_form", "_du_dt", "_rk4_any",
-          "step_adaptive", "make_record", "curvature_evolution_residual", "_sample")
+          "step_adaptive", "make_record", "curvature_evolution_residual", "_sample",
+          "scan_family")
 REPEATS = 9
 
 
@@ -45,7 +47,7 @@ def layer_calls(n: int) -> dict:
     """The call of each of LAYERS on the random_smooth seed-1 field of an n^3 grid."""
     # imported here: a worker's PYTHONPATH picks the tree, and the parent needs none
     from cryf import analysis, flow, soliton
-    from cryf.config import FlowConfig
+    from cryf.config import FlowConfig, SolitonConfig
     from cryf.geometry import GridSpec, build_nilmanifold, sub_laplacian_base, \
         weighted_div_form
     from cryf.presets import make_initial_state
@@ -58,6 +60,7 @@ def layer_calls(n: int) -> dict:
     r, dv, record = analysis.curvature_moments(state)
     window = analysis.ProbeWindow(state, r, dv, r, (record,) * 3)
     static = soliton.SolitonFamily(state, 0.0, 0.0)
+    rotating = soliton.SolitonFamily(state, 0.0, 2.0)
     return {
         "sub_laplacian_base": lambda: sub_laplacian_base(geom, u),
         "weighted_div_form": lambda: weighted_div_form(geom, w, u),
@@ -67,6 +70,7 @@ def layer_calls(n: int) -> dict:
         "make_record": lambda: analysis.make_record(state),
         "curvature_evolution_residual": lambda: analysis.curvature_evolution_residual(window),
         "_sample": lambda: soliton._sample(static, 0.0, 1e-4),
+        "scan_family": lambda: soliton.scan_family(rotating, SolitonConfig.times),
     }
 
 
